@@ -1,44 +1,18 @@
-"""Hot numeric kernels: direct Fourier sums and the gate-level transform.
+"""Hot numeric kernels: the Fourier transform of one control column and the
+gate-level transform kept as its independent oracle.
 
-Each kernel has a numba @njit implementation and a pure-numpy fallback.
-Selection happens once at import time: set SHORSIM_NUMBA=0 to force the
-numpy path (results are identical within floating-point noise; only speed
-differs). The fallback also engages automatically when numba is missing.
-
-Both paths share the same precomputed table of the q-th roots of unity,
-exp(2*pi*i*j/q), and index it with exactly reduced integer products, so no
-large-argument trig is ever evaluated.
+`dft_support` evaluates the defining sum
+out[c] = (1/sqrt(q)) * sum_j exp(2*pi*i*support[j]*c/q) * amps[j]
+with a radix-2 FFT (O(q log q) per column). `qft_gates` applies the same
+unitary as a circuit of Hadamard stages, conditional phase rotations and a
+bit-order reversal, sharing no code with the FFT.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
-
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("SHORSIM_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-_HAVE_NUMBA = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-
-@lru_cache(maxsize=16)
-def phase_table(q: int) -> np.ndarray:
-    """table[j] = exp(2*pi*i*j/q) for j in [0, q)."""
-    table = np.exp(2j * np.pi * np.arange(q) / q)
-    table.setflags(write=False)
-    return table
 
 
 @lru_cache(maxsize=16)
@@ -52,53 +26,21 @@ def bit_reverse_permutation(s: int) -> np.ndarray:
     return perm
 
 
-# ---------------------------------------------------------------------------
-# Direct transform: out[c] = (1/sqrt(q)) * sum_j exp(2*pi*i*support[j]*c/q) * amps[j]
-# ---------------------------------------------------------------------------
+def dft_support(support: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
+    """Length-q transform of the column holding `amps` at rows `support`.
 
-# Cap on the temporary (rows x support) index matrix in the numpy path.
-_NUMPY_BLOCK_ELEMENTS = 1 << 21
-
-
-def dft_support_numpy(support: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
-    table = phase_table(q)
-    out = np.empty(q, dtype=np.complex128)
-    rows = max(1, _NUMPY_BLOCK_ELEMENTS // max(1, support.size))
-    for start in range(0, q, rows):
-        cs = np.arange(start, min(start + rows, q), dtype=np.int64)
-        idx = (cs[:, None] * support[None, :]) % q
-        out[start : start + cs.size] = table[idx] @ amps
-    out *= 1.0 / np.sqrt(q)
-    return out
+    numpy's inverse FFT carries the exp(+2*pi*i*a*c/q) sign, and "ortho"
+    scaling gives the 1/sqrt(q) factor of the defining sum.
+    """
+    col = np.zeros(q, dtype=np.complex128)
+    col[support] = amps
+    return np.fft.ifft(col, norm="ortho")
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dft_support_jit(support, amps, q, table):  # pragma: no cover - jitted
-        out = np.zeros(q, dtype=np.complex128)
-        for c in range(q):
-            acc = 0.0 + 0.0j
-            for j in range(support.shape[0]):
-                acc += table[(support[j] * c) % q] * amps[j]
-            out[c] = acc
-        return out * (1.0 / np.sqrt(q))
-
-    def dft_support_numba(support: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
-        return _dft_support_jit(support, amps, q, phase_table(q))
-
-else:
-    dft_support_numba = dft_support_numpy
-
-
-# ---------------------------------------------------------------------------
-# Gate-level transform on the control axis of a (q, right) matrix:
-# one Hadamard stage per control qubit, conditional phase rotations between
-# qubit pairs, then a bit-order reversal. Consumes its input buffer.
-# ---------------------------------------------------------------------------
-
-
-def qft_gates_numpy(mat: np.ndarray, s: int) -> np.ndarray:
+def qft_gates(mat: np.ndarray, s: int) -> np.ndarray:
+    """Gate-level transform on the control axis of a (q, right) matrix: one
+    Hadamard stage per control qubit, conditional phase rotations between
+    qubit pairs, then a bit-order reversal. Consumes its input buffer."""
     q, right = mat.shape
     assert q == 1 << s
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -116,66 +58,3 @@ def qft_gates_numpy(mat: np.ndarray, s: int) -> np.ndarray:
             mask = (((a_bits >> p) & 1) & ((a_bits >> pc) & 1)).astype(bool)
             mat[mask] *= w
     return mat[bit_reverse_permutation(s)]
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _qft_gates_jit(mat, s):  # pragma: no cover - jitted
-        q, right = mat.shape
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        for j in range(s):
-            p = s - 1 - j
-            step = 1 << p
-            for base in range(0, q, step << 1):
-                for low in range(step):
-                    i0 = base + low
-                    i1 = i0 + step
-                    for col in range(right):
-                        a0 = mat[i0, col]
-                        a1 = mat[i1, col]
-                        mat[i0, col] = (a0 + a1) * inv_sqrt2
-                        mat[i1, col] = (a0 - a1) * inv_sqrt2
-            for k in range(2, s - j + 1):
-                pc = p - (k - 1)
-                w = np.exp(2j * np.pi / (1 << k))
-                for a in range(q):
-                    if (a >> p) & 1 == 1 and (a >> pc) & 1 == 1:
-                        for col in range(right):
-                            mat[a, col] *= w
-        out = np.empty_like(mat)
-        for a in range(q):
-            rev = 0
-            t = a
-            for _ in range(s):
-                rev = (rev << 1) | (t & 1)
-                t >>= 1
-            out[rev] = mat[a]
-        return out
-
-    def qft_gates_numba(mat: np.ndarray, s: int) -> np.ndarray:
-        return _qft_gates_jit(mat, s)
-
-else:
-    qft_gates_numba = qft_gates_numpy
-
-
-if _HAVE_NUMBA:
-    dft_support = dft_support_numba
-    qft_gates = qft_gates_numba
-else:
-    dft_support = dft_support_numpy
-    qft_gates = qft_gates_numpy
-
-
-def active_backend() -> str:
-    """'numba' when jitted kernels are in use, else 'numpy'."""
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation on tiny inputs so later calls are not skewed."""
-    support = np.array([0, 1], dtype=np.int64)
-    amps = np.array([1.0 + 0j, 0.5j], dtype=np.complex128)
-    dft_support(support, amps, 4)
-    qft_gates(np.eye(4, 2, dtype=np.complex128).copy(), 2)

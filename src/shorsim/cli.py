@@ -93,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
     p.add_argument("--output-dir", default=".")
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    p.add_argument(
-        "--dump-state",
-        action="store_true",
-        help="accepted for flag compatibility; factor runs have no single state",
-    )
     p.add_argument("--trace", action="store_true", help="print the full run trace")
 
     p = sub.add_parser("entanglement", help="Schmidt spectra, entropies, correlations")
@@ -217,7 +212,8 @@ def cmd_audit(args) -> int:
     instance = _make_instance(args)
     config = _config_from(args, instance)
     report = distributions.multi_register_audit(
-        instance, ell=args.ell, backend=args.backend, qubit_cap=args.qubit_cap
+        instance, ell=args.ell, backend=args.backend, qft=args.qft,
+        qubit_cap=args.qubit_cap,
     )
     if config.dump_state:
         state = pipeline.run_pipeline(
@@ -274,23 +270,21 @@ def cmd_factor(args) -> int:
 def cmd_entanglement(args) -> int:
     instance = _make_instance(args)
     config = _config_from(args, instance)
-    locality = entanglement.qft_locality_check(
-        instance, ell=args.ell, backend=args.backend, qubit_cap=args.qubit_cap
-    )
     before, after = pipeline.pre_measurement_states(
         instance, ell=args.ell, backend=args.backend, qft=args.qft,
         qubit_cap=args.qubit_cap,
     )
+    locality = entanglement.locality_report(instance, before, after)
     _maybe_dump_state(config, after)
-    cuts = []
-    for cut in range(1, args.ell + 1):
-        spectrum = entanglement.schmidt_spectrum(before, cut_after=cut)
-        cuts.append(
-            {
-                **spectrum.to_json_dict(),
-                "entropy_bits": entanglement.von_neumann_entropy(spectrum),
-            }
-        )
+    # The locality report already holds the cut-1 spectrum of `before`.
+    spectra = [entanglement.SchmidtSpectrum(1, locality.eigenvalues_before)]
+    spectra += [
+        entanglement.schmidt_spectrum(before, cut_after=cut) for cut in range(2, args.ell + 1)
+    ]
+    cuts = [
+        {**spectrum.to_json_dict(), "entropy_bits": entanglement.von_neumann_entropy(spectrum)}
+        for spectrum in spectra
+    ]
     correlations = []
     if args.ell >= 2:
         dist = distributions.measurement_distribution(after)

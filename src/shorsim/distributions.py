@@ -16,10 +16,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import ConditioningError, NormalizationError, RangeError
 from .numtheory import euler_phi, mod_pow, multiplicative_order
-from .pipeline import run_pipeline
+from .pipeline import QFT_DIRECT, run_pipeline
 from .registers import (
     DEFAULT_QUBIT_CAP,
     SPARSE,
@@ -73,15 +76,17 @@ class OutcomeDistribution:
 def measurement_distribution(state: StateVector) -> OutcomeDistribution:
     """Squared-magnitude probabilities of every outcome; entries below
     PROBABILITY_FLOOR are omitted."""
-    norm = state.norm_squared()
+    index, amps = state.nonzero_arrays()
+    probs = np.abs(amps) ** 2
+    norm = float(probs.sum())
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise NormalizationError(f"state norm is {norm}, not 1 within {NORM_TOLERANCE}")
+    kept = probs > PROBABILITY_FLOOR
+    index, probs = index[kept], probs[kept]
     layout = state.layout
-    entries: dict[tuple[int, ...], float] = {}
-    for index, amp in state.nonzero_items():
-        prob = abs(amp) ** 2
-        if prob > PROBABILITY_FLOOR:
-            entries[layout.outcome_of_index(index)] = prob
+    registers = layout.registers_of_indices(index)
+    outcomes = zip(*(register.tolist() for register in registers))
+    entries = dict(zip(outcomes, probs.tolist()))
     positions = tuple(range(1, layout.ell + 2))
     return OutcomeDistribution(layout=layout, positions=positions, entries=entries)
 
@@ -93,11 +98,14 @@ def marginal(dist: OutcomeDistribution, keep) -> OutcomeDistribution:
         raise RangeError("must keep at least one register position")
     if not set(keep) <= set(dist.positions):
         raise RangeError(f"positions {keep} not all present in {dist.positions}")
-    slots = [dist.positions.index(p) for p in keep]
-    entries: dict[tuple[int, ...], float] = {}
+    # itemgetter with one slot returns the bare value; wrap those keys at the end.
+    pick = itemgetter(*(dist.positions.index(p) for p in keep))
+    entries: dict = {}
     for outcome, prob in dist.entries.items():
-        reduced = tuple(outcome[i] for i in slots)
+        reduced = pick(outcome)
         entries[reduced] = entries.get(reduced, 0.0) + prob
+    if len(keep) == 1:
+        entries = {(value,): prob for value, prob in entries.items()}
     return OutcomeDistribution(layout=dist.layout, positions=keep, entries=entries)
 
 
@@ -367,9 +375,11 @@ def multi_register_audit(
     instance: ProblemInstance,
     ell: int = 2,
     backend: str = SPARSE,
+    qft: str = QFT_DIRECT,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> AuditReport:
-    """Compare the ell-register pipeline against the two-register one.
+    """Compare the ell-register pipeline against the two-register one, both
+    run with the transform named by `qft`.
 
     Joint probabilities are squared amplitudes of the full state. The
     conditional reading is reported alongside as a labeled alternative,
@@ -379,10 +389,10 @@ def multi_register_audit(
         raise ValueError(f"audit needs at least two function registers, got ell={ell}")
     r = multiplicative_order(instance.x, instance.n)
     dist_single = measurement_distribution(
-        run_pipeline(instance, ell=1, backend=backend, qubit_cap=qubit_cap)
+        run_pipeline(instance, ell=1, backend=backend, qft=qft, qubit_cap=qubit_cap)
     )
     dist_multi = measurement_distribution(
-        run_pipeline(instance, ell=ell, backend=backend, qubit_cap=qubit_cap)
+        run_pipeline(instance, ell=ell, backend=backend, qft=qft, qubit_cap=qubit_cap)
     )
 
     residues = [mod_pow(instance.x, k, instance.n) for k in range(r)]

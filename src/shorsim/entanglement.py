@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import OutcomeDistribution, marginal
 from .errors import CapacityError, RangeError
-from .pipeline import pre_measurement_states
+from .pipeline import QFT_DIRECT, pre_measurement_states
 from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, StateVector
 
 EIGENVALUE_FLOOR = 1e-14
@@ -131,29 +131,38 @@ def spectra_deviation(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
     return worst
 
 
-def qft_locality_check(
-    instance: ProblemInstance,
-    ell: int = 1,
-    backend: str = "sparse",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
+def locality_report(
+    instance: ProblemInstance, before: StateVector, after: StateVector
 ) -> LocalityReport:
-    """Verify the transform on the control register leaves the
-    (control | function registers) Schmidt spectrum unchanged."""
-    before, after = pre_measurement_states(
-        instance, ell=ell, backend=backend, qubit_cap=qubit_cap
-    )
+    """Compare the (control | function registers) Schmidt spectra of the
+    states immediately before and after the transform."""
     spec_before = schmidt_spectrum(before, cut_after=1)
     spec_after = schmidt_spectrum(after, cut_after=1)
     return LocalityReport(
         n=instance.n,
         x=instance.x,
-        ell=ell,
+        ell=before.layout.ell,
         eigenvalues_before=spec_before.eigenvalues,
         eigenvalues_after=spec_after.eigenvalues,
         max_deviation=spectra_deviation(spec_before, spec_after),
         entropy_before_bits=von_neumann_entropy(spec_before),
         entropy_after_bits=von_neumann_entropy(spec_after),
     )
+
+
+def qft_locality_check(
+    instance: ProblemInstance,
+    ell: int = 1,
+    backend: str = "sparse",
+    qft: str = QFT_DIRECT,
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
+) -> LocalityReport:
+    """Verify the transform named by `qft` leaves the
+    (control | function registers) Schmidt spectrum unchanged."""
+    before, after = pre_measurement_states(
+        instance, ell=ell, backend=backend, qft=qft, qubit_cap=qubit_cap
+    )
+    return locality_report(instance, before, after)
 
 
 @dataclass(frozen=True)

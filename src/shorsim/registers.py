@@ -146,6 +146,13 @@ class RegisterLayout:
         a, ys = self.unpack_index(index)
         return (a, *ys)
 
+    def registers_of_indices(self, index: np.ndarray) -> list[np.ndarray]:
+        """unpack_index over an array: [control values, y_1, ..., y_ell]."""
+        mask = self.function_dim - 1
+        registers = [index >> (self.ell * self.L)]
+        registers += [(index >> ((self.ell - i) * self.L)) & mask for i in range(1, self.ell + 1)]
+        return registers
+
 
 class StateVector:
     """Complex amplitudes over the full register space, dense or sparse.
@@ -181,6 +188,16 @@ class StateVector:
                 yield int(index), complex(self.data[index])
         else:
             yield from self.data.items()
+
+    def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(packed indices, amplitudes) of the stored nonzero entries."""
+        if self.backend == DENSE:
+            index = np.flatnonzero(self.data)
+            return index, self.data[index]
+        count = len(self.data)
+        index = np.fromiter(self.data.keys(), dtype=np.int64, count=count)
+        amps = np.fromiter(self.data.values(), dtype=np.complex128, count=count)
+        return index, amps
 
     def nonzero_count(self) -> int:
         if self.backend == DENSE:
@@ -242,22 +259,3 @@ def _check_dense_capacity(layout: RegisterLayout) -> None:
             f"dense allocation needs {layout.total_qubits} qubits, cap is {layout.qubit_cap}"
         )
 
-
-def pack_index(layout: RegisterLayout, a: int, ys) -> int:
-    return layout.pack_index(a, ys)
-
-
-def unpack_index(layout: RegisterLayout, index: int) -> tuple[int, tuple[int, ...]]:
-    return layout.unpack_index(index)
-
-
-def norm_squared(state: StateVector) -> float:
-    return state.norm_squared()
-
-
-def densify(state: StateVector) -> StateVector:
-    return state.densify()
-
-
-def sparsify(state: StateVector, floor: float = SPARSE_AMPLITUDE_FLOOR) -> StateVector:
-    return state.sparsify(floor)

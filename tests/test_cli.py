@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from shorsim import pipeline
 from shorsim.cli import main
 from shorsim.registers import StateVector
 
@@ -81,6 +82,20 @@ class TestAuditCommand:
         assert doc["report"]["equal_outcome_discrepancy"] <= 1e-12
         assert doc["report"]["unequal_register_mass"] <= 1e-12
 
+    def test_qft_flag_selects_the_audited_transform(self, tmp_path, monkeypatch):
+        gates = pipeline.apply_qft_register1_gates
+
+        def faulty(state):
+            # Flip the low bit of the last function register after the
+            # transform: norm-preserving, but the registers now disagree.
+            out = gates(state)
+            return StateVector(out.layout, out.backend, {i ^ 1: v for i, v in out.data.items()})
+
+        monkeypatch.setattr(pipeline, "apply_qft_register1_gates", faulty)
+        argv = ["audit", "--n", "15", "--x", "7", "--output-dir", str(tmp_path)]
+        assert main(argv + ["--qft", "gates"]) == 1
+        assert main(argv + ["--qft", "direct"]) == 0
+
     def test_single_register_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["audit", "--n", "15", "--x", "7", "--ell", "1",
@@ -118,6 +133,11 @@ class TestFactorCommand:
         code = main(["factor", "--n", "9", "--output-dir", str(tmp_path)])
         assert code == 1
         assert "prime power" in capsys.readouterr().err
+
+    def test_dump_state_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["factor", "--n", "15", "--dump-state", "--output-dir", str(tmp_path)])
+        assert err.value.code == 2
 
     def test_trace_flag_prints_attempts(self, tmp_path, capsys):
         code = main(

@@ -2,6 +2,7 @@ import csv
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shorsim.distributions import (
     analytic_joint_probability,
@@ -13,9 +14,15 @@ from shorsim.distributions import (
     signed_residue,
 )
 from shorsim.errors import ConditioningError, NormalizationError, RangeError
-from shorsim.numtheory import euler_phi, mod_pow, multiplicative_order
+from shorsim.numtheory import (
+    euler_phi,
+    is_prime,
+    mod_pow,
+    multiplicative_order,
+    prime_power_base,
+)
 from shorsim.pipeline import run_pipeline
-from shorsim.registers import SPARSE, ProblemInstance, StateVector
+from shorsim.registers import DENSE, SPARSE, ProblemInstance, StateVector
 
 INST_15_7 = ProblemInstance.create(15, 7)
 INST_21_2 = ProblemInstance.create(21, 2)
@@ -56,6 +63,40 @@ class TestMeasurementDistribution:
         bad = StateVector(layout, SPARSE, {0: 0.5 + 0j})
         with pytest.raises(NormalizationError):
             measurement_distribution(bad)
+
+
+# Odd composites that are not prime powers: the inputs order finding factors.
+FACTORABLE_N = [
+    n for n in range(9, 151, 2) if not is_prime(n) and prime_power_base(n) is None
+]
+
+# Dense states of at most 2**20 amplitudes (16 MB) are cheap enough to compare.
+DENSE_QUBIT_LIMIT = 20
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_simulation_matches_closed_form_over_many_inputs(data):
+    n = data.draw(st.sampled_from(FACTORABLE_N), label="n")
+    x = data.draw(st.sampled_from([x for x in range(2, n) if math.gcd(x, n) == 1]), label="x")
+    ell = data.draw(st.sampled_from([1, 2]), label="ell")
+    inst = ProblemInstance.create(n, x)
+    r = multiplicative_order(x, n)
+    exponent = {mod_pow(x, k, n): k for k in range(r)}
+    # The sparse state holds q * r amplitudes whatever the register count,
+    # so the qubit cap (a limit on dense storage) is lifted for it.
+    qubits = inst.s + ell * inst.function_register_width
+    dist = measurement_distribution(run_pipeline(inst, ell=ell, qubit_cap=qubits))
+
+    for (c, *ys), p in dist.entries.items():
+        assert ys == [ys[0]] * ell
+        assert abs(p - analytic_joint_probability(inst, r, c, exponent[ys[0]])) <= 1e-12
+    assert abs(math.fsum(dist.entries.values()) - 1.0) <= 1e-12
+
+    if qubits <= DENSE_QUBIT_LIMIT:
+        dense = measurement_distribution(run_pipeline(inst, ell=ell, backend=DENSE))
+        for outcome in dist.entries.keys() | dense.entries.keys():
+            assert abs(dist.probability(outcome) - dense.probability(outcome)) <= 1e-12
 
 
 class TestAnalyticJointProbability:

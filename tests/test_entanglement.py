@@ -13,6 +13,7 @@ from shorsim.entanglement import (
     spectra_deviation,
     von_neumann_entropy,
 )
+from shorsim import pipeline
 from shorsim.errors import RangeError
 from shorsim.numtheory import mod_pow, multiplicative_order
 from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
@@ -104,6 +105,22 @@ class TestLocality:
         assert report.entropy_before_bits == pytest.approx(
             report.entropy_after_bits, abs=1e-10
         )
+
+    def test_checks_the_transform_named_by_qft(self, monkeypatch):
+        gates = pipeline.apply_qft_register1_gates
+
+        def faulty(state):
+            # Scale one function-register column after the transform and
+            # renormalise: the control | function spectrum changes.
+            out = gates(state)
+            right = out.layout.right_dim
+            data = {i: v * (1.01 if i % right == 1 else 1.0) for i, v in out.data.items()}
+            norm = math.sqrt(sum(abs(v) ** 2 for v in data.values()))
+            return StateVector(out.layout, out.backend, {i: v / norm for i, v in data.items()})
+
+        monkeypatch.setattr(pipeline, "apply_qft_register1_gates", faulty)
+        assert not qft_locality_check(INST_15_7, qft="gates").passed
+        assert qft_locality_check(INST_15_7, qft="direct").passed
 
     def test_deviation_helper(self):
         a = SchmidtSpectrum(1, (0.6, 0.4))

@@ -1,8 +1,5 @@
-"""Cross-checks between the jitted kernels and the pure-numpy fallbacks.
-
-Both implementations are exercised directly regardless of which one the
-package selected at import, so either path failing shows up here.
-"""
+"""The FFT column transform and the gate-level transform against loop and
+matrix references that share no code with either."""
 
 import numpy as np
 import pytest
@@ -27,29 +24,34 @@ def random_state(q, right, seed):
     return mat.astype(np.complex128)
 
 
+def random_amplitudes(rng, size):
+    amps = (rng.normal(size=size) + 1j * rng.normal(size=size)).astype(np.complex128)
+    return amps / np.linalg.norm(amps)
+
+
 @pytest.mark.parametrize("q", [8, 64, 256])
 def test_dft_support_against_brute_force(q):
     rng = np.random.default_rng(q)
     support = np.sort(rng.choice(q, size=q // 2, replace=False)).astype(np.int64)
-    amps = (rng.normal(size=support.size) + 1j * rng.normal(size=support.size)).astype(
-        np.complex128
-    )
-    amps /= np.linalg.norm(amps)
-    expected = brute_dft(support, amps, q)
-    for impl in (_kernels.dft_support_numpy, _kernels.dft_support_numba):
-        got = impl(support, amps, q)
-        assert np.max(np.abs(got - expected)) <= 1e-12
+    amps = random_amplitudes(rng, support.size)
+    got = _kernels.dft_support(support, amps, q)
+    assert np.max(np.abs(got - brute_dft(support, amps, q))) <= 1e-12
 
 
-def test_dft_support_paths_agree():
-    q = 1024
-    rng = np.random.default_rng(17)
+def test_dft_support_full_support():
+    q = 256
     support = np.arange(q, dtype=np.int64)
-    amps = (rng.normal(size=q) + 1j * rng.normal(size=q)).astype(np.complex128)
-    amps /= np.linalg.norm(amps)
-    a = _kernels.dft_support_numpy(support, amps, q)
-    b = _kernels.dft_support_numba(support, amps, q)
-    assert np.max(np.abs(a - b)) <= 1e-13
+    amps = random_amplitudes(np.random.default_rng(17), q)
+    got = _kernels.dft_support(support, amps, q)
+    assert np.max(np.abs(got - brute_dft(support, amps, q))) <= 1e-12
+
+
+def test_dft_support_single_point():
+    q, a = 64, 5
+    got = _kernels.dft_support(np.array([a], dtype=np.int64), np.array([1.0 + 0j]), q)
+    expected = np.exp(2j * np.pi * a * np.arange(q) / q) / np.sqrt(q)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    assert np.max(np.abs(got - brute_dft([a], [1.0 + 0j], q))) <= 1e-12
 
 
 @pytest.mark.parametrize("s", range(1, 7))
@@ -58,31 +60,10 @@ def test_gate_transform_matches_dft_matrix(s, right):
     q = 1 << s
     mat = random_state(q, right, seed=100 * s + right)
     dft = np.exp(2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q) / np.sqrt(q)
-    expected = dft @ mat
-    for impl in (_kernels.qft_gates_numpy, _kernels.qft_gates_numba):
-        got = impl(mat.copy(), s)
-        assert np.max(np.abs(got - expected)) <= 1e-12
-
-
-def test_gate_transform_paths_agree():
-    s, right = 9, 2
-    mat = random_state(1 << s, right, seed=4)
-    a = _kernels.qft_gates_numpy(mat.copy(), s)
-    b = _kernels.qft_gates_numba(mat.copy(), s)
-    assert np.max(np.abs(a - b)) <= 1e-13
+    got = _kernels.qft_gates(mat.copy(), s)
+    assert np.max(np.abs(got - dft @ mat)) <= 1e-12
 
 
 def test_bit_reverse_permutation():
     perm = _kernels.bit_reverse_permutation(3)
     assert list(perm) == [0, 4, 2, 6, 1, 5, 3, 7]
-
-
-def test_phase_table_is_unit_circle():
-    table = _kernels.phase_table(16)
-    assert np.allclose(np.abs(table), 1.0)
-    assert table[0] == 1.0
-    assert table[4] == pytest.approx(1j)
-
-
-def test_active_backend_reports_a_known_value():
-    assert _kernels.active_backend() in ("numba", "numpy")
