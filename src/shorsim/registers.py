@@ -20,6 +20,8 @@ from .errors import CapacityError, NotCoprimeError, RangeError
 from .numtheory import gcd
 
 DEFAULT_QUBIT_CAP = 26
+# Packed indices are int64 arrays, so s + ell*L may not exceed 63.
+INDEX_BITS = 63
 SPARSE_AMPLITUDE_FLOOR = 1e-15
 
 DENSE = "dense"
@@ -76,7 +78,11 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Widths of the control register (s) and the ell function registers (L each)."""
+    """Widths of the control register (s) and the ell function registers (L each).
+
+    `qubit_cap` limits the memory a state on this layout may allocate; it is
+    checked by StateVector.zeros and densify (see _check_capacity), not here.
+    """
 
     s: int
     L: int
@@ -88,10 +94,9 @@ class RegisterLayout:
             raise ValueError("register widths must be >= 1")
         if self.ell < 1:
             raise ValueError(f"need at least one function register, got ell={self.ell}")
-        if self.total_qubits > self.qubit_cap:
+        if self.total_qubits > INDEX_BITS:
             raise CapacityError(
-                f"layout needs {self.total_qubits} qubits, cap is {self.qubit_cap} "
-                f"(raise the cap explicitly to allow this)"
+                f"layout needs {self.total_qubits} qubits, packed indices hold {INDEX_BITS}"
             )
 
     @property
@@ -159,7 +164,9 @@ class StateVector:
 
     Dense states hold a flat complex128 array of length layout.dim; sparse
     states hold a dict from packed index to amplitude and store only nonzero
-    entries.
+    entries. In a pipeline state each control value pairs with at most
+    r <= 2**L function-register contents (x^k repeated in every register), so
+    a sparse state holds at most q * 2**L entries whatever ell is.
     """
 
     def __init__(self, layout: RegisterLayout, backend: str, data):
@@ -171,8 +178,8 @@ class StateVector:
 
     @classmethod
     def zeros(cls, layout: RegisterLayout, backend: str = SPARSE) -> "StateVector":
+        _check_capacity(layout, backend)
         if backend == DENSE:
-            _check_dense_capacity(layout)
             return cls(layout, DENSE, np.zeros(layout.dim, dtype=np.complex128))
         return cls(layout, SPARSE, {})
 
@@ -211,7 +218,7 @@ class StateVector:
 
     def densify(self) -> "StateVector":
         """Dense copy with identical amplitudes."""
-        _check_dense_capacity(self.layout)
+        _check_capacity(self.layout, DENSE)
         if self.backend == DENSE:
             return StateVector(self.layout, DENSE, self.data.copy())
         dense = np.zeros(self.layout.dim, dtype=np.complex128)
@@ -253,9 +260,15 @@ class StateVector:
         return state
 
 
-def _check_dense_capacity(layout: RegisterLayout) -> None:
-    if layout.total_qubits > layout.qubit_cap:
+def _check_capacity(layout: RegisterLayout, backend: str) -> None:
+    """Refuse a state whose storage would exceed 2**qubit_cap amplitudes:
+    2**(s + ell*L) for dense storage, at most 2**(s + L) for sparse."""
+    if backend == DENSE:
+        qubits = layout.total_qubits
+    else:
+        qubits = layout.s + layout.L
+    if qubits > layout.qubit_cap:
         raise CapacityError(
-            f"dense allocation needs {layout.total_qubits} qubits, cap is {layout.qubit_cap}"
+            f"{backend} state needs up to 2^{qubits} amplitudes, cap is 2^{layout.qubit_cap} "
+            f"(raise the cap explicitly to allow this)"
         )
-

@@ -102,6 +102,14 @@ class TestAuditCommand:
                   "--output-dir", str(tmp_path)])
         assert err.value.code == 2
 
+    def test_sparse_run_beyond_the_dense_qubit_cap(self, tmp_path):
+        # 11 + 3*6 = 29 qubits as a dense vector, but the sparse state holds
+        # q * r entries: the default cap counts s + L = 17 qubits.
+        code = main(["audit", "--n", "35", "--x", "2", "--ell", "3",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert read_json(tmp_path / "audit.json")["report"]["unequal_register_mass"] <= 1e-12
+
 
 class TestBoundCommand:
     @pytest.mark.parametrize(
@@ -170,6 +178,36 @@ class TestEntanglementCommand:
         assert ent["correlations"][0]["p_equal"] == pytest.approx(1.0, abs=1e-12)
         assert ent["correlations"][0]["p_unequal"] <= 1e-12
         assert ent["locality"]["max_deviation"] <= 1e-10
+
+    def test_transform_fault_fails_the_locality_verdict(self, tmp_path, monkeypatch):
+        direct = pipeline.apply_qft_register1_direct
+
+        def faulty(state):
+            # Scale one function-register column after the transform and
+            # renormalise: the control | function spectrum changes.
+            out = direct(state)
+            right = out.layout.right_dim
+            column = next(iter(out.data)) % right
+            data = {i: v * (1.01 if i % right == column else 1.0) for i, v in out.data.items()}
+            norm = sum(abs(v) ** 2 for v in data.values()) ** 0.5
+            return StateVector(out.layout, out.backend, {i: v / norm for i, v in data.items()})
+
+        monkeypatch.setattr(pipeline, "apply_qft_register1_direct", faulty)
+        code = main(["entanglement", "--n", "15", "--x", "7", "--ell", "2",
+                     "--output-dir", str(tmp_path)])
+        assert code == 1
+        ent = read_json(tmp_path / "entanglement.json")["report"]["entanglement"]
+        assert ent["locality"]["passed"] is False
+
+    def test_sparse_run_beyond_the_dense_qubit_cap(self, tmp_path):
+        # 13 + 2*7 = 27 qubits as a dense vector; the full 8192 x 16384 cut
+        # matrix has only r = 30 occupied columns.
+        code = main(["entanglement", "--n", "77", "--x", "2", "--ell", "2",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        ent = read_json(tmp_path / "entanglement.json")["report"]["entanglement"]
+        assert len(ent["locality"]["eigenvalues_before"]) == 30
+        assert ent["correlations"][0]["p_equal"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDeterminism:

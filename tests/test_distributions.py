@@ -83,17 +83,14 @@ def test_simulation_matches_closed_form_over_many_inputs(data):
     inst = ProblemInstance.create(n, x)
     r = multiplicative_order(x, n)
     exponent = {mod_pow(x, k, n): k for k in range(r)}
-    # The sparse state holds q * r amplitudes whatever the register count,
-    # so the qubit cap (a limit on dense storage) is lifted for it.
-    qubits = inst.s + ell * inst.function_register_width
-    dist = measurement_distribution(run_pipeline(inst, ell=ell, qubit_cap=qubits))
+    dist = measurement_distribution(run_pipeline(inst, ell=ell))
 
     for (c, *ys), p in dist.entries.items():
         assert ys == [ys[0]] * ell
         assert abs(p - analytic_joint_probability(inst, r, c, exponent[ys[0]])) <= 1e-12
     assert abs(math.fsum(dist.entries.values()) - 1.0) <= 1e-12
 
-    if qubits <= DENSE_QUBIT_LIMIT:
+    if inst.s + ell * inst.function_register_width <= DENSE_QUBIT_LIMIT:
         dense = measurement_distribution(run_pipeline(inst, ell=ell, backend=DENSE))
         for outcome in dist.entries.keys() | dense.entries.keys():
             assert abs(dist.probability(outcome) - dense.probability(outcome)) <= 1e-12

@@ -9,15 +9,14 @@ from shorsim.entanglement import (
     qft_locality_check,
     register_correlation,
     schmidt_spectrum,
-    schmidt_spectrum_of_amplitudes,
     spectra_deviation,
     von_neumann_entropy,
 )
 from shorsim import pipeline
-from shorsim.errors import RangeError
+from shorsim.errors import CapacityError, RangeError
 from shorsim.numtheory import mod_pow, multiplicative_order
 from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
-from shorsim.registers import SPARSE, ProblemInstance, RegisterLayout, StateVector
+from shorsim.registers import DENSE, SPARSE, ProblemInstance, RegisterLayout, StateVector
 
 INST_15_7 = ProblemInstance.create(15, 7)
 INST_21_2 = ProblemInstance.create(21, 2)
@@ -36,8 +35,12 @@ class TestSchmidtSpectrum:
 
     def test_epr_pair(self):
         # (|01> + |10>) / sqrt(2), cut between the qubits
-        matrix = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128) / np.sqrt(2)
-        spectrum = schmidt_spectrum_of_amplitudes(matrix)
+        layout = RegisterLayout(s=1, L=1, ell=1)
+        amp = complex(1 / np.sqrt(2))
+        state = StateVector(
+            layout, SPARSE, {layout.pack_index(0, [1]): amp, layout.pack_index(1, [0]): amp}
+        )
+        spectrum = schmidt_spectrum(state, cut_after=1)
         assert spectrum.eigenvalues == pytest.approx((0.5, 0.5), abs=1e-12)
         assert von_neumann_entropy(spectrum) == pytest.approx(1.0, abs=1e-12)
 
@@ -51,6 +54,35 @@ class TestSchmidtSpectrum:
             spectrum = schmidt_spectrum(pre_transform_state(inst, ell), cut_after=1)
             assert sum(spectrum.eigenvalues) == pytest.approx(1.0, abs=1e-10)
             assert all(0.0 <= v <= 1.0 for v in spectrum.eigenvalues)
+
+    @pytest.mark.parametrize("backend", [SPARSE, DENSE])
+    @pytest.mark.parametrize(
+        "inst,ell",
+        [(INST_15_7, 1), (INST_15_7, 2), (INST_15_7, 3), (INST_21_2, 1), (INST_21_2, 2)],
+    )
+    def test_matches_svd_of_full_matrix(self, inst, ell, backend):
+        # Oracle: squared singular values of the full left x right amplitude
+        # matrix, zero rows and columns included.
+        states = pipeline.pre_measurement_states(inst, ell=ell, backend=backend)
+        for state in states:
+            layout = state.layout
+            full = np.zeros(layout.dim, dtype=np.complex128)
+            for index, amp in state.nonzero_items():
+                full[index] = amp
+            for cut in range(1, ell + 1):
+                left_dim = layout.q << ((cut - 1) * layout.L)
+                singular = np.linalg.svd(full.reshape(left_dim, -1), compute_uv=False)
+                expected = singular**2
+                got = schmidt_spectrum(state, cut_after=cut).eigenvalues
+                assert np.max(np.abs(np.array(got) - expected[: len(got)])) <= 1e-12
+                assert np.all(expected[len(got):] <= 1e-12)
+
+    def test_side_cap_counts_occupied_values(self):
+        # Full dims 256 x 16, but only 4 columns are occupied.
+        state = pre_transform_state(INST_15_7)
+        assert schmidt_spectrum(state, cut_after=1, side_cap=4).rank() == 4
+        with pytest.raises(CapacityError):
+            schmidt_spectrum(state, cut_after=1, side_cap=3)
 
     def test_cut_out_of_range(self):
         state = pre_transform_state(INST_15_7, ell=1)

@@ -85,12 +85,32 @@ class TestPacking:
 
 class TestCapacity:
     def test_layout_cap(self):
+        layout = RegisterLayout(s=20, L=4, ell=2)  # 28 qubits > default 26
         with pytest.raises(CapacityError):
-            RegisterLayout(s=20, L=4, ell=2)  # 28 qubits > default 26
+            StateVector.zeros(layout, DENSE)
+        sparse = StateVector(layout, SPARSE, {0: 1.0 + 0j})
+        with pytest.raises(CapacityError):
+            sparse.densify()
 
     def test_cap_override(self):
         layout = RegisterLayout(s=20, L=4, ell=2, qubit_cap=28)
         assert layout.total_qubits == 28
+
+    def test_sparse_layout_counts_one_function_register(self):
+        # A sparse state holds at most q * 2**L entries: s + L = 24 qubits.
+        layout = RegisterLayout(s=20, L=4, ell=2)
+        assert StateVector.zeros(layout, SPARSE).nonzero_count() == 0
+
+    def test_sparse_state_over_cap(self):
+        layout = RegisterLayout(s=20, L=7, ell=1)  # s + L = 27 > default 26
+        with pytest.raises(CapacityError):
+            StateVector.zeros(layout, SPARSE)
+        raised = RegisterLayout(s=20, L=7, ell=1, qubit_cap=27)
+        assert StateVector.zeros(raised, SPARSE).nonzero_count() == 0
+
+    def test_packed_index_must_fit_int64(self):
+        with pytest.raises(CapacityError):
+            RegisterLayout(s=11, L=6, ell=9)  # 65 bits
 
 
 class TestStateVector:
