@@ -14,6 +14,7 @@ flags (no environment variables), so a command line alone reproduces a run.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -177,7 +178,7 @@ def cmd_distribution(args) -> int:
     if config.format in ("csv", "both"):
         dist.write_csv(out_dir / "distribution.csv")
     if config.format in ("json", "both"):
-        top = sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
+        top = heapq.nsmallest(args.top, dist.entries.items(), key=lambda kv: (-kv[1], kv[0]))
         summary = {
             "r": multiplicative_order(instance.x, instance.n),
             "outcome_count": len(dist.entries),
@@ -323,6 +324,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "audit" and args.ell < 2:
         parser.error("audit requires --ell >= 2")
+    if args.command == "distribution" and args.top < 0:
+        parser.error("distribution requires --top >= 0")
     try:
         return _COMMANDS[args.command](args)
     except (ShorSimError, ValueError, OSError) as exc:

@@ -140,7 +140,20 @@ def recover_order_from_sample(
     g = math.gcd(x, n)
     if g != 1:
         raise NotCoprimeError(x, n, g)
+    return order_recovery_steps(c, q, x, n, multiplier_bound)[0]
+
+
+def order_recovery_steps(c: int, q: int, x: int, n: int, multiplier_bound: int):
+    """The rounding rule of recover_order_from_sample, with every step recorded.
+
+    Returns (raw candidate or None, the convergents tried, the candidates
+    checked as (candidate, multiplier, verified) triples), each list in the
+    order tried. Inputs are not checked.
+    """
+    convergents = []
+    checks = []
     for conv in continued_fraction_convergents(c, q):
+        convergents.append(conv)
         t = conv.denominator
         if t >= n:
             break
@@ -148,9 +161,12 @@ def recover_order_from_sample(
             candidate = m * t
             if candidate >= n:
                 break
-            if mod_pow(x, candidate, n) == 1:
-                return candidate
-    return None
+            # 1 <= candidate < n, so mod_pow's argument checks cannot fail here.
+            verified = pow(x, candidate, n) == 1
+            checks.append((candidate, m, verified))
+            if verified:
+                return candidate, convergents, checks
+    return None, convergents, checks
 
 
 def factor_from_order(n: int, x: int, r: int) -> FactorPair | None:

@@ -17,13 +17,13 @@ from .distributions import OutcomeDistribution, marginal, measurement_distributi
 from .errors import UnsuitableInputError
 from .numtheory import (
     FactorPair,
-    continued_fraction_convergents,
     euler_phi,
     factor_from_order,
     gcd,
     is_prime,
     mod_pow,
     multiplicative_order,
+    order_recovery_steps,
     prime_power_base,
     recover_order_from_sample,
 )
@@ -40,10 +40,14 @@ def sample_outcomes(
     if count == 0:
         return []
     outcomes, cdf = _cdf_arrays(dist)
+    return [outcomes[i] for i in _draw_indices(cdf, count, seed)]
+
+
+def _draw_indices(cdf: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """Positions of `count` i.i.d. inverse-CDF draws from one generator."""
     rng = np.random.default_rng(seed)
     picks = np.searchsorted(cdf, rng.random(count), side="right")
-    picks = np.minimum(picks, len(outcomes) - 1)
-    return [outcomes[i] for i in picks]
+    return np.minimum(picks, len(cdf) - 1, out=picks)
 
 
 def _cdf_arrays(dist: OutcomeDistribution):
@@ -150,30 +154,6 @@ class RunTrace:
         }
 
 
-def _traced_recovery(c: int, q: int, x: int, n: int, multiplier_bound: int):
-    """The rounding rule of recover_order_from_sample, with every step recorded."""
-    convergents = []
-    candidates = []
-    raw = None
-    for conv in continued_fraction_convergents(c, q):
-        convergents.append((conv.numerator, conv.denominator))
-        t = conv.denominator
-        if t >= n:
-            break
-        for m in range(1, multiplier_bound + 1):
-            candidate = m * t
-            if candidate >= n:
-                break
-            verified = mod_pow(x, candidate, n) == 1
-            candidates.append(CandidateCheck(candidate, m, verified))
-            if verified:
-                raw = candidate
-                break
-        if raw is not None:
-            break
-    return raw, tuple(convergents), tuple(candidates)
-
-
 def _find_order_with_rng(
     instance: ProblemInstance,
     dist: OutcomeDistribution,
@@ -189,7 +169,7 @@ def _find_order_with_rng(
     for attempt in range(1, max_samples + 1):
         outcome = _draw_outcome(outcomes, cdf, rng)
         c, ys = outcome[0], outcome[1:]
-        raw, convergents, candidates = _traced_recovery(
+        raw, convergents, checks = order_recovery_steps(
             c, instance.q, instance.x, instance.n, multiplier_bound
         )
         reduced = (
@@ -200,8 +180,8 @@ def _find_order_with_rng(
                 attempt=attempt,
                 c=c,
                 ys=ys,
-                convergents=convergents,
-                candidates=candidates,
+                convergents=tuple((f.numerator, f.denominator) for f in convergents),
+                candidates=tuple(CandidateCheck(*check) for check in checks),
                 raw_candidate=raw,
                 order=reduced,
             )
@@ -437,10 +417,14 @@ def success_rate_estimate(
 ) -> SuccessRateReport:
     """Fraction of single-sample runs whose c recovers a verified order.
 
-    Each trial owns a generator seeded by (seed, trial index), so parallel
-    and serial evaluation agree. The exact rate sums the control-register
-    marginal over the c values the rounding rule succeeds on.
+    The trials are the outcomes `sample_outcomes(dist, trials, seed)` draws:
+    one generator seeded by `seed`, one inverse-CDF pass, so the estimate
+    for a seed counts the successes in exactly that sample. The exact rate
+    sums the control-register marginal over the c values the rounding rule
+    succeeds on.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     dist = measurement_distribution(
         run_pipeline(instance, ell=1, backend=backend, qubit_cap=qubit_cap)
     )
@@ -458,12 +442,10 @@ def success_rate_estimate(
     )
 
     outcomes, cdf = _cdf_arrays(dist)
-    successes = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        outcome = _draw_outcome(outcomes, cdf, rng)
-        if succeeding.get(outcome[0], False):
-            successes += 1
+    hits = np.fromiter(
+        (succeeding[outcome[0]] for outcome in outcomes), dtype=bool, count=len(outcomes)
+    )
+    successes = int(hits[_draw_indices(cdf, trials, seed)].sum())
 
     return SuccessRateReport(
         n=instance.n,

@@ -7,7 +7,9 @@ import pytest
 
 from shorsim import pipeline
 from shorsim.cli import main
-from shorsim.registers import StateVector
+from shorsim.distributions import measurement_distribution
+from shorsim.pipeline import run_pipeline
+from shorsim.registers import ProblemInstance, StateVector
 
 
 def read_json(path):
@@ -69,6 +71,23 @@ class TestDistributionCommand:
         state = StateVector.load(tmp_path / "state.txt")
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
         assert state.layout.s == 8
+
+    def test_top_outcomes_are_the_most_probable_in_order(self, tmp_path):
+        code = main(
+            ["distribution", "--n", "21", "--x", "2", "--top", "7", "--format", "json",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        top = read_json(tmp_path / "distribution.json")["report"]["top_outcomes"]
+        dist = measurement_distribution(run_pipeline(ProblemInstance.create(21, 2), ell=1))
+        ranked = sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert [(tuple(t["outcome"]), t["probability"]) for t in top] == ranked[:7]
+
+    def test_negative_top_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["distribution", "--n", "15", "--x", "7", "--top", "-1",
+                  "--output-dir", str(tmp_path)])
+        assert err.value.code == 2
 
 
 class TestAuditCommand:

@@ -15,6 +15,7 @@ from shorsim.numtheory import (
     is_prime,
     mod_pow,
     multiplicative_order,
+    order_recovery_steps,
     prime_power_base,
     recover_order_from_sample,
 )
@@ -136,6 +137,26 @@ class TestRecoverOrder:
     def test_not_coprime_rejected(self):
         with pytest.raises(NotCoprimeError):
             recover_order_from_sample(64, 256, 6, 15, 1)
+
+    def test_recorded_steps(self):
+        # 128/256 = 1/2: t = 1 fails for m = 1, 2; t = 2 fails, then 2*2 = 4 verifies
+        assert order_recovery_steps(128, 256, 7, 15, 2) == (
+            4,
+            [Fraction(0, 1), Fraction(1, 2)],
+            [(1, 1, False), (2, 2, False), (2, 1, False), (4, 2, True)],
+        )
+        # 7/256 has a convergent with denominator >= 15: recorded, then the scan stops
+        raw, convergents, checks = order_recovery_steps(7, 256, 7, 15, 1)
+        assert raw is None
+        assert convergents[-1].denominator >= 15
+        assert all(not verified for _, _, verified in checks)
+
+    def test_steps_agree_with_recovery(self):
+        for bound in (1, 3):
+            for c in range(512):
+                raw, _, checks = order_recovery_steps(c, 512, 2, 21, bound)
+                assert raw == recover_order_from_sample(c, 512, 2, 21, bound)
+                assert (raw is not None) == (bool(checks) and checks[-1][2])
 
     def test_recovered_candidate_is_verified(self):
         for c in range(0, 512, 7):

@@ -5,7 +5,7 @@ import pytest
 
 from shorsim.distributions import measurement_distribution
 from shorsim.errors import UnsuitableInputError
-from shorsim.numtheory import multiplicative_order
+from shorsim.numtheory import multiplicative_order, recover_order_from_sample
 from shorsim.orderfinding import (
     factor,
     find_order,
@@ -156,3 +156,29 @@ class TestSuccessRate:
             INST_15_7, trials=10, multiplier_bound=1, seed=0
         ).to_json_dict()
         assert {"empirical_rate", "exact_rate", "bound_phi_over_3r"} <= set(doc)
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            success_rate_estimate(INST_15_7, trials=-5)
+
+    def test_zero_trials(self):
+        report = success_rate_estimate(INST_15_7, trials=0)
+        assert report.successes == 0
+        assert report.empirical_rate == 0.0
+        assert report.exact_rate == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n, x", [(15, 7), (35, 2)])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_trials_are_the_sample_outcomes_stream(self, n, x, seed):
+        # successes counts exactly the recovering c values among the outcomes
+        # sample_outcomes draws for the same seed.
+        instance = ProblemInstance.create(n, x)
+        dist = measurement_distribution(run_pipeline(instance, ell=1))
+        trials = 3000
+        expected = sum(
+            recover_order_from_sample(c, instance.q, x, n, 1) is not None
+            for c, _ in sample_outcomes(dist, trials, seed=seed)
+        )
+        report = success_rate_estimate(instance, trials=trials, multiplier_bound=1, seed=seed)
+        assert report.successes == expected
+        assert report.empirical_rate == expected / trials
