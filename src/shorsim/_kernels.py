@@ -1,11 +1,12 @@
-"""Hot numeric kernels: the Fourier transform of one control column and the
-gate-level transform kept as its independent oracle.
+"""Hot numeric kernels: the Fourier transform of the control register, one
+row per function-register column, and the gate-level transform kept as its
+independent oracle.
 
-`dft_support` evaluates the defining sum
-out[c] = (1/sqrt(q)) * sum_j exp(2*pi*i*support[j]*c/q) * amps[j]
-with a radix-2 FFT (O(q log q) per column). `qft_gates` applies the same
-unitary as a circuit of Hadamard stages, conditional phase rotations and a
-bit-order reversal, sharing no code with the FFT.
+`dft_rows` evaluates the defining sum
+out[j, c] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * rows[j, a]
+for every row in one batched radix-2 FFT (O(q log q) per row). `qft_gates`
+applies the same unitary as a circuit of Hadamard stages, conditional phase
+rotations and a bit-order reversal, sharing no code with the FFT.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ def bit_reverse_permutation(s: int) -> np.ndarray:
     return perm
 
 
-def dft_support(support: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
-    """Length-q transform of the column holding `amps` at rows `support`.
+def dft_rows(rows: np.ndarray) -> np.ndarray:
+    """Length-q transform of each row of an (m, q) matrix.
 
     numpy's inverse FFT carries the exp(+2*pi*i*a*c/q) sign, and "ortho"
     scaling gives the 1/sqrt(q) factor of the defining sum.
     """
-    col = np.zeros(q, dtype=np.complex128)
-    col[support] = amps
-    return np.fft.ifft(col, norm="ortho")
+    return np.fft.ifft(rows, axis=1, norm="ortho")
 
 
 def qft_gates(mat: np.ndarray, s: int) -> np.ndarray:

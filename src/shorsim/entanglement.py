@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import OutcomeDistribution, marginal
 from .errors import CapacityError, RangeError
 from .pipeline import QFT_DIRECT, pre_measurement_states
-from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, StateVector
+from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, StateVector, distinct_positions
 
 EIGENVALUE_FLOOR = 1e-14
 DEFAULT_SIDE_CAP = 4096
@@ -42,13 +42,6 @@ class SchmidtSpectrum:
         return {"cut_after": self.cut_after, "eigenvalues": list(self.eigenvalues)}
 
 
-def _dense_positions(keys: np.ndarray) -> tuple[int, np.ndarray]:
-    """(number of distinct keys, position of each key among them, ascending)."""
-    # Not np.unique: its first call imports numpy.ma, about 15 ms of start-up.
-    distinct = np.array(sorted(set(keys.tolist())), dtype=np.int64)
-    return distinct.size, np.searchsorted(distinct, keys)
-
-
 def schmidt_spectrum(
     state: StateVector, cut_after: int, side_cap: int = DEFAULT_SIDE_CAP
 ) -> SchmidtSpectrum:
@@ -65,8 +58,9 @@ def schmidt_spectrum(
         raise RangeError(f"cut_after must lie in [1, {layout.ell}], got {cut_after}")
     right_dim = 1 << ((layout.ell - cut_after + 1) * layout.L)
     index, amps = state.nonzero_arrays()
-    rows, row_of = _dense_positions(index // right_dim)
-    cols, col_of = _dense_positions(index % right_dim)
+    row_keys, row_of = distinct_positions(index // right_dim)
+    col_keys, col_of = distinct_positions(index % right_dim)
+    rows, cols = row_keys.size, col_keys.size
     if min(rows, cols) > side_cap:
         raise CapacityError(
             f"both sides of the cut exceed {side_cap} occupied values "

@@ -1,15 +1,20 @@
 """Circuit stages: uniform initialization, modular-exponentiation fan-out,
 Fourier transform on the control register, and the composed pipeline.
 
+Every stage reads its input with `StateVector.nonzero_arrays`, splits each
+packed index into the control value and the function-register content with
+`divmod(index, right_dim)`, and writes its output with
+`StateVector.from_arrays`, so one code path serves both backends.
+
 The fan-out is applied as a basis-state permutation on the support using
 classical modular exponentiation, which is the mathematically defined map of
 the stage; no reversible gate synthesis is attempted. The Fourier transform
 uses the exp(+2*pi*i*a*c/q) convention throughout.
 
-Two transform implementations exist: the defining sum evaluated column by
-column with an FFT (default) and a gate-level decomposition into Hadamard
-stages, conditional phase rotations, and a bit-order reversal, kept as an
-independent cross-check oracle.
+Two transform implementations exist: the defining sum evaluated for every
+occupied function-register column in one batched FFT (default) and a
+gate-level decomposition into Hadamard stages, conditional phase rotations,
+and a bit-order reversal, kept as an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from .registers import (
     DEFAULT_QUBIT_CAP,
     DENSE,
     SPARSE,
-    SPARSE_AMPLITUDE_FLOOR,
     ProblemInstance,
     RegisterLayout,
     StateVector,
+    distinct_positions,
 )
 
 QFT_DIRECT = "direct"
@@ -45,19 +50,13 @@ def init_uniform(
     """Uniform superposition over the control register, function registers zeroed."""
     layout = instance.layout(ell=ell, qubit_cap=qubit_cap)
     q = layout.q
-    amp = 1.0 / np.sqrt(q)
-    state = StateVector.zeros(layout, backend)
-    if backend == DENSE:
-        mat = state.data.reshape(q, layout.right_dim)
-        mat[:, 0] = amp
-    else:
-        right = layout.right_dim
-        state.data.update({a * right: complex(amp) for a in range(q)})
-    return state
+    index = np.arange(q, dtype=np.int64) * layout.right_dim
+    amps = np.full(q, 1.0 / np.sqrt(q), dtype=np.complex128)
+    return StateVector.from_arrays(layout, backend, index, amps)
 
 
-def _repeated_function_value(layout: RegisterLayout, y: int) -> int:
-    """Packed function-register content with every register holding y."""
+def _repeated_function_value(layout: RegisterLayout, y: np.ndarray) -> np.ndarray:
+    """Packed function-register contents with every register holding y."""
     packed = 0
     for _ in range(layout.ell):
         packed = (packed << layout.L) | y
@@ -72,67 +71,33 @@ def apply_modexp_fanout(state: StateVector, instance: ProblemInstance) -> StateV
     are unchanged.
     """
     layout = state.layout
-    right = layout.right_dim
-    out = StateVector.zeros(layout, state.backend)
-    if state.backend == DENSE:
-        mat = state.data.reshape(layout.q, right)
-        if np.any(mat[:, 1:]):
-            raise StageOrderError("fan-out requires zeroed function registers")
-        out_mat = out.data.reshape(layout.q, right)
-        for a in np.nonzero(mat[:, 0])[0]:
-            a = int(a)
-            y = mod_pow(instance.x, a, instance.n)
-            out_mat[a, _repeated_function_value(layout, y)] = mat[a, 0]
-    else:
-        for index, amp in state.data.items():
-            if index % right != 0:
-                raise StageOrderError("fan-out requires zeroed function registers")
-            a = index // right
-            y = mod_pow(instance.x, a, instance.n)
-            out.data[a * right + _repeated_function_value(layout, y)] = amp
-    return out
-
-
-def _transform_groups_sparse(state: StateVector) -> StateVector:
-    layout = state.layout
-    q, right = layout.q, layout.right_dim
     index, amps = state.nonzero_arrays()
-    ykeys = index % right
-    out = StateVector.zeros(layout, SPARSE)
-    # Not np.unique: its first call imports numpy.ma, about 15 ms of start-up.
-    for ykey in sorted(set(ykeys.tolist())):
-        in_column = ykeys == ykey
-        column = _kernels.dft_support(index[in_column] // right, amps[in_column], q)
-        cs = np.flatnonzero(np.abs(column) > SPARSE_AMPLITUDE_FLOOR)
-        out.data.update(zip((cs * right + ykey).tolist(), column[cs].tolist()))
-    return out
-
-
-def _transform_columns_dense(state: StateVector) -> StateVector:
-    layout = state.layout
-    q, right = layout.q, layout.right_dim
-    mat = state.data.reshape(q, right)
-    out = StateVector.zeros(layout, DENSE)
-    out_mat = out.data.reshape(q, right)
-    for col in range(right):
-        support = np.nonzero(mat[:, col])[0].astype(np.int64)
-        if support.size == 0:
-            continue
-        amps = np.ascontiguousarray(mat[support, col])
-        out_mat[:, col] = _kernels.dft_support(support, amps, q)
-    return out
+    a, ykey = np.divmod(index, layout.right_dim)
+    if np.any(ykey):
+        raise StageOrderError("fan-out requires zeroed function registers")
+    y = np.array([mod_pow(instance.x, v, instance.n) for v in a.tolist()], dtype=np.int64)
+    packed = _repeated_function_value(layout, y)
+    return StateVector.from_arrays(layout, state.backend, index + packed, amps)
 
 
 def apply_qft_register1_direct(state: StateVector) -> StateVector:
     """Fourier transform on the control register, evaluating the defining sum
-    for each function-register column with an FFT.
+    for every occupied function-register column in one batched FFT.
 
     For each fixed function-register content Y,
     new[(c, Y)] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * old[(a, Y)].
+    Entries come out ordered by Y, then by ascending c.
     """
-    if state.backend == SPARSE:
-        return _transform_groups_sparse(state)
-    return _transform_columns_dense(state)
+    layout = state.layout
+    q, right = layout.q, layout.right_dim
+    index, amps = state.nonzero_arrays()
+    a, ykey = np.divmod(index, right)
+    ykeys, row_of = distinct_positions(ykey)
+    rows = np.zeros((ykeys.size, q), dtype=np.complex128)
+    rows[row_of, a] = amps
+    out_index = np.arange(q, dtype=np.int64) * right + ykeys[:, None]
+    out = _kernels.dft_rows(rows)
+    return StateVector.from_arrays(layout, state.backend, out_index.ravel(), out.ravel())
 
 
 def apply_qft_register1_gates(state: StateVector) -> StateVector:
@@ -143,13 +108,20 @@ def apply_qft_register1_gates(state: StateVector) -> StateVector:
     densified for the duration and re-sparsified afterwards.
     """
     layout = state.layout
-    dense = state.densify()
-    mat = dense.data.reshape(layout.q, layout.right_dim)
-    transformed = _kernels.qft_gates(mat, layout.s)
+    transformed = _kernels.qft_gates(state.control_matrix(), layout.s)
     result = StateVector(layout, DENSE, transformed.reshape(layout.dim))
     if state.backend == SPARSE:
         return result.sparsify()
     return result
+
+
+def _transform(qft: str):
+    """The transform stage named by `qft`."""
+    if qft == QFT_DIRECT:
+        return apply_qft_register1_direct
+    if qft == QFT_GATES:
+        return apply_qft_register1_gates
+    raise ValueError(f"unknown qft implementation {qft!r}")
 
 
 def run_pipeline(
@@ -160,13 +132,11 @@ def run_pipeline(
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> StateVector:
     """Initialization, fan-out, then the chosen Fourier transform."""
+    transform = _transform(qft)
     state = init_uniform(instance, ell=ell, backend=backend, qubit_cap=qubit_cap)
+    # Rebinding `state` frees the initial state before the transform runs.
     state = apply_modexp_fanout(state, instance)
-    if qft == QFT_DIRECT:
-        return apply_qft_register1_direct(state)
-    if qft == QFT_GATES:
-        return apply_qft_register1_gates(state)
-    raise ValueError(f"unknown qft implementation {qft!r}")
+    return transform(state)
 
 
 def pre_measurement_states(
@@ -177,11 +147,10 @@ def pre_measurement_states(
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[StateVector, StateVector]:
     """(state before the transform, state after it); used by the diagnostics."""
+    transform = _transform(qft)
     state = init_uniform(instance, ell=ell, backend=backend, qubit_cap=qubit_cap)
     state = apply_modexp_fanout(state, instance)
-    if qft == QFT_DIRECT:
-        return state, apply_qft_register1_direct(state)
-    return state, apply_qft_register1_gates(state)
+    return state, transform(state)
 
 
 @dataclass(frozen=True)
@@ -214,25 +183,23 @@ def linearity_check(
     layout = instance.layout(ell=ell, qubit_cap=qubit_cap)
     if sample_as[0] < 0 or sample_as[-1] >= layout.q:
         raise ValueError("control values must lie in [0, q)")
-    right = layout.right_dim
+    control = np.array(sample_as, dtype=np.int64) * layout.right_dim
     amp = 1.0 / np.sqrt(len(sample_as))
 
-    superposed = StateVector(
-        layout, SPARSE, {a * right: complex(amp) for a in sample_as}
+    superposed = StateVector.from_arrays(
+        layout, SPARSE, control, np.full(control.size, amp, dtype=np.complex128)
     )
-    fanned = apply_modexp_fanout(superposed, instance)
+    fanned = dict(apply_modexp_fanout(superposed, instance).nonzero_items())
 
     assembled: dict[int, complex] = {}
-    for a in sample_as:
-        basis = StateVector(layout, SPARSE, {a * right: 1.0 + 0.0j})
-        mapped = apply_modexp_fanout(basis, instance)
-        for index, value in mapped.data.items():
+    one = np.ones(1, dtype=np.complex128)
+    for k in range(control.size):
+        basis = StateVector.from_arrays(layout, SPARSE, control[k : k + 1], one)
+        for index, value in apply_modexp_fanout(basis, instance).nonzero_items():
             assembled[index] = assembled.get(index, 0.0) + amp * value
 
-    indices = set(fanned.data) | set(assembled)
-    worst = max(
-        abs(fanned.data.get(i, 0.0) - assembled.get(i, 0.0)) for i in indices
-    )
+    indices = set(fanned) | set(assembled)
+    worst = max(abs(fanned.get(i, 0.0) - assembled.get(i, 0.0)) for i in indices)
     return LinearityReport(
         n=instance.n,
         x=instance.x,

@@ -8,6 +8,12 @@ width s, function width L and ell function registers,
 
 so measuring the control value is an index shift and the Fourier transform
 touches a contiguous stride pattern.
+
+Storage is decided here and nowhere else: `StateVector.nonzero_arrays` reads
+a state as (packed indices, amplitudes) and `StateVector.from_arrays` writes
+one, for either backend. Every circuit stage goes through these two calls, and
+sparse storage drops amplitudes at or below SPARSE_AMPLITUDE_FLOOR in
+`from_arrays`.
 """
 
 from __future__ import annotations
@@ -163,10 +169,14 @@ class StateVector:
     """Complex amplitudes over the full register space, dense or sparse.
 
     Dense states hold a flat complex128 array of length layout.dim; sparse
-    states hold a dict from packed index to amplitude and store only nonzero
-    entries. In a pipeline state each control value pairs with at most
-    r <= 2**L function-register contents (x^k repeated in every register), so
-    a sparse state holds at most q * 2**L entries whatever ell is.
+    states hold a dict from packed index to amplitude, into which `from_arrays`
+    puts only entries above SPARSE_AMPLITUDE_FLOOR. In a pipeline state each
+    control value pairs with at most r <= 2**L function-register contents (x^k
+    repeated in every register), so a sparse state holds at most q * 2**L
+    entries whatever ell is.
+
+    Callers outside this module read a state with `nonzero_arrays` and build
+    one with `from_arrays`, so they never see which storage it uses.
     """
 
     def __init__(self, layout: RegisterLayout, backend: str, data):
@@ -183,6 +193,24 @@ class StateVector:
             return cls(layout, DENSE, np.zeros(layout.dim, dtype=np.complex128))
         return cls(layout, SPARSE, {})
 
+    @classmethod
+    def from_arrays(
+        cls, layout: RegisterLayout, backend: str, index: np.ndarray, amps: np.ndarray
+    ) -> "StateVector":
+        """State holding amps[k] at the distinct packed index index[k].
+
+        Dense storage scatters every amplitude into the flat array; sparse
+        storage keeps, in the order given, those with magnitude above
+        SPARSE_AMPLITUDE_FLOOR.
+        """
+        state = cls.zeros(layout, backend)
+        if backend == DENSE:
+            state.data[index] = amps
+        else:
+            kept = np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
+            state.data.update(zip(index[kept].tolist(), amps[kept].tolist()))
+        return state
+
     def amplitude(self, index: int) -> complex:
         if self.backend == DENSE:
             return complex(self.data[index])
@@ -190,16 +218,16 @@ class StateVector:
 
     def nonzero_items(self):
         """Iterate (index, amplitude) over stored nonzero entries."""
-        if self.backend == DENSE:
-            for index in np.nonzero(self.data)[0]:
-                yield int(index), complex(self.data[index])
-        else:
-            yield from self.data.items()
+        index, amps = self.nonzero_arrays()
+        return zip(index.tolist(), amps.tolist())
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(packed indices, amplitudes) of the stored nonzero entries."""
+        """(packed indices, amplitudes) of the stored nonzero entries: ascending
+        for dense storage, in insertion order for sparse storage."""
         if self.backend == DENSE:
-            index = np.flatnonzero(self.data)
+            # Half the time of np.flatnonzero(self.data), which tests each
+            # complex entry twice (once to count, once to collect).
+            index = np.flatnonzero(self.data != 0)
             return index, self.data[index]
         count = len(self.data)
         index = np.fromiter(self.data.keys(), dtype=np.int64, count=count)
@@ -212,29 +240,26 @@ class StateVector:
         return len(self.data)
 
     def norm_squared(self) -> float:
-        if self.backend == DENSE:
-            return float(np.vdot(self.data, self.data).real)
-        return float(sum(abs(v) ** 2 for v in self.data.values()))
+        amps = self.nonzero_arrays()[1]
+        return float(np.vdot(amps, amps).real)
+
+    def control_matrix(self) -> np.ndarray:
+        """Dense (q, right_dim) copy of the amplitudes, one row per control
+        value; the caller may overwrite it."""
+        layout = self.layout
+        return self.densify().data.reshape(layout.q, layout.right_dim)
 
     def densify(self) -> "StateVector":
         """Dense copy with identical amplitudes."""
         _check_capacity(self.layout, DENSE)
         if self.backend == DENSE:
+            # A copy of the flat array is cheaper than a scatter of its entries.
             return StateVector(self.layout, DENSE, self.data.copy())
-        dense = np.zeros(self.layout.dim, dtype=np.complex128)
-        for index, amp in self.data.items():
-            dense[index] = amp
-        return StateVector(self.layout, DENSE, dense)
+        return StateVector.from_arrays(self.layout, DENSE, *self.nonzero_arrays())
 
-    def sparsify(self, floor: float = SPARSE_AMPLITUDE_FLOOR) -> "StateVector":
-        """Sparse copy, dropping amplitudes with magnitude <= floor."""
-        if self.backend == SPARSE:
-            kept = {i: v for i, v in self.data.items() if abs(v) > floor}
-            return StateVector(self.layout, SPARSE, kept)
-        kept = {}
-        for index in np.nonzero(np.abs(self.data) > floor)[0]:
-            kept[int(index)] = complex(self.data[index])
-        return StateVector(self.layout, SPARSE, kept)
+    def sparsify(self) -> "StateVector":
+        """Sparse copy, dropping amplitudes at or below SPARSE_AMPLITUDE_FLOOR."""
+        return StateVector.from_arrays(self.layout, SPARSE, *self.nonzero_arrays())
 
     def dump(self, path) -> None:
         """Write the text snapshot: header line, then one 'index re im' line per entry."""
@@ -260,13 +285,22 @@ class StateVector:
         return state
 
 
+def distinct_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending distinct keys, position of each key among them)."""
+    # Not np.unique: its first call imports numpy.ma, about 15 ms of start-up.
+    distinct = np.array(sorted(set(keys.tolist())), dtype=np.int64)
+    return distinct, np.searchsorted(distinct, keys)
+
+
 def _check_capacity(layout: RegisterLayout, backend: str) -> None:
     """Refuse a state whose storage would exceed 2**qubit_cap amplitudes:
     2**(s + ell*L) for dense storage, at most 2**(s + L) for sparse."""
     if backend == DENSE:
         qubits = layout.total_qubits
-    else:
+    elif backend == SPARSE:
         qubits = layout.s + layout.L
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
     if qubits > layout.qubit_cap:
         raise CapacityError(
             f"{backend} state needs up to 2^{qubits} amplitudes, cap is 2^{layout.qubit_cap} "

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shorsim import pipeline
@@ -114,6 +115,29 @@ class TestAuditCommand:
         argv = ["audit", "--n", "15", "--x", "7", "--output-dir", str(tmp_path)]
         assert main(argv + ["--qft", "gates"]) == 1
         assert main(argv + ["--qft", "direct"]) == 0
+
+    @pytest.mark.parametrize("qft", ["direct", "gates"])
+    def test_fanout_fault_fails_the_audit(self, tmp_path, monkeypatch, qft):
+        fanout = pipeline.apply_modexp_fanout
+
+        def faulty(state, instance):
+            # Write x^(a+1) mod n into the last function register: still a
+            # permutation of basis states, but the registers now disagree.
+            out = fanout(state, instance)
+            layout = out.layout
+            index, amps = out.nonzero_arrays()
+            a = index >> (layout.ell * layout.L)
+            shifted = np.array([pow(instance.x, v + 1, instance.n) for v in a.tolist()])
+            index = index - (index & (layout.function_dim - 1)) + shifted
+            wrong = StateVector.from_arrays(layout, out.backend, index, amps)
+            assert abs(wrong.norm_squared() - out.norm_squared()) <= 1e-15
+            return wrong
+
+        monkeypatch.setattr(pipeline, "apply_modexp_fanout", faulty)
+        code = main(["audit", "--n", "15", "--x", "7", "--ell", "2", "--qft", qft,
+                     "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert read_json(tmp_path / "audit.json")["report"]["unequal_register_mass"] > 1e-12
 
     def test_single_register_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -9,9 +9,17 @@ from shorsim.pipeline import (
     apply_qft_register1_gates,
     init_uniform,
     linearity_check,
+    pre_measurement_states,
     run_pipeline,
 )
-from shorsim.registers import DENSE, SPARSE, ProblemInstance, RegisterLayout, StateVector
+from shorsim.registers import (
+    DENSE,
+    SPARSE,
+    SPARSE_AMPLITUDE_FLOOR,
+    ProblemInstance,
+    RegisterLayout,
+    StateVector,
+)
 
 INST_15_7 = ProblemInstance.create(15, 7)
 INST_21_2 = ProblemInstance.create(21, 2)
@@ -118,6 +126,32 @@ class TestGateTransform:
         }
         worst = max(abs(direct.amplitude(i) - gates.amplitude(i)) for i in indices)
         assert worst <= 1e-10
+
+
+class TestBackendsAgreeAtEveryStage:
+    @pytest.mark.parametrize(
+        "inst, ell",
+        [(INST_15_7, 1), (INST_15_7, 2), (INST_15_7, 3), (INST_21_2, 1), (INST_21_2, 2)],
+    )
+    def test_sparse_state_equals_dense_state(self, inst, ell):
+        sparse = init_uniform(inst, ell=ell, backend=SPARSE)
+        dense = init_uniform(inst, ell=ell, backend=DENSE)
+        assert np.array_equal(sparse.densify().data, dense.data)
+        sparse = apply_modexp_fanout(sparse, inst)
+        dense = apply_modexp_fanout(dense, inst)
+        assert np.array_equal(sparse.densify().data, dense.data)
+        sparse = apply_qft_register1_direct(sparse)
+        dense = apply_qft_register1_direct(dense)
+        assert np.max(np.abs(sparse.densify().data - dense.data)) <= 1e-15
+        assert np.all(np.abs(sparse.nonzero_arrays()[1]) > SPARSE_AMPLITUDE_FLOOR)
+
+
+class TestTransformDispatch:
+    @pytest.mark.parametrize("stages", [run_pipeline, pre_measurement_states])
+    @pytest.mark.parametrize("qft", ["fft", "bogus"])
+    def test_unknown_qft_is_rejected(self, stages, qft):
+        with pytest.raises(ValueError, match="unknown qft"):
+            stages(INST_15_7, qft=qft)
 
 
 class TestTransformLocality:

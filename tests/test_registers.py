@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+import shorsim
 
 from shorsim.errors import CapacityError, NotCoprimeError, RangeError
 from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
@@ -145,6 +150,20 @@ class TestStateVector:
         back = dense.sparsify().densify()
         assert np.max(np.abs(back.data - dense.data)) <= 1e-15
 
+    def test_from_arrays(self):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        index = np.array([5, 1, 3], dtype=np.int64)
+        amps = np.array([0.6, 1e-16, 0.8j], dtype=np.complex128)
+        # Sparse storage keeps the order given and drops the amplitude at the floor.
+        sparse = StateVector.from_arrays(layout, SPARSE, index, amps)
+        assert list(sparse.nonzero_items()) == [(5, 0.6 + 0j), (3, 0.8j)]
+        dense = StateVector.from_arrays(layout, DENSE, index, amps)
+        assert list(dense.nonzero_items()) == [(1, 1e-16 + 0j), (3, 0.8j), (5, 0.6 + 0j)]
+
+    def test_zeros_rejects_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            StateVector.zeros(RegisterLayout(s=2, L=1, ell=1), "foo")
+
     def test_pre_transform_support_counts(self):
         inst = ProblemInstance.create(15, 7)
         state = apply_modexp_fanout(init_uniform(inst, ell=2, backend=DENSE), inst)
@@ -169,3 +188,22 @@ class TestSnapshots:
         for index, amp in state.nonzero_items():
             assert loaded.amplitude(index) == pytest.approx(amp, abs=1e-16)
         assert loaded.nonzero_count() == state.nonzero_count()
+
+    def test_unknown_backend_in_header_is_rejected(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("4 4 1 fooback\n0 1 0\n")
+        with pytest.raises(ValueError, match="unknown backend"):
+            StateVector.load(path)
+
+
+def test_only_registers_touches_state_storage():
+    # The storage format (flat array or dict) is known to registers.py alone;
+    # every other module goes through nonzero_arrays / from_arrays.
+    offenders = []
+    for path in sorted(Path(shorsim.__file__).parent.glob("*.py")):
+        if path.name == "registers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "data":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
