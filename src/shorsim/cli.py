@@ -14,8 +14,8 @@ flags (no environment variables), so a command line alone reproduces a run.
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -152,9 +152,45 @@ def _write_json(config: ExperimentConfig, payload: dict, filename: str) -> Path:
         "report": payload,
     }
     with open(path, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+        fh.write(format_json(document) + "\n")
     return path
+
+
+def format_json(value, depth: int = 0) -> str:
+    """Byte-identical to `json.dumps(value, indent=2)` nested `depth` levels deep.
+
+    Walks dicts with string keys and renders each non-empty list of flat
+    records (same string keys, int or finite float values) from one template;
+    everything else goes to `json.dumps`."""
+    pad = "  " * depth
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = [f"{json.dumps(k)}: {format_json(v, depth + 1)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}}}"
+    records = _flat_record_values(value)
+    if records is None:
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    keys, values = records
+    fields = ",\n".join(f"{pad}    {json.dumps(key).replace('%', '%%')}: %r" for key in keys)
+    template = f"{{\n{fields}\n{pad}  }}"
+    body = f",\n{pad}  ".join([template] * len(value)) % values
+    return f"[\n{pad}  {body}\n{pad}]"
+
+
+def _flat_record_values(value) -> tuple[tuple[str, ...], tuple] | None:
+    """(keys, all values in order) of a list of flat records, else None."""
+    if type(value) is not list or not value or type(value[0]) is not dict or not value[0]:
+        return None
+    keys = tuple(value[0])
+    values = []
+    for record in value:
+        if type(record) is not dict or tuple(record) != keys:
+            return None
+        values.extend(record.values())
+    if not all(type(key) is str for key in keys) or not all(
+        type(v) is int or (type(v) is float and math.isfinite(v)) for v in values
+    ):
+        return None
+    return keys, tuple(values)
 
 
 def _maybe_dump_state(config: ExperimentConfig, state) -> None:
@@ -178,33 +214,29 @@ def cmd_distribution(args) -> int:
     if config.format in ("csv", "both"):
         dist.write_csv(out_dir / "distribution.csv")
     if config.format in ("json", "both"):
-        top = heapq.nsmallest(args.top, dist.entries.items(), key=lambda kv: (-kv[1], kv[0]))
+        top = np.lexsort((dist.index, -dist.probs))[: args.top]
+        marginals = {}
+        for p, name in enumerate(dist.column_names(), start=1):
+            m = distributions.marginal(dist, (p,))
+            marginals[name] = [
+                {name[0]: value, "probability": prob}
+                for value, prob in zip(m.index.tolist(), m.probs.tolist())
+            ]
         summary = {
             "r": multiplicative_order(instance.x, instance.n),
-            "outcome_count": len(dist.entries),
+            "outcome_count": dist.index.size,
             "total_probability": dist.total(),
             "columns": dist.column_names(),
             "top_outcomes": [
-                {"outcome": list(outcome), "probability": prob} for outcome, prob in top
+                {"outcome": list(outcome), "probability": prob}
+                for outcome, prob in zip(dist.outcome_tuples(top), dist.probs[top].tolist())
             ],
-            "marginals": {
-                "c": [
-                    {"c": c, "probability": prob}
-                    for (c,), prob in distributions.marginal(dist, (1,)).sorted_items()
-                ],
-                **{
-                    f"y{p - 1}": [
-                        {"y": y, "probability": prob}
-                        for (y,), prob in distributions.marginal(dist, (p,)).sorted_items()
-                    ]
-                    for p in range(2, args.ell + 2)
-                },
-            },
+            "marginals": marginals,
         }
         _write_json(config, summary, "distribution.json")
     print(
         f"n={instance.n} x={instance.x} q={instance.q} ell={args.ell}: "
-        f"{len(dist.entries)} outcomes, total probability {dist.total():.12f}"
+        f"{dist.index.size} outcomes, total probability {dist.total():.12f}"
     )
     return 0
 

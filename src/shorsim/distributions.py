@@ -13,10 +13,11 @@ Register positions are 1-based: position 1 is the control register, positions
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from operator import itemgetter
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -25,10 +26,12 @@ from .numtheory import euler_phi, mod_pow, multiplicative_order
 from .pipeline import QFT_DIRECT, run_pipeline
 from .registers import (
     DEFAULT_QUBIT_CAP,
+    NORM_TOLERANCE,
     SPARSE,
     ProblemInstance,
     RegisterLayout,
     StateVector,
+    distinct_positions,
 )
 
 SCHEMA_VERSION = 1
@@ -37,93 +40,160 @@ SCHEMA_VERSION = 1
 # geometric-sum cancellation from floating-point noise.
 PROBABILITY_FLOOR = 1e-20
 
-NORM_TOLERANCE = 1e-12
+# A marginal over at most this many bits sums into a dense table; a wider
+# one first maps its keys to their distinct values.
+MARGINAL_TABLE_BITS = 20
+CSV_CHUNK_ROWS = 1 << 16
 
 
-@dataclass
+@dataclass(eq=False)
 class OutcomeDistribution:
-    """Probability table over measurement outcomes.
+    """Probability table over measurement outcomes, held as two arrays.
 
     `positions` names the registers each outcome slot refers to; a full
-    distribution carries positions (1, 2, ..., ell+1).
+    distribution carries positions (1, 2, ..., ell+1). `index[k]` packs
+    outcome k over `positions`, first position most significant (for a full
+    distribution, the state's packed index); `probs[k]` is its probability.
+    Full distributions keep state order, marginals are ascending, and every
+    sum over the table runs in array order.
     """
 
     layout: RegisterLayout
     positions: tuple[int, ...]
-    entries: dict[tuple[int, ...], float]
+    index: np.ndarray
+    probs: np.ndarray
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Permutation that puts `index` in ascending order."""
+        return np.argsort(self.index, kind="stable")
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probability over the outcomes in ascending order."""
+        return np.cumsum(self.probs[self.order])
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only outcome-tuple -> probability view; builds no dict."""
+        return _EntriesView(self)
+
+    def widths(self) -> list[int]:
+        return [self.layout.s if p == 1 else self.layout.L for p in self.positions]
+
+    def registers(self, rows=slice(None)) -> list[np.ndarray]:
+        """The value of each position, over the outcomes at `rows`."""
+        index = self.index[rows]
+        registers, shift = [], 0
+        for width in reversed(self.widths()):
+            registers.append((index >> shift) & ((1 << width) - 1))
+            shift += width
+        return registers[::-1]
+
+    def outcome_tuples(self, rows=slice(None)) -> list[tuple[int, ...]]:
+        return list(zip(*(register.tolist() for register in self.registers(rows))))
 
     def total(self) -> float:
-        return float(sum(self.entries.values()))
+        return sequential_sum(self.probs)
 
     def probability(self, outcome) -> float:
         return self.entries.get(tuple(outcome), 0.0)
-
-    def sorted_items(self) -> list[tuple[tuple[int, ...], float]]:
-        """Entries in ascending outcome order (= ascending packed index)."""
-        return sorted(self.entries.items())
 
     def column_names(self) -> list[str]:
         return ["c" if p == 1 else f"y{p - 1}" for p in self.positions]
 
     def write_csv(self, path) -> None:
+        """One row per outcome, ascending: the bytes of `csv.writer` rows with `.17g` floats."""
+        columns = [register[self.order] for register in self.registers()]
+        columns.append(self.probs[self.order])
+        row = ",".join(["%d"] * (len(columns) - 1) + ["%.17g"]) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.column_names() + ["probability"])
-            for outcome, prob in self.sorted_items():
-                writer.writerow([*outcome, f"{prob:.17g}"])
+            fh.write(",".join(self.column_names() + ["probability"]) + "\r\n")
+            for start in range(0, self.index.size, CSV_CHUNK_ROWS):
+                chunk = [column[start : start + CSV_CHUNK_ROWS].tolist() for column in columns]
+                fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+
+
+class _EntriesView(Mapping):
+    """Mapping view of an OutcomeDistribution, iterating in array order."""
+
+    def __init__(self, dist: OutcomeDistribution):
+        self._dist = dist
+
+    def __len__(self) -> int:
+        return self._dist.index.size
+
+    def __iter__(self):
+        return iter(self._dist.outcome_tuples())
+
+    def __getitem__(self, outcome) -> float:
+        dist, outcome, key = self._dist, tuple(outcome), 0
+        for value, width in zip(outcome, dist.widths()):
+            key = (key << width) | value
+        if 0 <= key < 1 << 63:
+            pos = min(int(np.searchsorted(dist.index, key, sorter=dist.order)), dist.index.size - 1)
+            row = dist.order[pos]
+            if dist.outcome_tuples([row])[0] == outcome:
+                return float(dist.probs[row])
+        raise KeyError(outcome)
+
+
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, the same rounding as Python's `sum` over the
+    array (unlike `np.sum`, which sums pairwise)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def measurement_distribution(state: StateVector) -> OutcomeDistribution:
-    """Squared-magnitude probabilities of every outcome; entries below
-    PROBABILITY_FLOOR are omitted."""
+    """Squared-magnitude probabilities of every outcome, in state order;
+    entries below PROBABILITY_FLOOR are omitted."""
     index, amps = state.nonzero_arrays()
     probs = np.abs(amps) ** 2
     norm = float(probs.sum())
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise NormalizationError(f"state norm is {norm}, not 1 within {NORM_TOLERANCE}")
     kept = probs > PROBABILITY_FLOOR
-    index, probs = index[kept], probs[kept]
-    layout = state.layout
-    registers = layout.registers_of_indices(index)
-    outcomes = zip(*(register.tolist() for register in registers))
-    entries = dict(zip(outcomes, probs.tolist()))
-    positions = tuple(range(1, layout.ell + 2))
-    return OutcomeDistribution(layout=layout, positions=positions, entries=entries)
+    positions = tuple(range(1, state.layout.ell + 2))
+    return OutcomeDistribution(state.layout, positions, index[kept], probs[kept])
 
 
 def marginal(dist: OutcomeDistribution, keep) -> OutcomeDistribution:
-    """Sum probability over every register position not in `keep`."""
+    """Sum probability over every register position not in `keep`. Each sum
+    accumulates in array order (as `np.bincount` does); the result is ascending."""
     keep = tuple(sorted(set(int(p) for p in keep)))
     if not keep:
         raise RangeError("must keep at least one register position")
     if not set(keep) <= set(dist.positions):
         raise RangeError(f"positions {keep} not all present in {dist.positions}")
-    # itemgetter with one slot returns the bare value; wrap those keys at the end.
-    pick = itemgetter(*(dist.positions.index(p) for p in keep))
-    entries: dict = {}
-    for outcome, prob in dist.entries.items():
-        reduced = pick(outcome)
-        entries[reduced] = entries.get(reduced, 0.0) + prob
-    if len(keep) == 1:
-        entries = {(value,): prob for value, prob in entries.items()}
-    return OutcomeDistribution(layout=dist.layout, positions=keep, entries=entries)
+    registers = dist.registers()
+    keys, bits = np.zeros_like(dist.index), 0
+    for p in keep:
+        width = dist.layout.s if p == 1 else dist.layout.L
+        keys = (keys << width) | registers[dist.positions.index(p)]
+        bits += width
+    if bits <= MARGINAL_TABLE_BITS:
+        sums = np.bincount(keys, weights=dist.probs, minlength=1 << bits)
+        index = np.flatnonzero(sums)
+        probs = sums[index]
+    else:
+        index, slot = distinct_positions(keys)
+        probs = np.bincount(slot, weights=dist.probs, minlength=index.size)
+    return OutcomeDistribution(dist.layout, keep, index, probs)
 
 
 def conditional(dist: OutcomeDistribution, given: dict[int, int]) -> OutcomeDistribution:
     """Restrict to outcomes matching `given` (position -> value) and renormalize."""
     if not set(given) <= set(dist.positions):
         raise RangeError(f"positions {tuple(given)} not all present in {dist.positions}")
-    slots = {dist.positions.index(p): v for p, v in given.items()}
-    matching = {
-        outcome: prob
-        for outcome, prob in dist.entries.items()
-        if all(outcome[i] == v for i, v in slots.items())
-    }
-    mass = sum(matching.values())
+    registers = dist.registers()
+    matching = np.ones(dist.index.size, dtype=bool)
+    for p, v in given.items():
+        matching &= registers[dist.positions.index(p)] == v
+    probs = dist.probs[matching]
+    mass = sequential_sum(probs)
     if mass <= 0.0:
         raise ConditioningError(f"conditioning event {given} has zero probability")
-    entries = {outcome: prob / mass for outcome, prob in matching.items()}
-    return OutcomeDistribution(layout=dist.layout, positions=dist.positions, entries=entries)
+    return OutcomeDistribution(dist.layout, dist.positions, dist.index[matching], probs / mass)
 
 
 def signed_residue(v: int, q: int) -> int:
@@ -195,45 +265,16 @@ class BoundReport:
     phi_r: int
     bound_1_over_3r2: float
     bound_4_over_pi2_r2: float
-    rows: tuple[BoundRow, ...]
     good_c_count: int
     coprime_good_c_count: int
     success_mass: float
     success_bound_phi_over_3r: float
     success_bound_phi_over_3r2: float
     all_clear: bool
+    rows: tuple[BoundRow, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "x": self.x,
-            "q": self.q,
-            "s": self.s,
-            "r": self.r,
-            "phi_r": self.phi_r,
-            "bound_1_over_3r2": self.bound_1_over_3r2,
-            "bound_4_over_pi2_r2": self.bound_4_over_pi2_r2,
-            "good_c_count": self.good_c_count,
-            "coprime_good_c_count": self.coprime_good_c_count,
-            "success_mass": self.success_mass,
-            "success_bound_phi_over_3r": self.success_bound_phi_over_3r,
-            "success_bound_phi_over_3r2": self.success_bound_phi_over_3r2,
-            "all_clear": self.all_clear,
-            "rows": [
-                {
-                    "c": row.c,
-                    "d": row.d,
-                    "residue": row.residue,
-                    "gcd_d_r": row.gcd_d_r,
-                    "probabilities": list(row.probabilities),
-                    "p_min": row.p_min,
-                    "clears_1_over_3r2": row.clears_1_over_3r2,
-                    "margin_vs_4_over_pi2_r2": row.margin_vs_4_over_pi2_r2,
-                }
-                for row in self.rows
-            ],
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def shor_bound_report(instance: ProblemInstance) -> BoundReport:
@@ -395,23 +436,32 @@ def multi_register_audit(
         run_pipeline(instance, ell=ell, backend=backend, qft=qft, qubit_cap=qubit_cap)
     )
 
-    residues = [mod_pow(instance.x, k, instance.n) for k in range(r)]
-    worst = 0.0
-    for c in range(instance.q):
-        for y in residues:
-            p_single = dist_single.probability((c, y))
-            p_multi = dist_multi.probability((c,) + (y,) * ell)
-            worst = max(worst, abs(p_multi - p_single))
-
-    unequal_mass = 0.0
-    for outcome, prob in dist_multi.entries.items():
-        ys = outcome[1:]
-        if any(y != ys[0] for y in ys[1:]):
-            unequal_mass += prob
-
-    modal_outcome, modal_joint = max(
-        dist_multi.sorted_items(), key=lambda item: (item[1], item[0])
+    # Equal-register outcomes (c, y, ..., y), y = x^k, looked up as (c, y) in the
+    # single-register table; an outcome missing from a table has probability 0.
+    is_residue = np.zeros(dist_multi.layout.function_dim, dtype=bool)
+    is_residue[[mod_pow(instance.x, k, instance.n) for k in range(r)]] = True
+    c_multi, *ys = dist_multi.registers()
+    unequal = np.zeros(dist_multi.index.size, dtype=bool)
+    for y in ys[1:]:
+        unequal |= y != ys[0]
+    compared = ~unequal & is_residue[ys[0]]
+    keys = (c_multi[compared] << dist_multi.layout.L) | ys[0][compared]
+    pos = np.searchsorted(dist_single.index, keys, sorter=dist_single.order)
+    hit = dist_single.order[np.minimum(pos, dist_single.index.size - 1)]
+    found = dist_single.index[hit] == keys
+    p_single = np.where(found, dist_single.probs[hit], 0.0)
+    unmatched = is_residue[dist_single.registers()[1]]
+    unmatched[hit[found]] = False
+    worst = max(
+        np.abs(dist_multi.probs[compared] - p_single).max(initial=0.0),
+        dist_single.probs[unmatched].max(initial=0.0),
     )
+    unequal_mass = sequential_sum(dist_multi.probs[unequal])
+
+    # The most probable outcome; ties go to the largest outcome.
+    modal_joint = dist_multi.probs.max()
+    tied = np.flatnonzero(dist_multi.probs == modal_joint)
+    modal_outcome = dist_multi.outcome_tuples([tied[np.argmax(dist_multi.index[tied])]])[0]
     given = {pos: modal_outcome[pos - 1] for pos in range(2, ell + 2)}
     modal_conditional = marginal(conditional(dist_multi, given), (1,)).probability(
         (modal_outcome[0],)

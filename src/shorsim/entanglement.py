@@ -11,11 +11,11 @@ verifies for the control-register Fourier transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distributions import OutcomeDistribution, marginal
+from .distributions import OutcomeDistribution, marginal, sequential_sum
 from .errors import CapacityError, RangeError
 from .pipeline import QFT_DIRECT, pre_measurement_states
 from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, StateVector, distinct_positions
@@ -104,18 +104,7 @@ class LocalityReport:
         return self.max_deviation <= self.tolerance
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "x": self.x,
-            "ell": self.ell,
-            "eigenvalues_before": list(self.eigenvalues_before),
-            "eigenvalues_after": list(self.eigenvalues_after),
-            "max_deviation": self.max_deviation,
-            "entropy_before_bits": self.entropy_before_bits,
-            "entropy_after_bits": self.entropy_after_bits,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def spectra_deviation(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
@@ -174,15 +163,8 @@ class CorrelationReport:
     table: tuple[tuple[int, int, float], ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "position_i": self.position_i,
-            "position_j": self.position_j,
-            "p_equal": self.p_equal,
-            "p_unequal": self.p_unequal,
-            "table": [
-                {"yi": yi, "yj": yj, "probability": prob} for yi, yj, prob in self.table
-            ],
-        }
+        table = [{"yi": yi, "yj": yj, "probability": prob} for yi, yj, prob in self.table]
+        return {**asdict(self), "table": table}
 
 
 def register_correlation(
@@ -195,19 +177,12 @@ def register_correlation(
         raise RangeError("correlation is defined between function registers (positions >= 2)")
     i, j = sorted((i, j))
     pair = marginal(dist, (i, j))
-    p_equal = 0.0
-    p_unequal = 0.0
-    table = []
-    for (yi, yj), prob in pair.sorted_items():
-        table.append((yi, yj, prob))
-        if yi == yj:
-            p_equal += prob
-        else:
-            p_unequal += prob
+    yi, yj = pair.registers()
+    equal = yi == yj
     return CorrelationReport(
         position_i=i,
         position_j=j,
-        p_equal=float(p_equal),
-        p_unequal=float(p_unequal),
-        table=tuple(table),
+        p_equal=sequential_sum(pair.probs[equal]),
+        p_unequal=sequential_sum(pair.probs[~equal]),
+        table=tuple(zip(yi.tolist(), yj.tolist(), pair.probs.tolist())),
     )

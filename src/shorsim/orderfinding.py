@@ -9,11 +9,16 @@ draw preceding each order-finding attempt, so whole runs replay exactly from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distributions import OutcomeDistribution, marginal, measurement_distribution
+from .distributions import (
+    OutcomeDistribution,
+    marginal,
+    measurement_distribution,
+    sequential_sum,
+)
 from .errors import UnsuitableInputError
 from .numtheory import (
     FactorPair,
@@ -39,8 +44,7 @@ def sample_outcomes(
         raise ValueError(f"count must be non-negative, got {count}")
     if count == 0:
         return []
-    outcomes, cdf = _cdf_arrays(dist)
-    return [outcomes[i] for i in _draw_indices(cdf, count, seed)]
+    return dist.outcome_tuples(dist.order[_draw_indices(dist.cdf, count, seed)])
 
 
 def _draw_indices(cdf: np.ndarray, count: int, seed: int) -> np.ndarray:
@@ -50,16 +54,9 @@ def _draw_indices(cdf: np.ndarray, count: int, seed: int) -> np.ndarray:
     return np.minimum(picks, len(cdf) - 1, out=picks)
 
 
-def _cdf_arrays(dist: OutcomeDistribution):
-    items = dist.sorted_items()
-    outcomes = [outcome for outcome, _ in items]
-    cdf = np.cumsum([prob for _, prob in items])
-    return outcomes, cdf
-
-
-def _draw_outcome(outcomes, cdf, rng) -> tuple[int, ...]:
-    pick = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return outcomes[min(pick, len(outcomes) - 1)]
+def _draw_outcome(dist: OutcomeDistribution, rng) -> tuple[int, ...]:
+    pick = int(np.searchsorted(dist.cdf, rng.random(), side="right"))
+    return dist.outcome_tuples([dist.order[min(pick, dist.cdf.size - 1)]])[0]
 
 
 def _minimal_verified_order(x: int, n: int, candidate: int) -> int:
@@ -111,47 +108,19 @@ class RunTrace:
     seed: int | None
     multiplier_bound: int
     max_samples: int
-    attempts: tuple[OrderAttempt, ...]
     order: int | None
     failure_reason: str | None
+    attempts: tuple[OrderAttempt, ...]
 
     @property
     def used_multiplier_above_one(self) -> bool:
         return any(a.used_multiplier_above_one for a in self.attempts)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "x": self.x,
-            "q": self.q,
-            "s": self.s,
-            "ell": self.ell,
-            "seed": self.seed,
-            "multiplier_bound": self.multiplier_bound,
-            "max_samples": self.max_samples,
-            "order": self.order,
-            "failure_reason": self.failure_reason,
-            "used_multiplier_above_one": self.used_multiplier_above_one,
-            "attempts": [
-                {
-                    "attempt": a.attempt,
-                    "c": a.c,
-                    "ys": list(a.ys),
-                    "convergents": [list(pair) for pair in a.convergents],
-                    "candidates": [
-                        {
-                            "order_candidate": cc.order_candidate,
-                            "multiplier": cc.multiplier,
-                            "verified": cc.verified,
-                        }
-                        for cc in a.candidates
-                    ],
-                    "raw_candidate": a.raw_candidate,
-                    "order": a.order,
-                }
-                for a in self.attempts
-            ],
-        }
+        document = asdict(self)
+        attempts = document.pop("attempts")
+        return {**document, "used_multiplier_above_one": self.used_multiplier_above_one,
+                "attempts": attempts}
 
 
 def _find_order_with_rng(
@@ -163,11 +132,10 @@ def _find_order_with_rng(
     seed: int | None,
     ell: int,
 ) -> tuple[int | None, RunTrace]:
-    outcomes, cdf = _cdf_arrays(dist)
     attempts = []
     order = None
     for attempt in range(1, max_samples + 1):
-        outcome = _draw_outcome(outcomes, cdf, rng)
+        outcome = _draw_outcome(dist, rng)
         c, ys = outcome[0], outcome[1:]
         raw, convergents, checks = order_recovery_steps(
             c, instance.q, instance.x, instance.n, multiplier_bound
@@ -233,19 +201,13 @@ class FactorAttempt:
     attempt: int
     x: int
     gcd_shortcut: int | None
-    order_trace: RunTrace | None
     outcome: str
     factors: tuple[int, int] | None
+    order_trace: RunTrace | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "attempt": self.attempt,
-            "x": self.x,
-            "gcd_shortcut": self.gcd_shortcut,
-            "outcome": self.outcome,
-            "factors": list(self.factors) if self.factors else None,
-            "order_trace": self.order_trace.to_json_dict() if self.order_trace else None,
-        }
+        trace = self.order_trace.to_json_dict() if self.order_trace else None
+        return {**asdict(self), "order_trace": trace}
 
 
 @dataclass(frozen=True)
@@ -255,21 +217,12 @@ class FactorTrace:
     max_attempts: int
     samples_per_attempt: int
     multiplier_bound: int
-    attempts: tuple[FactorAttempt, ...]
     factors: tuple[int, int] | None
     failure_reason: str | None
+    attempts: tuple[FactorAttempt, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "max_attempts": self.max_attempts,
-            "samples_per_attempt": self.samples_per_attempt,
-            "multiplier_bound": self.multiplier_bound,
-            "factors": list(self.factors) if self.factors else None,
-            "failure_reason": self.failure_reason,
-            "attempts": [a.to_json_dict() for a in self.attempts],
-        }
+        return {**asdict(self), "attempts": [a.to_json_dict() for a in self.attempts]}
 
 
 def screen_factoring_input(n: int) -> None:
@@ -311,7 +264,7 @@ def factor(
         if g > 1:
             pair = FactorPair.of(n, g, n // g)
             attempts.append(
-                FactorAttempt(attempt, x, g, None, "gcd shortcut", (pair.f1, pair.f2))
+                FactorAttempt(attempt, x, g, "gcd shortcut", (pair.f1, pair.f2), None)
             )
             return pair, _factor_trace(
                 n, seed, max_attempts, samples_per_attempt, multiplier_bound, attempts,
@@ -327,15 +280,15 @@ def factor(
             None, 1,
         )
         if order is None:
-            attempts.append(FactorAttempt(attempt, x, None, trace, "no order recovered", None))
+            attempts.append(FactorAttempt(attempt, x, None, "no order recovered", None, trace))
             continue
         pair = factor_from_order(n, x, order)
         if pair is None:
             reason = "odd order" if order % 2 == 1 else "trivial square root"
-            attempts.append(FactorAttempt(attempt, x, None, trace, reason, None))
+            attempts.append(FactorAttempt(attempt, x, None, reason, None, trace))
             continue
         attempts.append(
-            FactorAttempt(attempt, x, None, trace, "factored", (pair.f1, pair.f2))
+            FactorAttempt(attempt, x, None, "factored", (pair.f1, pair.f2), trace)
         )
         return pair, _factor_trace(
             n, seed, max_attempts, samples_per_attempt, multiplier_bound, attempts,
@@ -390,18 +343,7 @@ class SuccessRateReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "n": self.n,
-            "x": self.x,
-            "q": self.q,
-            "r": self.r,
-            "trials": self.trials,
-            "multiplier_bound": self.multiplier_bound,
-            "seed": self.seed,
-            "successes": self.successes,
-            "empirical_rate": self.empirical_rate,
-            "exact_rate": self.exact_rate,
-            "bound_phi_over_3r": self.bound_phi_over_3r,
-            "bound_phi_over_3r2": self.bound_phi_over_3r2,
+            **asdict(self),
             "clears_phi_over_3r": self.clears_phi_over_3r,
             "clears_phi_over_3r2": self.clears_phi_over_3r2,
         }
@@ -432,20 +374,16 @@ def success_rate_estimate(
     phi_r = euler_phi(r)
 
     c_marginal = marginal(dist, (1,))
-    succeeding = {
-        c: recover_order_from_sample(c, instance.q, instance.x, instance.n, multiplier_bound)
+    succeeding = np.zeros(instance.q, dtype=bool)
+    succeeding[c_marginal.index] = [
+        recover_order_from_sample(c, instance.q, instance.x, instance.n, multiplier_bound)
         is not None
-        for (c,) in c_marginal.entries
-    }
-    exact_rate = sum(
-        prob for (c,), prob in c_marginal.entries.items() if succeeding[c]
-    )
+        for c in c_marginal.index.tolist()
+    ]
+    exact_rate = sequential_sum(c_marginal.probs[succeeding[c_marginal.index]])
 
-    outcomes, cdf = _cdf_arrays(dist)
-    hits = np.fromiter(
-        (succeeding[outcome[0]] for outcome in outcomes), dtype=bool, count=len(outcomes)
-    )
-    successes = int(hits[_draw_indices(cdf, trials, seed)].sum())
+    hits = succeeding[dist.registers(dist.order)[0]]
+    successes = int(hits[_draw_indices(dist.cdf, trials, seed)].sum())
 
     return SuccessRateReport(
         n=instance.n,

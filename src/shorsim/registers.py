@@ -29,6 +29,7 @@ DEFAULT_QUBIT_CAP = 26
 # Packed indices are int64 arrays, so s + ell*L may not exceed 63.
 INDEX_BITS = 63
 SPARSE_AMPLITUDE_FLOOR = 1e-15
+NORM_TOLERANCE = 1e-12
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -153,17 +154,6 @@ class RegisterLayout:
             index >>= self.L
         return index, tuple(reversed(ys))
 
-    def outcome_of_index(self, index: int) -> tuple[int, ...]:
-        a, ys = self.unpack_index(index)
-        return (a, *ys)
-
-    def registers_of_indices(self, index: np.ndarray) -> list[np.ndarray]:
-        """unpack_index over an array: [control values, y_1, ..., y_ell]."""
-        mask = self.function_dim - 1
-        registers = [index >> (self.ell * self.L)]
-        registers += [(index >> ((self.ell - i) * self.L)) & mask for i in range(1, self.ell + 1)]
-        return registers
-
 
 class StateVector:
     """Complex amplitudes over the full register space, dense or sparse.
@@ -271,18 +261,31 @@ class StateVector:
 
     @classmethod
     def load(cls, path, qubit_cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
+        """Read a `dump` snapshot, which is outside input: an index outside the layout, a
+        repeated index, a non-finite amplitude or a norm off 1 raises ValueError."""
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 4:
                 raise ValueError(f"malformed snapshot header: {header}")
             s, L, ell = (int(v) for v in header[:3])
-            backend = header[3]
             layout = RegisterLayout(s=s, L=L, ell=ell, qubit_cap=max(qubit_cap, s + ell * L))
-            state = cls.zeros(layout, backend)
+            indices, amps = [], []
             for line in fh:
                 index_str, re_str, im_str = line.split()
-                state.data[int(index_str)] = complex(float(re_str), float(im_str))
-        return state
+                indices.append(int(index_str))
+                amps.append(complex(float(re_str), float(im_str)))
+        bad = [i for i in indices if not 0 <= i < layout.dim]
+        if bad:
+            raise ValueError(f"snapshot index {bad[0]} outside [0, {layout.dim})")
+        if len(set(indices)) != len(indices):
+            raise ValueError("snapshot repeats an index")
+        amps = np.array(amps, dtype=np.complex128)
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("snapshot holds a non-finite amplitude")
+        norm = float(np.vdot(amps, amps).real)
+        if abs(norm - 1.0) > NORM_TOLERANCE:
+            raise ValueError(f"snapshot norm is {norm}, not 1 within {NORM_TOLERANCE}")
+        return cls.from_arrays(layout, header[3], np.array(indices, dtype=np.int64), amps)
 
 
 def distinct_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

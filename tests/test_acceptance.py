@@ -90,7 +90,8 @@ def test_02_exact_distribution_for_15_7():
     detail_parts = []
     on_support = []
     for index in range(layout.dim):
-        outcome = layout.outcome_of_index(index)
+        a, ys = layout.unpack_index(index)
+        outcome = (a, *ys)
         if outcome in expected:
             on_support.append(probabilities[index])
         elif probabilities[index] > 1e-20:

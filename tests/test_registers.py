@@ -195,6 +195,42 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="unknown backend"):
             StateVector.load(path)
 
+    # A snapshot is input from outside the program; each defect below is on
+    # a layout of 2**(2 + 1) = 8 amplitudes and is the only defect in its file.
+    @staticmethod
+    def _load(tmp_path, backend, lines):
+        path = tmp_path / "state.txt"
+        path.write_text("\n".join([f"2 1 1 {backend}", *lines]) + "\n")
+        return StateVector.load(path)
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize("index", [999, 8, -3])
+    def test_index_outside_layout_is_rejected(self, tmp_path, backend, index):
+        with pytest.raises(ValueError, match="outside"):
+            self._load(tmp_path, backend, [f"{index} 1 0"])
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    def test_duplicate_index_is_rejected(self, tmp_path, backend):
+        with pytest.raises(ValueError, match="repeats"):
+            self._load(tmp_path, backend, ["3 0.6 0", "3 0.8 0"])
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_is_rejected(self, tmp_path, backend, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            self._load(tmp_path, backend, ["0 1 0", f"1 0 {value}"])
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize("lines", [["0 0.5 0"], ["0 1 0", "5 1e-6 0"], []])
+    def test_norm_off_one_is_rejected(self, tmp_path, backend, lines):
+        with pytest.raises(ValueError, match="norm"):
+            self._load(tmp_path, backend, lines)
+
+    def test_valid_hand_written_snapshot_loads(self, tmp_path):
+        state = self._load(tmp_path, SPARSE, ["1 0.6 0", "6 0 0.8"])
+        assert state.amplitude(6) == 0.8j
+        assert state.nonzero_count() == 2
+
 
 def test_only_registers_touches_state_storage():
     # The storage format (flat array or dict) is known to registers.py alone;
