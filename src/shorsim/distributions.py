@@ -81,14 +81,14 @@ class OutcomeDistribution:
     def widths(self) -> list[int]:
         return [self.layout.s if p == 1 else self.layout.L for p in self.positions]
 
+    def register(self, position: int, rows=slice(None)) -> np.ndarray:
+        """Values of register `position` over the outcomes at `rows`."""
+        widths = self.widths()
+        slot = self.positions.index(position)
+        return (self.index[rows] >> sum(widths[slot + 1 :])) & ((1 << widths[slot]) - 1)
+
     def registers(self, rows=slice(None)) -> list[np.ndarray]:
-        """The value of each position, over the outcomes at `rows`."""
-        index = self.index[rows]
-        registers, shift = [], 0
-        for width in reversed(self.widths()):
-            registers.append((index >> shift) & ((1 << width) - 1))
-            shift += width
-        return registers[::-1]
+        return [self.register(p, rows) for p in self.positions]
 
     def outcome_tuples(self, rows=slice(None)) -> list[tuple[int, ...]]:
         return list(zip(*(register.tolist() for register in self.registers(rows))))
@@ -130,9 +130,9 @@ class _EntriesView(Mapping):
         dist, outcome, key = self._dist, tuple(outcome), 0
         for value, width in zip(outcome, dist.widths()):
             key = (key << width) | value
-        if 0 <= key < 1 << 63:
-            pos = min(int(np.searchsorted(dist.index, key, sorter=dist.order)), dist.index.size - 1)
-            row = dist.order[pos]
+        if dist.index.size and 0 <= key < 1 << 63:
+            pos = int(np.searchsorted(dist.index, key, sorter=dist.order))
+            row = dist.order[min(pos, dist.index.size - 1)]
             if dist.outcome_tuples([row])[0] == outcome:
                 return float(dist.probs[row])
         raise KeyError(outcome)
@@ -165,11 +165,10 @@ def marginal(dist: OutcomeDistribution, keep) -> OutcomeDistribution:
         raise RangeError("must keep at least one register position")
     if not set(keep) <= set(dist.positions):
         raise RangeError(f"positions {keep} not all present in {dist.positions}")
-    registers = dist.registers()
-    keys, bits = np.zeros_like(dist.index), 0
+    keys, bits = 0, 0
     for p in keep:
         width = dist.layout.s if p == 1 else dist.layout.L
-        keys = (keys << width) | registers[dist.positions.index(p)]
+        keys = (keys << width) | dist.register(p)
         bits += width
     if bits <= MARGINAL_TABLE_BITS:
         sums = np.bincount(keys, weights=dist.probs, minlength=1 << bits)
@@ -185,10 +184,9 @@ def conditional(dist: OutcomeDistribution, given: dict[int, int]) -> OutcomeDist
     """Restrict to outcomes matching `given` (position -> value) and renormalize."""
     if not set(given) <= set(dist.positions):
         raise RangeError(f"positions {tuple(given)} not all present in {dist.positions}")
-    registers = dist.registers()
     matching = np.ones(dist.index.size, dtype=bool)
     for p, v in given.items():
-        matching &= registers[dist.positions.index(p)] == v
+        matching &= dist.register(p) == v
     probs = dist.probs[matching]
     mass = sequential_sum(probs)
     if mass <= 0.0:
@@ -450,7 +448,7 @@ def multi_register_audit(
     hit = dist_single.order[np.minimum(pos, dist_single.index.size - 1)]
     found = dist_single.index[hit] == keys
     p_single = np.where(found, dist_single.probs[hit], 0.0)
-    unmatched = is_residue[dist_single.registers()[1]]
+    unmatched = is_residue[dist_single.register(2)]
     unmatched[hit[found]] = False
     worst = max(
         np.abs(dist_multi.probs[compared] - p_single).max(initial=0.0),

@@ -362,8 +362,8 @@ def success_rate_estimate(
     The trials are the outcomes `sample_outcomes(dist, trials, seed)` draws:
     one generator seeded by `seed`, one inverse-CDF pass, so the estimate
     for a seed counts the successes in exactly that sample. The exact rate
-    sums the control-register marginal over the c values the rounding rule
-    succeeds on.
+    sums the control-register marginal, in ascending c, over the c values
+    the rounding rule succeeds on.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -382,7 +382,7 @@ def success_rate_estimate(
     ]
     exact_rate = sequential_sum(c_marginal.probs[succeeding[c_marginal.index]])
 
-    hits = succeeding[dist.registers(dist.order)[0]]
+    hits = succeeding[dist.register(1, dist.order)]
     successes = int(hits[_draw_indices(dist.cdf, trials, seed)].sum())
 
     return SuccessRateReport(
