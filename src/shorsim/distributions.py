@@ -165,11 +165,11 @@ def marginal(dist: OutcomeDistribution, keep) -> OutcomeDistribution:
         raise RangeError("must keep at least one register position")
     if not set(keep) <= set(dist.positions):
         raise RangeError(f"positions {keep} not all present in {dist.positions}")
+    widths = dict(zip(dist.positions, dist.widths()))
     keys, bits = 0, 0
     for p in keep:
-        width = dist.layout.s if p == 1 else dist.layout.L
-        keys = (keys << width) | dist.register(p)
-        bits += width
+        keys = (keys << widths[p]) | dist.register(p)
+        bits += widths[p]
     if bits <= MARGINAL_TABLE_BITS:
         sums = np.bincount(keys, weights=dist.probs, minlength=1 << bits)
         index = np.flatnonzero(sums)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from shorsim import distributions
 from shorsim.cli import main
 from shorsim.distributions import (
     conditional,
@@ -180,3 +181,18 @@ def test_array_tables_equal_dict_oracles(data):
             audit.modal_outcome,
             audit.modal_joint_probability,
         ) == oracle_audit(instance, r, ell, single, entries)
+
+
+def test_wide_marginals_sum_like_the_dense_table(monkeypatch):
+    # Marginals wider than MARGINAL_TABLE_BITS map their keys through
+    # distinct_positions instead of a 2**bits table; force that route here.
+    dist = measurement_distribution(run_pipeline(ProblemInstance.create(21, 2), ell=2))
+    entries = as_dict(dist)
+    for keep in ((1,), (3,), (2, 3), (1, 2, 3)):
+        table = marginal(dist, keep)
+        monkeypatch.setattr(distributions, "MARGINAL_TABLE_BITS", 0)
+        wide = marginal(dist, keep)
+        monkeypatch.undo()
+        assert np.array_equal(wide.index, table.index)
+        assert np.array_equal(wide.probs, table.probs)
+        assert as_dict(wide) == oracle_marginal(entries, dist.positions, keep)
