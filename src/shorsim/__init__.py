@@ -35,7 +35,6 @@ from .errors import (
 )
 from .numtheory import (
     FactorPair,
-    Rational,
     continued_fraction_convergents,
     euler_phi,
     factor_from_order,

@@ -9,6 +9,8 @@ Exit codes encode verdicts so CI can consume the auditor directly: 0 means
 the run succeeded and every checked claim held, 1 means a failed run or a
 failed verdict, 2 is a usage error. All experiment configuration comes from
 flags (no environment variables), so a command line alone reproduces a run.
+Each subcommand accepts only the flags it reads, and every JSON report's
+`config` records exactly those, resolved.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,41 +31,59 @@ from .registers import DEFAULT_QUBIT_CAP, ProblemInstance
 SCHEMA_VERSION = distributions.SCHEMA_VERSION
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved flags for one run; embedded in every JSON output."""
+def _at_least(low: int):
+    """argparse type: an int no smaller than `low`, else a usage error."""
 
-    command: str
-    n: int
-    x: int | None
-    ell: int
-    backend: str
-    qft: str
-    seed: int
-    qubit_cap: int
-    output_dir: str
-    format: str
-    dump_state: bool
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, with_ell: bool, default_ell: int = 1):
-    parser.add_argument("--n", type=int, required=True, help="odd integer defining the run")
-    parser.add_argument(
-        "--x", type=int, default=None, help="base (random coprime draw when omitted)"
-    )
-    if with_ell:
-        parser.add_argument(
-            "--ell", type=int, default=default_ell, help="number of function registers"
-        )
-    parser.add_argument("--backend", choices=["dense", "sparse"], default="sparse")
-    parser.add_argument("--qft", choices=["direct", "gates"], default="direct")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
-    parser.add_argument("--output-dir", default=".", help="where result files are written")
-    parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    parser.add_argument(
-        "--dump-state", action="store_true", help="also write the pre-measurement state"
-    )
+# Every flag, declared once: destination -> argparse keywords. The option is
+# the destination with dashes, `--max-attempts` for `max_attempts`.
+_FLAGS = {
+    "n": dict(type=int, required=True, help="odd integer defining the run"),
+    "x": dict(type=int, default=None, help="base (random coprime draw when omitted)"),
+    "ell": dict(type=_at_least(1), default=1, help="number of function registers"),
+    "backend": dict(choices=["dense", "sparse"], default="sparse"),
+    "qft": dict(choices=["direct", "gates"], default="direct"),
+    "seed": dict(type=int, default=0, help="seed for all randomness"),
+    "max_attempts": dict(type=_at_least(1), default=100),
+    "samples_per_attempt": dict(type=_at_least(1), default=16),
+    "multiplier_bound": dict(type=_at_least(1), default=8),
+    "qubit_cap": dict(type=int, default=DEFAULT_QUBIT_CAP),
+    "output_dir": dict(default=".", help="where result files are written"),
+    "format": dict(choices=["json", "csv", "both"], default="both"),
+    "dump_state": dict(action="store_true", help="also write the pre-measurement state"),
+    "top": dict(type=_at_least(0), default=16, help="outcomes listed in the JSON summary"),
+    "trace": dict(action="store_true", help="print the full run trace"),
+}
+
+_SIMULATION = ("n", "x", "ell", "backend", "qft", "seed", "qubit_cap", "output_dir")
+
+# Subcommand -> (help, the flags its cmd_* reads, in the order `config` records them).
+_SUBCOMMANDS = {
+    "distribution": (
+        "exact outcome distribution of one run",
+        (*_SIMULATION, "format", "dump_state", "top"),
+    ),
+    "audit": ("multi-register joint-probability audit", (*_SIMULATION, "dump_state")),
+    "bound": (
+        "probability floor report over the good c values",
+        ("n", "x", "seed", "output_dir"),
+    ),
+    "factor": (
+        "end-to-end factoring via order finding",
+        ("n", "seed", "max_attempts", "samples_per_attempt", "multiplier_bound", "backend",
+         "qubit_cap", "output_dir", "trace"),
+    ),
+    "entanglement": ("Schmidt spectra, entropies, correlations", (*_SIMULATION, "dump_state")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,32 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="State-vector order-finding simulator and measurement-statistics auditor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("distribution", help="exact outcome distribution of one run")
-    _add_common_flags(p, with_ell=True, default_ell=1)
-    p.add_argument("--top", type=int, default=16, help="outcomes listed in the JSON summary")
-
-    p = sub.add_parser("audit", help="multi-register joint-probability audit")
-    _add_common_flags(p, with_ell=True, default_ell=2)
-
-    p = sub.add_parser("bound", help="probability floor report over the good c values")
-    _add_common_flags(p, with_ell=False)
-
-    p = sub.add_parser("factor", help="end-to-end factoring via order finding")
-    p.add_argument("--n", type=int, required=True, help="odd composite to factor")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-attempts", type=int, default=100)
-    p.add_argument("--samples-per-attempt", type=int, default=16)
-    p.add_argument("--multiplier-bound", type=int, default=8)
-    p.add_argument("--backend", choices=["dense", "sparse"], default="sparse")
-    p.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
-    p.add_argument("--output-dir", default=".")
-    p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    p.add_argument("--trace", action="store_true", help="print the full run trace")
-
-    p = sub.add_parser("entanglement", help="Schmidt spectra, entropies, correlations")
-    _add_common_flags(p, with_ell=True, default_ell=1)
-
+    for command, (help_text, dests) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for dest in dests:
+            keywords = _FLAGS[dest]
+            if (command, dest) == ("audit", "ell"):
+                # The audit compares ell registers against one.
+                keywords = {**keywords, "type": _at_least(2), "default": 2}
+            p.add_argument("--" + dest.replace("_", "-"), **keywords)
     return parser
 
 
@@ -119,36 +120,23 @@ def _resolve_base(n: int, x: int | None, seed: int) -> int:
 
 
 def _make_instance(args) -> ProblemInstance:
+    """The run's instance. Resolves `args.x` in place, so the recorded config names
+    the base that was used."""
     if args.n < 3 or args.n % 2 == 0:
         raise UnsuitableInputError(args.n, "even" if args.n % 2 == 0 else "must be at least 3")
-    x = _resolve_base(args.n, args.x, args.seed)
-    return ProblemInstance.create(args.n, x)
+    args.x = _resolve_base(args.n, args.x, args.seed)
+    return ProblemInstance.create(args.n, args.x)
 
 
-def _config_from(args, instance: ProblemInstance | None) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=args.command,
-        n=args.n,
-        x=instance.x if instance is not None else None,
-        ell=getattr(args, "ell", 1),
-        backend=getattr(args, "backend", "sparse"),
-        qft=getattr(args, "qft", "direct"),
-        seed=args.seed,
-        qubit_cap=args.qubit_cap,
-        output_dir=args.output_dir,
-        format=args.format,
-        dump_state=getattr(args, "dump_state", False),
-    )
-
-
-def _write_json(config: ExperimentConfig, payload: dict, filename: str) -> Path:
-    out_dir = Path(config.output_dir)
+def _write_json(args, payload: dict, filename: str) -> Path:
+    """Write the report envelope; its `config` is every flag the command parsed."""
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / filename
     document = {
         "schema_version": SCHEMA_VERSION,
-        "command": config.command,
-        "config": asdict(config),
+        "command": args.command,
+        "config": vars(args),
         "report": payload,
     }
     with open(path, "w") as fh:
@@ -193,27 +181,26 @@ def _flat_record_values(value) -> tuple[tuple[str, ...], tuple] | None:
     return keys, tuple(values)
 
 
-def _maybe_dump_state(config: ExperimentConfig, state) -> None:
-    if config.dump_state:
-        out_dir = Path(config.output_dir)
+def _maybe_dump_state(args, state) -> None:
+    if args.dump_state:
+        out_dir = Path(args.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         state.dump(out_dir / "state.txt")
 
 
 def cmd_distribution(args) -> int:
     instance = _make_instance(args)
-    config = _config_from(args, instance)
     state = pipeline.run_pipeline(
         instance, ell=args.ell, backend=args.backend, qft=args.qft, qubit_cap=args.qubit_cap
     )
     dist = distributions.measurement_distribution(state)
-    _maybe_dump_state(config, state)
+    _maybe_dump_state(args, state)
 
-    out_dir = Path(config.output_dir)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.format in ("csv", "both"):
+    if args.format in ("csv", "both"):
         dist.write_csv(out_dir / "distribution.csv")
-    if config.format in ("json", "both"):
+    if args.format in ("json", "both"):
         top = np.lexsort((dist.index, -dist.probs))[: args.top]
         marginals = {}
         for p, name in enumerate(dist.column_names(), start=1):
@@ -233,7 +220,7 @@ def cmd_distribution(args) -> int:
             ],
             "marginals": marginals,
         }
-        _write_json(config, summary, "distribution.json")
+        _write_json(args, summary, "distribution.json")
     print(
         f"n={instance.n} x={instance.x} q={instance.q} ell={args.ell}: "
         f"{dist.index.size} outcomes, total probability {dist.total():.12f}"
@@ -243,18 +230,12 @@ def cmd_distribution(args) -> int:
 
 def cmd_audit(args) -> int:
     instance = _make_instance(args)
-    config = _config_from(args, instance)
     report = distributions.multi_register_audit(
         instance, ell=args.ell, backend=args.backend, qft=args.qft,
         qubit_cap=args.qubit_cap,
     )
-    if config.dump_state:
-        state = pipeline.run_pipeline(
-            instance, ell=args.ell, backend=args.backend, qft=args.qft,
-            qubit_cap=args.qubit_cap,
-        )
-        _maybe_dump_state(config, state)
-    _write_json(config, report.to_json_dict(), "audit.json")
+    _maybe_dump_state(args, report.state)
+    _write_json(args, report.to_json_dict(), "audit.json")
     print(
         f"audit n={report.n} x={report.x} ell={report.ell}: "
         f"equal-outcome discrepancy {report.equal_outcome_discrepancy:.3e}, "
@@ -266,9 +247,8 @@ def cmd_audit(args) -> int:
 
 def cmd_bound(args) -> int:
     instance = _make_instance(args)
-    config = _config_from(args, instance)
     report = distributions.shor_bound_report(instance)
-    _write_json(config, report.to_json_dict(), "bound.json")
+    _write_json(args, report.to_json_dict(), "bound.json")
     print(
         f"bound n={report.n} x={report.x} r={report.r}: {report.good_c_count} good c, "
         f"{report.coprime_good_c_count} with gcd(d, r) = 1, "
@@ -289,8 +269,7 @@ def cmd_factor(args) -> int:
         backend=args.backend,
         qubit_cap=args.qubit_cap,
     )
-    config = _config_from(args, None)
-    _write_json(config, trace.to_json_dict(), "factor_trace.json")
+    _write_json(args, trace.to_json_dict(), "factor_trace.json")
     if args.trace:
         print(json.dumps(trace.to_json_dict(), indent=2))
     if pair is None:
@@ -302,13 +281,12 @@ def cmd_factor(args) -> int:
 
 def cmd_entanglement(args) -> int:
     instance = _make_instance(args)
-    config = _config_from(args, instance)
     before, after = pipeline.pre_measurement_states(
         instance, ell=args.ell, backend=args.backend, qft=args.qft,
         qubit_cap=args.qubit_cap,
     )
     locality = entanglement.locality_report(instance, before, after)
-    _maybe_dump_state(config, after)
+    _maybe_dump_state(args, after)
     # The locality report already holds the cut-1 spectrum of `before`.
     spectra = [entanglement.SchmidtSpectrum(1, locality.eigenvalues_before)]
     spectra += [
@@ -333,7 +311,7 @@ def cmd_entanglement(args) -> int:
             "correlations": correlations,
         }
     }
-    _write_json(config, payload, "entanglement.json")
+    _write_json(args, payload, "entanglement.json")
     print(
         f"entanglement n={instance.n} x={instance.x} ell={args.ell}: "
         f"entropy {locality.entropy_before_bits:.6f} bits across the control cut, "
@@ -352,12 +330,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "audit" and args.ell < 2:
-        parser.error("audit requires --ell >= 2")
-    if args.command == "distribution" and args.top < 0:
-        parser.error("distribution requires --top >= 0")
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ShorSimError, ValueError, OSError) as exc:

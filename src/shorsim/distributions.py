@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -343,7 +343,8 @@ class AuditReport:
     equal_outcome_discrepancy: max over (c, k) of the difference between the
     ell-register joint probability of (c, x^k, ..., x^k) and the two-register
     joint probability of (c, x^k). unequal_register_mass: total probability
-    of outcomes whose function registers disagree anywhere.
+    of outcomes whose function registers disagree anywhere. state: the
+    audited ell-register pre-measurement state (not part of the JSON report).
     """
 
     n: int
@@ -357,6 +358,7 @@ class AuditReport:
     modal_joint_probability: float
     modal_conditional_probability: float
     tolerance: float = 1e-12
+    state: StateVector | None = field(default=None, repr=False, compare=False)
 
     @property
     def joint_probabilities_match(self) -> bool:
@@ -430,9 +432,8 @@ def multi_register_audit(
     dist_single = measurement_distribution(
         run_pipeline(instance, ell=1, backend=backend, qft=qft, qubit_cap=qubit_cap)
     )
-    dist_multi = measurement_distribution(
-        run_pipeline(instance, ell=ell, backend=backend, qft=qft, qubit_cap=qubit_cap)
-    )
+    state = run_pipeline(instance, ell=ell, backend=backend, qft=qft, qubit_cap=qubit_cap)
+    dist_multi = measurement_distribution(state)
 
     # Equal-register outcomes (c, y, ..., y), y = x^k, looked up as (c, y) in the
     # single-register table; an outcome missing from a table has probability 0.
@@ -476,4 +477,5 @@ def multi_register_audit(
         modal_outcome=modal_outcome,
         modal_joint_probability=float(modal_joint),
         modal_conditional_probability=float(modal_conditional),
+        state=state,
     )

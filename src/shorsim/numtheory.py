@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidOrderError, NotCoprimeError, UndefinedInputError
-
-# Convergents are plain stdlib fractions: always in lowest terms, denominator >= 1.
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -99,17 +95,20 @@ def euler_phi(r: int) -> int:
     return result
 
 
-def continued_fraction_convergents(c: int, q: int) -> list[Rational]:
-    """All convergents of c/q, in order of increasing denominator.
+def continued_fraction_convergents(c: int, q: int) -> list[tuple[int, int]]:
+    """All convergents of c/q as (numerator, denominator) pairs, in order of
+    increasing denominator.
 
-    The last convergent equals c/q in lowest terms; c = 0 yields [0/1].
+    Each pair is in lowest terms with denominator >= 1 (consecutive convergents
+    satisfy h_k k_{k-1} - h_{k-1} k_k = +-1); the last equals c/q in lowest
+    terms, and c = 0 yields [(0, 1)].
     """
     if q < 1:
         raise ValueError(f"denominator must be positive, got {q}")
     if not 0 <= c < q:
         raise ValueError(f"numerator must satisfy 0 <= c < q, got c={c}, q={q}")
     if c == 0:
-        return [Fraction(0, 1)]
+        return [(0, 1)]
     convergents = []
     # Numerator/denominator recurrence over the Euclidean quotients of c/q,
     # seeded with the conventional (h_-2, h_-1) = (0, 1), (k_-2, k_-1) = (1, 0).
@@ -120,7 +119,7 @@ def continued_fraction_convergents(c: int, q: int) -> list[Rational]:
         a, rem = divmod(num, den)
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-        convergents.append(Fraction(h, k))
+        convergents.append((h, k))
         num, den = den, rem
     return convergents
 
@@ -146,15 +145,14 @@ def recover_order_from_sample(
 def order_recovery_steps(c: int, q: int, x: int, n: int, multiplier_bound: int):
     """The rounding rule of recover_order_from_sample, with every step recorded.
 
-    Returns (raw candidate or None, the convergents tried, the candidates
-    checked as (candidate, multiplier, verified) triples), each list in the
-    order tried. Inputs are not checked.
+    Returns (raw candidate or None, the convergents tried as (numerator,
+    denominator) pairs, the candidates checked as (candidate, multiplier,
+    verified) triples), each list in the order tried. Inputs are not checked.
     """
     convergents = []
     checks = []
-    for conv in continued_fraction_convergents(c, q):
-        convergents.append(conv)
-        t = conv.denominator
+    for h, t in continued_fraction_convergents(c, q):
+        convergents.append((h, t))
         if t >= n:
             break
         for m in range(1, multiplier_bound + 1):

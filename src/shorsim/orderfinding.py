@@ -148,7 +148,7 @@ def _find_order_with_rng(
                 attempt=attempt,
                 c=c,
                 ys=ys,
-                convergents=tuple((f.numerator, f.denominator) for f in convergents),
+                convergents=tuple(convergents),
                 candidates=tuple(CandidateCheck(*check) for check in checks),
                 raw_candidate=raw,
                 order=reduced,

@@ -1,13 +1,16 @@
+import argparse
 import csv
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shorsim import pipeline
-from shorsim.cli import main
+from shorsim import distributions, pipeline
+from shorsim.cli import build_parser, main
 from shorsim.distributions import measurement_distribution
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import ProblemInstance, StateVector
@@ -139,6 +142,22 @@ class TestAuditCommand:
         assert code == 1
         assert read_json(tmp_path / "audit.json")["report"]["unequal_register_mass"] > 1e-12
 
+    def test_dump_state_reuses_the_audited_state(self, tmp_path, monkeypatch):
+        calls = []
+        run = pipeline.run_pipeline
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs["ell"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", recording)
+        monkeypatch.setattr(distributions, "run_pipeline", recording)
+        code = main(["audit", "--n", "21", "--x", "2", "--ell", "2", "--dump-state",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert calls == [1, 2]
+        assert StateVector.load(tmp_path / "state.txt").layout.ell == 2
+
     def test_single_register_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["audit", "--n", "15", "--x", "7", "--ell", "1",
@@ -260,6 +279,105 @@ class TestDeterminism:
         a = read_json(tmp_path / "a" / "factor_trace.json")["report"]
         b = read_json(tmp_path / "b" / "factor_trace.json")["report"]
         assert json.dumps(a) == json.dumps(b)
+
+
+def _subcommand_dests() -> dict[str, list[str]]:
+    """Subcommand -> the destinations its parser declares, in order."""
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a.dest for a in sub._actions if a.dest != "help"]
+        for name, sub in action.choices.items()
+    }
+
+
+class TestRecordedConfig:
+    RUNS = {
+        "distribution": (["--n", "15", "--x", "7"], "distribution.json"),
+        "audit": (["--n", "15", "--x", "7"], "audit.json"),
+        "bound": (["--n", "15", "--seed", "3"], "bound.json"),
+        "factor": (["--n", "15", "--seed", "1"], "factor_trace.json"),
+        "entanglement": (["--n", "15", "--x", "7"], "entanglement.json"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(_subcommand_dests()))
+    def test_config_keys_are_the_parser_dests(self, tmp_path, command):
+        flags, filename = self.RUNS[command]
+        assert main([command, *flags, "--output-dir", str(tmp_path)]) == 0
+        config = read_json(tmp_path / filename)["config"]
+        assert list(config) == ["command", *_subcommand_dests()[command]]
+        assert config["command"] == command
+        if "x" in config:
+            # The base is recorded resolved, also when drawn from the seed.
+            assert isinstance(config["x"], int) and 1 < config["x"] < 15
+
+    def test_distribution_records_top(self, tmp_path):
+        assert main(["distribution", "--n", "15", "--x", "7", "--top", "3",
+                     "--output-dir", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "distribution.json")
+        assert doc["config"]["top"] == 3
+        assert len(doc["report"]["top_outcomes"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--n", "15", "--x", "7", "--backend", "dense"],
+            ["bound", "--n", "15", "--x", "7", "--qft", "gates"],
+            ["bound", "--n", "15", "--x", "7", "--qubit-cap", "3"],
+            ["bound", "--n", "15", "--x", "7", "--format", "csv"],
+            ["bound", "--n", "15", "--x", "7", "--dump-state"],
+            ["audit", "--n", "15", "--x", "7", "--format", "csv"],
+            ["entanglement", "--n", "15", "--x", "7", "--format", "csv"],
+            ["factor", "--n", "15", "--format", "csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--output-dir", str(tmp_path)])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distribution", "--n", "15", "--x", "7", "--ell", "0"],
+        ["entanglement", "--n", "15", "--x", "7", "--ell", "0"],
+        ["audit", "--n", "15", "--x", "7", "--ell", "1"],
+        ["distribution", "--n", "15", "--x", "7", "--top", "-1"],
+        ["factor", "--n", "35", "--seed", "1", "--max-attempts", "0"],
+        ["factor", "--n", "35", "--seed", "1", "--samples-per-attempt", "0"],
+        ["factor", "--n", "35", "--seed", "1", "--multiplier-bound", "0"],
+        ["factor", "--n", "35", "--seed", "1", "--multiplier-bound", "two"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_integer_is_usage_error(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--output-dir", str(tmp_path)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"argument {argv[-2]}:" in message
+    assert ("must be at least" in message) or ("invalid int value" in message)
+    assert not any(tmp_path.iterdir())
+
+
+def _readme_command_lines() -> list[str]:
+    """The `shorsim ...` lines of the README's "Command line" example block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("shorsim ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    lines = _readme_command_lines()
+    assert {shlex.split(line)[1] for line in lines} == set(_subcommand_dests())
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert main(argv) == 0, line
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -3,9 +3,10 @@
 Each case runs one command line with `--output-dir out` from an empty
 working directory, so the `output_dir` recorded in the JSON is the same
 everywhere, and compares every file it writes with `tests/golden/<case>/`.
-The golden files were written by the code before outcome tables became
-arrays; any change in a float's last bit, a row order or the JSON layout
-fails here.
+The CSV, state and JSON `report` bytes were written by the code before
+outcome tables became arrays; the JSON `config` objects were regenerated when
+each subcommand came to record only its own flags. Any change in a float's
+last bit, a row order, the JSON layout or a recorded flag fails here.
 
 Regenerate (only when an output change is intended) with
 
