@@ -37,9 +37,9 @@ def dft_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def qft_gates(mat: np.ndarray, s: int) -> np.ndarray:
-    """Gate-level transform on the control axis of a (q, right) matrix: one
-    Hadamard stage per control qubit, conditional phase rotations between
-    qubit pairs, then a bit-order reversal. Consumes its input buffer."""
+    """Gate-level transform on the control axis of a (q, right) matrix: one Hadamard stage
+    per control qubit, conditional phase rotations between qubit pairs, then a bit-order
+    reversal. Consumes its input; the pipeline passes only its (q, m) occupied columns."""
     q, right = mat.shape
     assert q == 1 << s
     inv_sqrt2 = 1.0 / np.sqrt(2.0)

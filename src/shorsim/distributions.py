@@ -17,7 +17,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .registers import (
     RegisterLayout,
     StateVector,
     distinct_positions,
+    write_rows,
 )
 
 SCHEMA_VERSION = 1
@@ -43,7 +43,6 @@ PROBABILITY_FLOOR = 1e-20
 # A marginal over at most this many bits sums into a dense table; a wider
 # one first maps its keys to their distinct values.
 MARGINAL_TABLE_BITS = 20
-CSV_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -109,9 +108,7 @@ class OutcomeDistribution:
         row = ",".join(["%d"] * (len(columns) - 1) + ["%.17g"]) + "\r\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.column_names() + ["probability"]) + "\r\n")
-            for start in range(0, self.index.size, CSV_CHUNK_ROWS):
-                chunk = [column[start : start + CSV_CHUNK_ROWS].tolist() for column in columns]
-                fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+            write_rows(fh, row, columns)
 
 
 class _EntriesView(Mapping):

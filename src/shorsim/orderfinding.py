@@ -173,6 +173,13 @@ def _find_order_with_rng(
     return order, trace
 
 
+def _require_budgets(**budgets: int) -> None:
+    """Reject a budget below 1, under which gcd shortcuts alone could drive a run."""
+    for name, value in budgets.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def find_order(
     instance: ProblemInstance,
     max_samples: int = 32,
@@ -187,6 +194,7 @@ def find_order(
     A verified candidate is reduced to the smallest verified divisor, so the
     returned order always equals the true multiplicative order.
     """
+    _require_budgets(max_samples=max_samples, multiplier_bound=multiplier_bound)
     dist = measurement_distribution(
         run_pipeline(instance, ell=ell, backend=backend, qubit_cap=qubit_cap)
     )
@@ -254,10 +262,13 @@ def factor(
     finding followed by the gcd(x^(r/2) -+ 1, n) split. Attempts with an odd
     order or x^(r/2) = -1 (mod n) are retried with a fresh x.
     """
+    _require_budgets(max_attempts=max_attempts, samples_per_attempt=samples_per_attempt,
+                     multiplier_bound=multiplier_bound)
     screen_factoring_input(n)
     rng = np.random.default_rng(seed)
     dist_cache: dict[int, OutcomeDistribution] = {}
     attempts: list[FactorAttempt] = []
+    pair = None
     for attempt in range(1, max_attempts + 1):
         x = int(rng.integers(2, n - 1, endpoint=True))
         g = gcd(x, n)
@@ -266,10 +277,7 @@ def factor(
             attempts.append(
                 FactorAttempt(attempt, x, g, "gcd shortcut", (pair.f1, pair.f2), None)
             )
-            return pair, _factor_trace(
-                n, seed, max_attempts, samples_per_attempt, multiplier_bound, attempts,
-                pair, None,
-            )
+            break
         instance = ProblemInstance.create(n, x)
         if x not in dist_cache:
             dist_cache[x] = measurement_distribution(
@@ -290,20 +298,8 @@ def factor(
         attempts.append(
             FactorAttempt(attempt, x, None, "factored", (pair.f1, pair.f2), trace)
         )
-        return pair, _factor_trace(
-            n, seed, max_attempts, samples_per_attempt, multiplier_bound, attempts,
-            pair, None,
-        )
-    return None, _factor_trace(
-        n, seed, max_attempts, samples_per_attempt, multiplier_bound, attempts,
-        None, "attempt budget exhausted",
-    )
-
-
-def _factor_trace(
-    n, seed, max_attempts, samples_per_attempt, multiplier_bound, attempts, pair, failure
-) -> FactorTrace:
-    return FactorTrace(
+        break
+    return pair, FactorTrace(
         n=n,
         seed=seed,
         max_attempts=max_attempts,
@@ -311,7 +307,7 @@ def _factor_trace(
         multiplier_bound=multiplier_bound,
         attempts=tuple(attempts),
         factors=(pair.f1, pair.f2) if pair else None,
-        failure_reason=failure,
+        failure_reason=None if pair else "attempt budget exhausted",
     )
 
 
@@ -367,6 +363,7 @@ def success_rate_estimate(
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    _require_budgets(multiplier_bound=multiplier_bound)
     dist = measurement_distribution(
         run_pipeline(instance, ell=1, backend=backend, qubit_cap=qubit_cap)
     )

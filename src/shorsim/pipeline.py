@@ -11,10 +11,11 @@ classical modular exponentiation, which is the mathematically defined map of
 the stage; no reversible gate synthesis is attempted. The Fourier transform
 uses the exp(+2*pi*i*a*c/q) convention throughout.
 
-Two transform implementations exist: the defining sum evaluated for every
-occupied function-register column in one batched FFT (default) and a
-gate-level decomposition into Hadamard stages, conditional phase rotations,
-and a bit-order reversal, kept as an independent cross-check oracle.
+Both transforms gather the occupied function-register columns into one
+matrix, apply a kernel and scatter the result back; they differ only in the
+kernel: the defining sum as one batched FFT (default), or the gate-level
+circuit of Hadamard stages, conditional phase rotations and a bit-order
+reversal, kept as an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import StageOrderError
 from .numtheory import mod_pow
 from .registers import (
     DEFAULT_QUBIT_CAP,
-    DENSE,
     SPARSE,
     ProblemInstance,
     RegisterLayout,
@@ -80,13 +80,10 @@ def apply_modexp_fanout(state: StateVector, instance: ProblemInstance) -> StateV
     return StateVector.from_arrays(layout, state.backend, index + packed, amps)
 
 
-def apply_qft_register1_direct(state: StateVector) -> StateVector:
-    """Fourier transform on the control register, evaluating the defining sum
-    for every occupied function-register column in one batched FFT.
-
-    For each fixed function-register content Y,
-    new[(c, Y)] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * old[(a, Y)].
-    Entries come out ordered by Y, then by ascending c.
+def _transform_columns(state: StateVector, kernel) -> StateVector:
+    """Gather the m occupied function-register contents Y into an (m, q) matrix
+    (a column with no amplitude stays zero under the transform), let `kernel`
+    transform each row, and scatter the result ordered by Y, then ascending c.
     """
     layout = state.layout
     q, right = layout.q, layout.right_dim
@@ -96,23 +93,22 @@ def apply_qft_register1_direct(state: StateVector) -> StateVector:
     rows = np.zeros((ykeys.size, q), dtype=np.complex128)
     rows[row_of, a] = amps
     out_index = np.arange(q, dtype=np.int64) * right + ykeys[:, None]
-    out = _kernels.dft_rows(rows)
+    out = kernel(rows)
     return StateVector.from_arrays(layout, state.backend, out_index.ravel(), out.ravel())
 
 
-def apply_qft_register1_gates(state: StateVector) -> StateVector:
-    """Same transform via the gate decomposition (cross-check path).
-
-    Uses s Hadamard stages, s*(s-1)/2 conditional phase rotations, and a
-    final bit-order reversal on the control register. Sparse inputs are
-    densified for the duration and re-sparsified afterwards.
+def apply_qft_register1_direct(state: StateVector) -> StateVector:
+    """Fourier transform on the control register: for each function-register content Y,
+    new[(c, Y)] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * old[(a, Y)], in one batched FFT.
     """
-    layout = state.layout
-    transformed = _kernels.qft_gates(state.control_matrix(), layout.s)
-    result = StateVector(layout, DENSE, transformed.reshape(layout.dim))
-    if state.backend == SPARSE:
-        return result.sparsify()
-    return result
+    return _transform_columns(state, _kernels.dft_rows)
+
+
+def apply_qft_register1_gates(state: StateVector) -> StateVector:
+    """Same transform via the gate circuit (cross-check path), applied to the
+    (q, m) matrix of occupied columns on either backend."""
+    s = state.layout.s
+    return _transform_columns(state, lambda rows: _kernels.qft_gates(rows.T.copy(), s).T)
 
 
 def _transform(qft: str):

@@ -19,6 +19,7 @@ sparse storage drops amplitudes at or below SPARSE_AMPLITUDE_FLOOR in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +31,7 @@ DEFAULT_QUBIT_CAP = 26
 INDEX_BITS = 63
 SPARSE_AMPLITUDE_FLOOR = 1e-15
 NORM_TOLERANCE = 1e-12
+CSV_CHUNK_ROWS = 1 << 16
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -233,12 +235,6 @@ class StateVector:
         amps = self.nonzero_arrays()[1]
         return float(np.vdot(amps, amps).real)
 
-    def control_matrix(self) -> np.ndarray:
-        """Dense (q, right_dim) copy of the amplitudes, one row per control
-        value; the caller may overwrite it."""
-        layout = self.layout
-        return self.densify().data.reshape(layout.q, layout.right_dim)
-
     def densify(self) -> "StateVector":
         """Dense copy with identical amplitudes."""
         _check_capacity(self.layout, DENSE)
@@ -254,10 +250,12 @@ class StateVector:
     def dump(self, path) -> None:
         """Write the text snapshot: header line, then one 'index re im' line per entry."""
         layout = self.layout
+        index, amps = self.nonzero_arrays()
+        order = np.argsort(index)
+        amps = amps[order]
         with open(path, "w") as fh:
             fh.write(f"{layout.s} {layout.L} {layout.ell} {self.backend}\n")
-            for index, amp in sorted(self.nonzero_items()):
-                fh.write(f"{index} {amp.real:.17g} {amp.imag:.17g}\n")
+            write_rows(fh, "%d %.17g %.17g\n", [index[order], amps.real, amps.imag])
 
     @classmethod
     def load(cls, path, qubit_cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
@@ -291,8 +289,16 @@ class StateVector:
 def distinct_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ascending distinct keys, position of each key among them)."""
     # Not np.unique: its first call imports numpy.ma, about 15 ms of start-up.
-    distinct = np.array(sorted(set(keys.tolist())), dtype=np.int64)
+    ordered = np.sort(keys)
+    distinct = ordered[np.diff(ordered, prepend=ordered[:1] - 1) != 0]
     return distinct, np.searchsorted(distinct, keys)
+
+
+def write_rows(fh, row: str, columns) -> None:
+    """Write `row % values` for each position of `columns`, one `%` per CSV_CHUNK_ROWS rows."""
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        chunk = [column[start : start + CSV_CHUNK_ROWS].tolist() for column in columns]
+        fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def _check_capacity(layout: RegisterLayout, backend: str) -> None:

@@ -172,6 +172,21 @@ class TestAuditCommand:
         assert code == 0
         assert read_json(tmp_path / "audit.json")["report"]["unequal_register_mass"] <= 1e-12
 
+    def test_gate_route_beyond_the_dense_qubit_cap(self, tmp_path):
+        # 13 + 2*7 = 27 qubits as a dense vector; the gate circuit runs on the
+        # r = 30 occupied function-register columns only.
+        argv = ["audit", "--n", "77", "--x", "2", "--ell", "2", "--output-dir"]
+        assert main(argv + [str(tmp_path / "gates"), "--qft", "gates"]) == 0
+        assert main(argv + [str(tmp_path / "direct"), "--qft", "direct"]) == 0
+        gates = read_json(tmp_path / "gates" / "audit.json")["report"]
+        direct = read_json(tmp_path / "direct" / "audit.json")["report"]
+        assert gates.keys() == direct.keys()
+        for key, value in direct.items():
+            if isinstance(value, float):
+                assert abs(gates[key] - value) <= 1e-12, key
+            else:
+                assert gates[key] == value, key
+
 
 class TestBoundCommand:
     @pytest.mark.parametrize(
@@ -270,6 +285,13 @@ class TestEntanglementCommand:
         ent = read_json(tmp_path / "entanglement.json")["report"]["entanglement"]
         assert len(ent["locality"]["eigenvalues_before"]) == 30
         assert ent["correlations"][0]["p_equal"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_gate_route_beyond_the_dense_qubit_cap(self, tmp_path):
+        code = main(["entanglement", "--n", "77", "--x", "2", "--ell", "2", "--qft", "gates",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        ent = read_json(tmp_path / "entanglement.json")["report"]["entanglement"]
+        assert ent["locality"]["passed"] is True
 
 
 class TestDeterminism:

@@ -57,12 +57,6 @@ class TestFindOrder:
         order, _ = find_order(inst, seed=3)
         assert order == 2
 
-    def test_zero_budget(self):
-        order, trace = find_order(INST_15_7, max_samples=0, seed=1)
-        assert order is None
-        assert trace.attempts == ()
-        assert trace.failure_reason == "sample budget exhausted"
-
     def test_expected_two_samples_at_unit_bound(self):
         counts = []
         for seed in range(30):
@@ -182,3 +176,31 @@ class TestSuccessRate:
         report = success_rate_estimate(instance, trials=trials, multiplier_bound=1, seed=seed)
         assert report.successes == expected
         assert report.empirical_rate == expected / trials
+
+
+# A budget of 0 lets no order finding happen: before it was rejected,
+# factor(35, seed=1, samples_per_attempt=0) returned 5 * 7 from gcd shortcuts
+# alone.
+@pytest.mark.parametrize(
+    "run, budget",
+    [
+        (lambda **kw: factor(35, seed=1, **kw), "max_attempts"),
+        (lambda **kw: factor(35, seed=1, **kw), "samples_per_attempt"),
+        (lambda **kw: factor(35, seed=1, **kw), "multiplier_bound"),
+        (lambda **kw: find_order(INST_15_7, seed=1, **kw), "max_samples"),
+        (lambda **kw: find_order(INST_15_7, seed=1, **kw), "multiplier_bound"),
+        (lambda **kw: success_rate_estimate(INST_15_7, trials=10, **kw), "multiplier_bound"),
+    ],
+    ids=[
+        "factor-max_attempts",
+        "factor-samples_per_attempt",
+        "factor-multiplier_bound",
+        "find_order-max_samples",
+        "find_order-multiplier_bound",
+        "success_rate_estimate-multiplier_bound",
+    ],
+)
+def test_budget_below_one_is_rejected(run, budget):
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"{budget} must be at least 1, got {value}"):
+            run(**{budget: value})

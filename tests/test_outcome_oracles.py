@@ -30,7 +30,7 @@ from shorsim.entanglement import register_correlation
 from shorsim.numtheory import is_prime, mod_pow, multiplicative_order, prime_power_base
 from shorsim.orderfinding import sample_outcomes
 from shorsim.pipeline import run_pipeline
-from shorsim.registers import ProblemInstance
+from shorsim.registers import ProblemInstance, distinct_positions
 
 FACTORABLE_N = [
     n for n in range(9, 151, 2) if not is_prime(n) and prime_power_base(n) is None
@@ -55,6 +55,12 @@ def oracle_marginal(entries, positions, keep):
     if len(keep) == 1:
         reduced_entries = {(value,): prob for value, prob in reduced_entries.items()}
     return reduced_entries
+
+
+def oracle_distinct_positions(keys):
+    """The set-based `distinct_positions` replaced by a sort and a boundary mask."""
+    distinct = np.array(sorted(set(keys.tolist())), dtype=np.int64)
+    return distinct, np.searchsorted(distinct, keys)
 
 
 def oracle_conditional(entries, positions, given_values):
@@ -123,6 +129,12 @@ def test_array_tables_equal_dict_oracles(data):
 
     assert len(dist.entries) == len(entries)
     assert dist.total() == oracle_total(entries)
+
+    extra = data.draw(st.lists(st.integers(-(2**62), 2**62), max_size=40), label="keys")
+    # The function-register contents of every outcome, as the transform gathers them.
+    keys = np.concatenate([dist.index % dist.layout.right_dim, np.array(extra, dtype=np.int64)])
+    for got, expected in zip(distinct_positions(keys), oracle_distinct_positions(keys)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     keep = data.draw(
         st.lists(st.sampled_from(positions), min_size=1, unique=True), label="keep"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shorsim import _kernels
 from shorsim.distributions import marginal, measurement_distribution
 from shorsim.errors import StageOrderError
 from shorsim.pipeline import (
@@ -126,6 +127,41 @@ class TestGateTransform:
         }
         worst = max(abs(direct.amplitude(i) - gates.amplitude(i)) for i in indices)
         assert worst <= 1e-10
+
+
+class TestGateColumnRoute:
+    """The gate circuit over the occupied columns against the same circuit over
+    the whole dense (q, right_dim) matrix, bit for bit."""
+
+    @staticmethod
+    def full_matrix_reference(state):
+        layout = state.layout
+        mat = state.densify().data.reshape(layout.q, layout.right_dim).copy()
+        return _kernels.qft_gates(mat, layout.s).ravel()
+
+    @pytest.mark.parametrize(
+        "inst, ell",
+        [(INST_15_7, 1), (INST_15_7, 2), (INST_15_7, 3), (INST_21_2, 1), (INST_21_2, 2)],
+    )
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    def test_pipeline_state(self, inst, ell, backend):
+        state = apply_modexp_fanout(init_uniform(inst, ell=ell, backend=backend), inst)
+        expected = self.full_matrix_reference(state)
+        if backend == SPARSE:
+            # Sparse storage keeps only amplitudes above the floor.
+            expected[np.abs(expected) <= SPARSE_AMPLITUDE_FLOOR] = 0
+        assert np.array_equal(apply_qft_register1_gates(state).densify().data, expected)
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_every_column_occupied(self, s):
+        layout = RegisterLayout(s=s, L=2, ell=1)
+        rng = np.random.default_rng(s)
+        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        amps /= np.linalg.norm(amps)
+        index = np.arange(layout.dim, dtype=np.int64)
+        state = StateVector.from_arrays(layout, DENSE, index, amps)
+        expected = self.full_matrix_reference(state)
+        assert np.array_equal(apply_qft_register1_gates(state).densify().data, expected)
 
 
 class TestBackendsAgreeAtEveryStage:

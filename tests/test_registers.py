@@ -233,13 +233,21 @@ class TestSnapshots:
 
 
 def test_only_registers_touches_state_storage():
-    # The storage format (flat array or dict) is known to registers.py alone;
-    # every other module goes through nonzero_arrays / from_arrays.
+    # The storage format (flat array or dict) and the choice between the two
+    # are known to registers.py alone: every other module goes through
+    # nonzero_arrays / from_arrays, passes a backend on without comparing it,
+    # and never converts a state to the other storage.
+    storage_attrs = {"data", "densify", "sparsify", "control_matrix"}
     offenders = []
     for path in sorted(Path(shorsim.__file__).parent.glob("*.py")):
         if path.name == "registers.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "data":
-                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr in storage_attrs:
+                offenders.append(f"{path.name}:{node.lineno}:{node.attr}")
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "backend"
+                for sub in ast.walk(node)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}:backend comparison")
     assert offenders == []
