@@ -16,6 +16,7 @@ Each subcommand accepts only the flags it reads, and every JSON report's
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -86,7 +87,11 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use. Sharing it is safe:
+    `parse_args` returns a fresh namespace on every call, so `_make_instance`
+    resolving `args.x` in place never reaches a later command."""
     parser = argparse.ArgumentParser(
         prog="shorsim",
         description="State-vector order-finding simulator and measurement-statistics auditor",

@@ -285,12 +285,13 @@ def shor_bound_report(instance: ProblemInstance) -> BoundReport:
     phi_r = euler_phi(r)
     floor_bound = 1.0 / (3.0 * r * r)
     sine_bound = 4.0 / (math.pi**2 * r * r)
+    # signed_residue(r*c, q) for every c at once: r*c < n*q fits in int64.
+    residues = r * np.arange(q, dtype=np.int64) % q
+    residues[2 * residues > q] -= q
+    good = np.flatnonzero(2 * np.abs(residues) <= r)
     rows = []
     success_mass = 0.0
-    for c in range(q):
-        residue = signed_residue(r * c, q)
-        if 2 * abs(residue) > r:
-            continue
+    for c, residue in zip(good.tolist(), residues[good].tolist()):
         d = (2 * r * c + q) // (2 * q)
         g = math.gcd(d, r)
         probs = tuple(analytic_joint_probability(instance, r, c, k) for k in range(r))

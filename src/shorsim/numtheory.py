@@ -1,8 +1,13 @@
 """Classical arithmetic: orders, totients, continued fractions, order-to-factor reduction.
 
-All functions are pure and operate on Python integers, so intermediate
-products are arbitrary precision. `multiplicative_order` is the brute-force
-ground-truth oracle the rest of the package is verified against.
+All functions are pure. The scalar ones operate on Python integers, so
+intermediate products are arbitrary precision. `multiplicative_order` is the
+brute-force ground-truth oracle the rest of the package is verified against.
+
+Two functions work on int64 arrays instead and are tested against a scalar
+twin: `mod_pow_array` (x^e mod n over an exponent array) against `mod_pow`,
+and `recoverable_controls` (the rounding rule over every control value)
+against `recover_order_from_sample`.
 """
 
 from __future__ import annotations
@@ -10,7 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidOrderError, NotCoprimeError, UndefinedInputError
+
+INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,29 @@ def mod_pow(x: int, e: int, n: int) -> int:
     if e < 0:
         raise ValueError(f"exponent must be non-negative, got {e}")
     return pow(x, e, n)
+
+
+def mod_pow_array(x: int, exponents: np.ndarray, n: int) -> np.ndarray:
+    """x**e mod n for every e of an int64 array, by square-and-multiply; int64 results in [0, n).
+
+    Every product is of two residues below n, so n with (n-1)^2 >= 2^63 is
+    refused rather than overflowed.
+    """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    if (n - 1) ** 2 >= INT64_LIMIT:
+        raise ValueError(f"modulus {n} is too large for int64 products")
+    e = np.asarray(exponents, dtype=np.int64)
+    if np.any(e < 0):
+        raise ValueError("exponents must be non-negative")
+    result = np.ones(e.shape, dtype=np.int64)
+    square = x % n
+    while np.any(e):
+        odd = (e & 1).astype(bool)
+        result[odd] = result[odd] * square % n
+        square = square * square % n
+        e = e >> 1
+    return result
 
 
 def multiplicative_order(x: int, n: int) -> int:
@@ -165,6 +197,50 @@ def order_recovery_steps(c: int, q: int, x: int, n: int, multiplier_bound: int):
             if verified:
                 return candidate, convergents, checks
     return None, convergents, checks
+
+
+def recoverable_controls(q: int, x: int, n: int, multiplier_bound: int = 1) -> np.ndarray:
+    """Length-q bool array: entry c is whether `recover_order_from_sample(c, q,
+    x, n, multiplier_bound)` returns an order.
+
+    A denominator t < n verifies when some m*t < n with m <= multiplier_bound
+    has x^(m*t) = 1 (mod n); that table is computed once. Euclid's algorithm
+    then runs for every c in lock-step, carrying only the convergent
+    denominators, and a lane stops where the scalar rule does: at its first
+    denominator t >= n, at its first verified t, or when its remainder is 0.
+    """
+    if q < 1:
+        raise ValueError(f"denominator must be positive, got {q}")
+    g = math.gcd(x, n)
+    if g != 1:
+        raise NotCoprimeError(x, n, g)
+    if (q + 1) * n >= INT64_LIMIT:
+        raise ValueError(f"q={q} and n={n} are too large for int64 denominators")
+    t = np.arange(n, dtype=np.int64)
+    is_one = mod_pow_array(x, t, n) == 1
+    verified = np.zeros(n, dtype=bool)
+    for m in range(1, min(multiplier_bound, n - 1) + 1):
+        fits = m * t < n
+        verified[fits] |= is_one[m * t[fits]]
+
+    recovered = np.zeros(q, dtype=bool)
+    # Live lanes: control value, remainder pair (num, den) and the last two
+    # convergent denominators, seeded with (k_-2, k_-1) = (1, 0).
+    lane = np.arange(q, dtype=np.int64)
+    num = lane.copy()
+    den = np.full(q, q, dtype=np.int64)
+    k_prev = np.ones(q, dtype=np.int64)
+    k = np.zeros(q, dtype=np.int64)
+    while lane.size:
+        a, rem = np.divmod(num, den)
+        k_prev, k = k, a * k + k_prev
+        below = k < n
+        hit = below & verified[np.minimum(k, n - 1)]
+        recovered[lane[hit]] = True
+        go_on = below & ~hit & (rem != 0)
+        lane, num, den = lane[go_on], den[go_on], rem[go_on]
+        k_prev, k = k_prev[go_on], k[go_on]
+    return recovered
 
 
 def factor_from_order(n: int, x: int, r: int) -> FactorPair | None:

@@ -30,7 +30,7 @@ from .numtheory import (
     multiplicative_order,
     order_recovery_steps,
     prime_power_base,
-    recover_order_from_sample,
+    recoverable_controls,
 )
 from .pipeline import run_pipeline
 from .registers import DEFAULT_QUBIT_CAP, SPARSE, ProblemInstance
@@ -359,7 +359,8 @@ def success_rate_estimate(
     one generator seeded by `seed`, one inverse-CDF pass, so the estimate
     for a seed counts the successes in exactly that sample. The exact rate
     sums the control-register marginal, in ascending c, over the c values
-    the rounding rule succeeds on.
+    the rounding rule succeeds on; `recoverable_controls` finds those for
+    every c in one array pass, with no per-c call.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -371,12 +372,7 @@ def success_rate_estimate(
     phi_r = euler_phi(r)
 
     c_marginal = marginal(dist, (1,))
-    succeeding = np.zeros(instance.q, dtype=bool)
-    succeeding[c_marginal.index] = [
-        recover_order_from_sample(c, instance.q, instance.x, instance.n, multiplier_bound)
-        is not None
-        for c in c_marginal.index.tolist()
-    ]
+    succeeding = recoverable_controls(instance.q, instance.x, instance.n, multiplier_bound)
     exact_rate = sequential_sum(c_marginal.probs[succeeding[c_marginal.index]])
 
     hits = succeeding[dist.register(1, dist.order)]

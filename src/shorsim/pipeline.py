@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import StageOrderError
-from .numtheory import mod_pow
+from .numtheory import mod_pow_array
 from .registers import (
     DEFAULT_QUBIT_CAP,
     SPARSE,
@@ -75,7 +75,7 @@ def apply_modexp_fanout(state: StateVector, instance: ProblemInstance) -> StateV
     a, ykey = np.divmod(index, layout.right_dim)
     if np.any(ykey):
         raise StageOrderError("fan-out requires zeroed function registers")
-    y = np.array([mod_pow(instance.x, v, instance.n) for v in a.tolist()], dtype=np.int64)
+    y = mod_pow_array(instance.x, a, instance.n)
     packed = _repeated_function_value(layout, y)
     return StateVector.from_arrays(layout, state.backend, index + packed, amps)
 

@@ -302,6 +302,19 @@ class TestDeterminism:
         b = read_json(tmp_path / "b" / "factor_trace.json")["report"]
         assert json.dumps(a) == json.dumps(b)
 
+    def test_shared_parser_keeps_no_state_between_runs(self, tmp_path):
+        # The parser is built once per process; a base resolved in one run's
+        # namespace must not become the next run's default.
+        assert build_parser() is build_parser()
+        for name, extra in (("explicit", ["--x", "2"]), ("drawn", []), ("again", [])):
+            main(["bound", "--n", "15", "--seed", "3", *extra,
+                  "--output-dir", str(tmp_path / name)])
+        x = {name: read_json(tmp_path / name / "bound.json")["config"]["x"]
+             for name in ("explicit", "drawn", "again")}
+        assert x["explicit"] == 2
+        assert x["drawn"] == x["again"]
+        assert build_parser().parse_args(["bound", "--n", "15"]).x is None
+
 
 def _subcommand_dests() -> dict[str, list[str]]:
     """Subcommand -> the destinations its parser declares, in order."""

@@ -243,6 +243,19 @@ class TestBoundReport:
             report = shor_bound_report(ProblemInstance.create(n, x))
             assert report.good_c_count == report.r
 
+    @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (35, 2), (55, 3), (91, 5), (143, 2)])
+    def test_good_c_equal_scalar_residue_scan(self, n, x):
+        inst = ProblemInstance.create(n, x)
+        r = multiplicative_order(x, n)
+        expected = [
+            (c, signed_residue(r * c, inst.q))
+            for c in range(inst.q)
+            if 2 * abs(signed_residue(r * c, inst.q)) <= r
+        ]
+        rows = shor_bound_report(inst).rows
+        assert [(row.c, row.residue) for row in rows] == expected
+        assert all(type(row.c) is int and type(row.residue) is int for row in rows)
+
     def test_json_round_trip_fields(self):
         doc = shor_bound_report(INST_15_7).to_json_dict()
         assert doc["schema_version"] == 1

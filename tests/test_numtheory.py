@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shorsim.errors import InvalidOrderError, NotCoprimeError, UndefinedInputError
 from shorsim.numtheory import (
@@ -14,11 +15,24 @@ from shorsim.numtheory import (
     integer_kth_root,
     is_prime,
     mod_pow,
+    mod_pow_array,
     multiplicative_order,
     order_recovery_steps,
     prime_power_base,
     recover_order_from_sample,
+    recoverable_controls,
 )
+from shorsim.registers import ProblemInstance
+
+# Odd composite non-prime-power n: the inputs order finding is run on.
+FACTORABLE_N_150 = [
+    n for n in range(9, 151, 2) if not is_prime(n) and prime_power_base(n) is None
+]
+FACTORABLE_N_45 = [n for n in FACTORABLE_N_150 if n <= 45]
+
+
+def coprime_bases(n):
+    return [x for x in range(2, n) if math.gcd(x, n) == 1]
 
 
 def brute_order(x, n):
@@ -163,6 +177,74 @@ class TestRecoverOrder:
             candidate = recover_order_from_sample(c, 512, 2, 21, 4)
             if candidate is not None:
                 assert mod_pow(2, candidate, 21) == 1
+
+
+class TestModPowArray:
+    @pytest.mark.parametrize("n", FACTORABLE_N_45)
+    def test_equals_pow_for_every_exponent(self, n):
+        q = ProblemInstance.create(n, 2).q
+        exponents = np.arange(q, dtype=np.int64)
+        for x in coprime_bases(n):
+            got = mod_pow_array(x, exponents, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == [pow(x, e, n) for e in range(q)]
+
+    def test_empty_and_zero_exponents(self):
+        assert mod_pow_array(7, np.zeros(3, dtype=np.int64), 15).tolist() == [1, 1, 1]
+        assert mod_pow_array(7, np.zeros(0, dtype=np.int64), 15).size == 0
+
+    def test_int64_guard(self):
+        # (n-1)^2 must stay below 2^63; the largest allowed n passes.
+        largest = math.isqrt(2**63 - 1) + 1
+        assert mod_pow_array(2, np.array([64]), largest).tolist() == [pow(2, 64, largest)]
+        with pytest.raises(ValueError, match="too large"):
+            mod_pow_array(2, np.array([3]), largest + 1)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="modulus"):
+            mod_pow_array(2, np.array([3]), 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            mod_pow_array(2, np.array([3, -1]), 15)
+
+
+def scalar_mask(q, x, n, bound):
+    return [recover_order_from_sample(c, q, x, n, bound) is not None for c in range(q)]
+
+
+class TestRecoverableControls:
+    @pytest.mark.parametrize("n", FACTORABLE_N_45)
+    def test_equals_scalar_rule_exhaustively(self, n):
+        q = ProblemInstance.create(n, 2).q
+        for x in coprime_bases(n):
+            for bound in (1, 8):
+                mask = recoverable_controls(q, x, n, bound)
+                assert mask.dtype == np.bool_
+                assert mask.tolist() == scalar_mask(q, x, n, bound)
+
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_equals_scalar_rule(self, data):
+        n = data.draw(st.sampled_from(FACTORABLE_N_150), label="n")
+        x = data.draw(st.sampled_from(coprime_bases(n)), label="x")
+        bound = data.draw(st.integers(min_value=1, max_value=8), label="bound")
+        q = ProblemInstance.create(n, x).q
+        assert recoverable_controls(q, x, n, bound).tolist() == scalar_mask(q, x, n, bound)
+
+    def test_any_denominator(self):
+        # The rule is defined for every q >= 1, not only the powers of two
+        # the circuit uses.
+        for q in (1, 2, 3, 100, 255, 1000):
+            for bound in (1, 2):
+                assert recoverable_controls(q, 2, 21, bound).tolist() == scalar_mask(q, 2, 21, bound)
+
+    def test_not_coprime_rejected(self):
+        with pytest.raises(NotCoprimeError):
+            recoverable_controls(256, 6, 15, 1)
+
+    def test_int64_guard(self):
+        # Denominators stay below (q+1)*n; the check runs before any allocation.
+        with pytest.raises(ValueError, match="too large"):
+            recoverable_controls(2**62, 2, 3, 1)
 
 
 class TestFactorFromOrder:

@@ -1,11 +1,18 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from shorsim.distributions import measurement_distribution
+from shorsim import orderfinding
+from shorsim.distributions import marginal, measurement_distribution, sequential_sum
 from shorsim.errors import UnsuitableInputError
-from shorsim.numtheory import multiplicative_order, recover_order_from_sample
+from shorsim.numtheory import (
+    is_prime,
+    multiplicative_order,
+    prime_power_base,
+    recover_order_from_sample,
+)
 from shorsim.orderfinding import (
     factor,
     find_order,
@@ -17,6 +24,14 @@ from shorsim.pipeline import run_pipeline
 from shorsim.registers import ProblemInstance
 
 INST_15_7 = ProblemInstance.create(15, 7)
+
+# Odd composite non-prime-power n <= 63, each with every 5th coprime base.
+RATE_CASES = [
+    (n, x)
+    for n in range(9, 64, 2)
+    if not is_prime(n) and prime_power_base(n) is None
+    for x in [x for x in range(2, n) if math.gcd(x, n) == 1][::5]
+]
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +191,32 @@ class TestSuccessRate:
         report = success_rate_estimate(instance, trials=trials, multiplier_bound=1, seed=seed)
         assert report.successes == expected
         assert report.empirical_rate == expected / trials
+
+
+    @pytest.mark.parametrize("n, x", RATE_CASES, ids=[f"{n}-{x}" for n, x in RATE_CASES])
+    def test_exact_rate_equals_per_c_loop(self, n, x):
+        # The oracle is the per-c loop the one-pass mask replaced: one scalar
+        # rounding-rule call per control value, then the same ascending sum.
+        instance = ProblemInstance.create(n, x)
+        c_marginal = marginal(measurement_distribution(run_pipeline(instance, ell=1)), (1,))
+        for bound in (1, 8):
+            succeeding = np.zeros(instance.q, dtype=bool)
+            succeeding[c_marginal.index] = [
+                recover_order_from_sample(c, instance.q, x, n, bound) is not None
+                for c in c_marginal.index.tolist()
+            ]
+            expected = sequential_sum(c_marginal.probs[succeeding[c_marginal.index]])
+            report = success_rate_estimate(instance, trials=0, multiplier_bound=bound)
+            assert report.exact_rate == expected
+
+    def test_no_per_c_call_to_the_scalar_rule(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scalar rounding rule called per control value")
+
+        for name in ("recover_order_from_sample", "order_recovery_steps"):
+            monkeypatch.setattr(orderfinding, name, refuse, raising=False)
+        report = success_rate_estimate(INST_15_7, trials=10, multiplier_bound=1)
+        assert report.exact_rate == pytest.approx(0.5, abs=1e-12)
 
 
 # A budget of 0 lets no order finding happen: before it was rejected,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shorsim import _kernels
+from shorsim import _kernels, numtheory, pipeline
 from shorsim.distributions import marginal, measurement_distribution
 from shorsim.errors import StageOrderError
 from shorsim.pipeline import (
@@ -58,6 +58,20 @@ class TestFanout:
         before_mags = sorted(abs(a) for _, a in before.nonzero_items())
         after_mags = sorted(abs(a) for _, a in after.nonzero_items())
         assert np.allclose(before_mags, after_mags)
+
+    def test_function_register_holds_every_power(self, monkeypatch):
+        # One array modular exponentiation, not a scalar mod_pow per amplitude.
+        def refuse(*args):
+            raise AssertionError("scalar mod_pow called per amplitude")
+
+        monkeypatch.setattr(pipeline, "mod_pow", refuse, raising=False)
+        monkeypatch.setattr(numtheory, "mod_pow", refuse)
+        state = apply_modexp_fanout(init_uniform(INST_21_2, ell=2), INST_21_2)
+        index, _ = state.nonzero_arrays()
+        a, ykey = np.divmod(index, state.layout.right_dim)
+        y1, y2 = np.divmod(ykey, 1 << state.layout.L)
+        expected = [pow(2, v, 21) for v in a.tolist()]
+        assert y1.tolist() == y2.tolist() == expected
 
     @pytest.mark.parametrize("backend", [DENSE, SPARSE])
     def test_stage_order_enforced(self, backend):
