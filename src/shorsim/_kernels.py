@@ -1,12 +1,13 @@
 """Hot numeric kernels: the Fourier transform of the control register, one
-row per function-register column, and the gate-level transform kept as its
-independent oracle.
+column per function-register content, and the gate-level transform kept as
+its independent oracle. Both act along axis 0 of a (q, m) matrix.
 
-`dft_rows` evaluates the defining sum
-out[j, c] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * rows[j, a]
-for every row in one batched radix-2 FFT (O(q log q) per row). `qft_gates`
-applies the same unitary as a circuit of Hadamard stages, conditional phase
-rotations and a bit-order reversal, sharing no code with the FFT.
+`dft_columns` evaluates the defining sum
+out[c, j] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * cols[a, j]
+for every column in one batched radix-2 FFT (O(q log q) per column).
+`qft_gates` applies the same unitary as a circuit of Hadamard stages,
+conditional phase rotations and a bit-order reversal, sharing no code with
+the FFT.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ def bit_reverse_permutation(s: int) -> np.ndarray:
     return perm
 
 
-def dft_rows(rows: np.ndarray) -> np.ndarray:
-    """Length-q transform of each row of an (m, q) matrix.
+def dft_columns(cols: np.ndarray) -> np.ndarray:
+    """Length-q transform of each column of a (q, m) matrix.
 
     numpy's inverse FFT carries the exp(+2*pi*i*a*c/q) sign, and "ortho"
     scaling gives the 1/sqrt(q) factor of the defining sum.
     """
-    return np.fft.ifft(rows, axis=1, norm="ortho")
+    return np.fft.ifft(cols, axis=0, norm="ortho")
 
 
 def qft_gates(mat: np.ndarray, s: int) -> np.ndarray:

@@ -199,6 +199,7 @@ def cmd_distribution(args) -> int:
         instance, ell=args.ell, backend=args.backend, qft=args.qft, qubit_cap=args.qubit_cap
     )
     dist = distributions.measurement_distribution(state)
+    total = dist.total()
     _maybe_dump_state(args, state)
 
     out_dir = Path(args.output_dir)
@@ -217,7 +218,7 @@ def cmd_distribution(args) -> int:
         summary = {
             "r": multiplicative_order(instance.x, instance.n),
             "outcome_count": dist.index.size,
-            "total_probability": dist.total(),
+            "total_probability": total,
             "columns": dist.column_names(),
             "top_outcomes": [
                 {"outcome": list(outcome), "probability": prob}
@@ -228,7 +229,7 @@ def cmd_distribution(args) -> int:
         _write_json(args, summary, "distribution.json")
     print(
         f"n={instance.n} x={instance.x} q={instance.q} ell={args.ell}: "
-        f"{dist.index.size} outcomes, total probability {dist.total():.12f}"
+        f"{dist.index.size} outcomes, total probability {total:.12f}"
     )
     return 0
 

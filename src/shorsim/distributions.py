@@ -8,7 +8,8 @@ core acceptance check and neither consults the other.
 
 Register positions are 1-based: position 1 is the control register, positions
 2..ell+1 are the function registers, so a full outcome is the tuple
-(c, y_1, ..., y_ell).
+(c, y_1, ..., y_ell). Every outcome table is ascending in its packed index,
+as every state is, so lookups, the CDF and the CSV use the arrays as stored.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class OutcomeDistribution:
     distribution carries positions (1, 2, ..., ell+1). `index[k]` packs
     outcome k over `positions`, first position most significant (for a full
     distribution, the state's packed index); `probs[k]` is its probability.
-    Full distributions keep state order, marginals are ascending, and every
-    sum over the table runs in array order.
+    `index` is ascending, and every sum over the table except `total` runs in
+    array order.
     """
 
     layout: RegisterLayout
@@ -63,14 +64,9 @@ class OutcomeDistribution:
     probs: np.ndarray
 
     @cached_property
-    def order(self) -> np.ndarray:
-        """Permutation that puts `index` in ascending order."""
-        return np.argsort(self.index, kind="stable")
-
-    @cached_property
     def cdf(self) -> np.ndarray:
-        """Cumulative probability over the outcomes in ascending order."""
-        return np.cumsum(self.probs[self.order])
+        """Cumulative probability over the outcomes, in array (ascending) order."""
+        return np.cumsum(self.probs)
 
     @property
     def entries(self) -> Mapping:
@@ -93,7 +89,8 @@ class OutcomeDistribution:
         return list(zip(*(register.tolist() for register in self.registers(rows))))
 
     def total(self) -> float:
-        return sequential_sum(self.probs)
+        """Correctly rounded sum of `probs`, whatever their order."""
+        return math.fsum(self.probs.tolist())
 
     def probability(self, outcome) -> float:
         return self.entries.get(tuple(outcome), 0.0)
@@ -103,8 +100,7 @@ class OutcomeDistribution:
 
     def write_csv(self, path) -> None:
         """One row per outcome, ascending: the bytes of `csv.writer` rows with `.17g` floats."""
-        columns = [register[self.order] for register in self.registers()]
-        columns.append(self.probs[self.order])
+        columns = [*self.registers(), self.probs]
         row = ",".join(["%d"] * (len(columns) - 1) + ["%.17g"]) + "\r\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.column_names() + ["probability"]) + "\r\n")
@@ -128,8 +124,7 @@ class _EntriesView(Mapping):
         for value, width in zip(outcome, dist.widths()):
             key = (key << width) | value
         if dist.index.size and 0 <= key < 1 << 63:
-            pos = int(np.searchsorted(dist.index, key, sorter=dist.order))
-            row = dist.order[min(pos, dist.index.size - 1)]
+            row = min(int(np.searchsorted(dist.index, key)), dist.index.size - 1)
             if dist.outcome_tuples([row])[0] == outcome:
                 return float(dist.probs[row])
         raise KeyError(outcome)
@@ -142,8 +137,8 @@ def sequential_sum(values: np.ndarray) -> float:
 
 
 def measurement_distribution(state: StateVector) -> OutcomeDistribution:
-    """Squared-magnitude probabilities of every outcome, in state order;
-    entries below PROBABILITY_FLOOR are omitted."""
+    """Squared-magnitude probabilities of every outcome, ascending like the
+    state; entries below PROBABILITY_FLOOR are omitted."""
     index, amps = state.nonzero_arrays()
     probs = np.abs(amps) ** 2
     norm = float(probs.sum())
@@ -191,14 +186,13 @@ def conditional(dist: OutcomeDistribution, given: dict[int, int]) -> OutcomeDist
     return OutcomeDistribution(dist.layout, dist.positions, dist.index[matching], probs / mass)
 
 
-def signed_residue(v: int, q: int) -> int:
-    """Representative of v mod q in the half-open symmetric range (-q/2, q/2]."""
+def signed_residue(v: int | np.ndarray, q: int) -> int | np.ndarray:
+    """Representative of v mod q in the half-open symmetric range (-q/2, q/2],
+    for an int or elementwise for an int64 array."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     m = v % q
-    if 2 * m > q:
-        m -= q
-    return m
+    return m - q * (2 * m > q)
 
 
 def analytic_joint_probability(instance: ProblemInstance, r: int, c: int, k: int) -> float:
@@ -285,9 +279,8 @@ def shor_bound_report(instance: ProblemInstance) -> BoundReport:
     phi_r = euler_phi(r)
     floor_bound = 1.0 / (3.0 * r * r)
     sine_bound = 4.0 / (math.pi**2 * r * r)
-    # signed_residue(r*c, q) for every c at once: r*c < n*q fits in int64.
-    residues = r * np.arange(q, dtype=np.int64) % q
-    residues[2 * residues > q] -= q
+    # Every c at once: r*c < n*q fits in int64.
+    residues = signed_residue(r * np.arange(q, dtype=np.int64), q)
     good = np.flatnonzero(2 * np.abs(residues) <= r)
     rows = []
     success_mass = 0.0
@@ -443,8 +436,7 @@ def multi_register_audit(
         unequal |= y != ys[0]
     compared = ~unequal & is_residue[ys[0]]
     keys = (c_multi[compared] << dist_multi.layout.L) | ys[0][compared]
-    pos = np.searchsorted(dist_single.index, keys, sorter=dist_single.order)
-    hit = dist_single.order[np.minimum(pos, dist_single.index.size - 1)]
+    hit = np.minimum(np.searchsorted(dist_single.index, keys), dist_single.index.size - 1)
     found = dist_single.index[hit] == keys
     p_single = np.where(found, dist_single.probs[hit], 0.0)
     unmatched = is_residue[dist_single.register(2)]

@@ -1,7 +1,7 @@
 """Seeded sampling, order recovery, the factoring driver, and success rates.
 
 Sampling consumes the exact outcome distribution through an inverse CDF over
-ascending outcome order; identical seeds give identical samples. The driver
+its ascending outcome table; identical seeds give identical samples. The driver
 draws the base x and the measurement samples from one generator, with the x
 draw preceding each order-finding attempt, so whole runs replay exactly from
 (n, seed, budgets).
@@ -44,7 +44,7 @@ def sample_outcomes(
         raise ValueError(f"count must be non-negative, got {count}")
     if count == 0:
         return []
-    return dist.outcome_tuples(dist.order[_draw_indices(dist.cdf, count, seed)])
+    return dist.outcome_tuples(_draw_indices(dist.cdf, count, seed))
 
 
 def _draw_indices(cdf: np.ndarray, count: int, seed: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def _draw_indices(cdf: np.ndarray, count: int, seed: int) -> np.ndarray:
 
 def _draw_outcome(dist: OutcomeDistribution, rng) -> tuple[int, ...]:
     pick = int(np.searchsorted(dist.cdf, rng.random(), side="right"))
-    return dist.outcome_tuples([dist.order[min(pick, dist.cdf.size - 1)]])[0]
+    return dist.outcome_tuples([min(pick, dist.cdf.size - 1)])[0]
 
 
 def _minimal_verified_order(x: int, n: int, candidate: int) -> int:
@@ -375,7 +375,7 @@ def success_rate_estimate(
     succeeding = recoverable_controls(instance.q, instance.x, instance.n, multiplier_bound)
     exact_rate = sequential_sum(c_marginal.probs[succeeding[c_marginal.index]])
 
-    hits = succeeding[dist.register(1, dist.order)]
+    hits = succeeding[dist.register(1)]
     successes = int(hits[_draw_indices(dist.cdf, trials, seed)].sum())
 
     return SuccessRateReport(

@@ -4,7 +4,8 @@ Fourier transform on the control register, and the composed pipeline.
 Every stage reads its input with `StateVector.nonzero_arrays`, splits each
 packed index into the control value and the function-register content with
 `divmod(index, right_dim)`, and writes its output with
-`StateVector.from_arrays`, so one code path serves both backends.
+`StateVector.from_arrays`, so one code path serves both backends. Every stage
+writes its packed indices in ascending order, the one order of every state.
 
 The fan-out is applied as a basis-state permutation on the support using
 classical modular exponentiation, which is the mathematically defined map of
@@ -81,19 +82,20 @@ def apply_modexp_fanout(state: StateVector, instance: ProblemInstance) -> StateV
 
 
 def _transform_columns(state: StateVector, kernel) -> StateVector:
-    """Gather the m occupied function-register contents Y into an (m, q) matrix
+    """Gather the m occupied function-register contents Y into a (q, m) matrix
     (a column with no amplitude stays zero under the transform), let `kernel`
-    transform each row, and scatter the result ordered by Y, then ascending c.
+    transform each column along axis 0, and scatter the result, which is
+    ascending in the packed index because c is most significant and Y ascends.
     """
     layout = state.layout
     q, right = layout.q, layout.right_dim
     index, amps = state.nonzero_arrays()
     a, ykey = np.divmod(index, right)
-    ykeys, row_of = distinct_positions(ykey)
-    rows = np.zeros((ykeys.size, q), dtype=np.complex128)
-    rows[row_of, a] = amps
-    out_index = np.arange(q, dtype=np.int64) * right + ykeys[:, None]
-    out = kernel(rows)
+    ykeys, col_of = distinct_positions(ykey)
+    cols = np.zeros((q, ykeys.size), dtype=np.complex128)
+    cols[a, col_of] = amps
+    out_index = np.arange(q, dtype=np.int64)[:, None] * right + ykeys
+    out = kernel(cols)
     return StateVector.from_arrays(layout, state.backend, out_index.ravel(), out.ravel())
 
 
@@ -101,14 +103,14 @@ def apply_qft_register1_direct(state: StateVector) -> StateVector:
     """Fourier transform on the control register: for each function-register content Y,
     new[(c, Y)] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * old[(a, Y)], in one batched FFT.
     """
-    return _transform_columns(state, _kernels.dft_rows)
+    return _transform_columns(state, _kernels.dft_columns)
 
 
 def apply_qft_register1_gates(state: StateVector) -> StateVector:
     """Same transform via the gate circuit (cross-check path), applied to the
     (q, m) matrix of occupied columns on either backend."""
     s = state.layout.s
-    return _transform_columns(state, lambda rows: _kernels.qft_gates(rows.T.copy(), s).T)
+    return _transform_columns(state, lambda cols: _kernels.qft_gates(cols, s))
 
 
 def _transform(qft: str):

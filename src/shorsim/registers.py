@@ -10,10 +10,10 @@ so measuring the control value is an index shift and the Fourier transform
 touches a contiguous stride pattern.
 
 Storage is decided here and nowhere else: `StateVector.nonzero_arrays` reads
-a state as (packed indices, amplitudes) and `StateVector.from_arrays` writes
-one, for either backend. Every circuit stage goes through these two calls, and
-sparse storage drops amplitudes at or below SPARSE_AMPLITUDE_FLOOR in
-`from_arrays`.
+a state as (ascending packed indices, amplitudes) and `StateVector.from_arrays`
+writes one, for either backend. Every circuit stage goes through these two
+calls, and sparse storage drops amplitudes at or below SPARSE_AMPLITUDE_FLOOR
+in `from_arrays`.
 """
 
 from __future__ import annotations
@@ -192,8 +192,7 @@ class StateVector:
         """State holding amps[k] at the distinct packed index index[k].
 
         Dense storage scatters every amplitude into the flat array; sparse
-        storage keeps, in the order given, those with magnitude above
-        SPARSE_AMPLITUDE_FLOOR.
+        storage keeps those with magnitude above SPARSE_AMPLITUDE_FLOOR.
         """
         state = cls.zeros(layout, backend)
         if backend == DENSE:
@@ -214,8 +213,8 @@ class StateVector:
         return zip(index.tolist(), amps.tolist())
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(packed indices, amplitudes) of the stored nonzero entries: ascending
-        for dense storage, in insertion order for sparse storage."""
+        """(packed indices, amplitudes) of the stored nonzero entries, the
+        indices ascending on both backends."""
         if self.backend == DENSE:
             # Half the time of np.flatnonzero(self.data), which tests each
             # complex entry twice (once to count, once to collect).
@@ -224,6 +223,11 @@ class StateVector:
         count = len(self.data)
         index = np.fromiter(self.data.keys(), dtype=np.int64, count=count)
         amps = np.fromiter(self.data.values(), dtype=np.complex128, count=count)
+        # Every stage writes ascending indices; a hand-written snapshot or
+        # code that writes `data` directly may not.
+        if np.any(index[1:] < index[:-1]):
+            order = np.argsort(index)
+            index, amps = index[order], amps[order]
         return index, amps
 
     def nonzero_count(self) -> int:
@@ -251,22 +255,21 @@ class StateVector:
         """Write the text snapshot: header line, then one 'index re im' line per entry."""
         layout = self.layout
         index, amps = self.nonzero_arrays()
-        order = np.argsort(index)
-        amps = amps[order]
         with open(path, "w") as fh:
             fh.write(f"{layout.s} {layout.L} {layout.ell} {self.backend}\n")
-            write_rows(fh, "%d %.17g %.17g\n", [index[order], amps.real, amps.imag])
+            write_rows(fh, "%d %.17g %.17g\n", [index, amps.real, amps.imag])
 
     @classmethod
     def load(cls, path, qubit_cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
         """Read a `dump` snapshot, which is outside input: an index outside the layout, a
-        repeated index, a non-finite amplitude or a norm off 1 raises ValueError."""
+        repeated index, a non-finite amplitude or a norm off 1 raises ValueError, and
+        a state larger than `qubit_cap` allows raises CapacityError."""
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 4:
                 raise ValueError(f"malformed snapshot header: {header}")
             s, L, ell = (int(v) for v in header[:3])
-            layout = RegisterLayout(s=s, L=L, ell=ell, qubit_cap=max(qubit_cap, s + ell * L))
+            layout = RegisterLayout(s=s, L=L, ell=ell, qubit_cap=qubit_cap)
             indices, amps = [], []
             for line in fh:
                 index_str, re_str, im_str = line.split()

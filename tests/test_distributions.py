@@ -1,6 +1,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,10 +93,10 @@ def test_simulation_matches_closed_form_over_many_inputs(data):
     assert abs(math.fsum(sparse_table.values()) - 1.0) <= 1e-12
 
     if inst.s + ell * inst.function_register_width <= DENSE_QUBIT_LIMIT:
+        # One ascending order on both backends: the same arrays, bit for bit.
         dense = measurement_distribution(run_pipeline(inst, ell=ell, backend=DENSE))
-        dense_table = dict(zip(dense.outcome_tuples(), dense.probs.tolist()))
-        for outcome in sparse_table.keys() | dense_table.keys():
-            assert abs(sparse_table.get(outcome, 0.0) - dense_table.get(outcome, 0.0)) <= 1e-12
+        assert np.array_equal(dense.index, dist.index)
+        assert np.array_equal(dense.probs, dist.probs)
 
 
 class TestAnalyticJointProbability:
@@ -201,6 +202,13 @@ class TestSignedResidue:
             m = signed_residue(v, q)
             assert -q / 2 < m <= q / 2
             assert (v - m) % q == 0
+
+    @pytest.mark.parametrize("r, q", [(4, 256), (6, 512), (10, 2048), (7, 8)])
+    def test_array_equals_scalar(self, r, q):
+        c = np.arange(q, dtype=np.int64)
+        residues = signed_residue(r * c, q)
+        assert residues.dtype == np.int64
+        assert residues.tolist() == [signed_residue(r * v, q) for v in range(q)]
 
 
 class TestBoundReport:

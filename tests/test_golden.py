@@ -5,8 +5,11 @@ working directory, so the `output_dir` recorded in the JSON is the same
 everywhere, and compares every file it writes with `tests/golden/<case>/`.
 The CSV, state and JSON `report` bytes were written by the code before
 outcome tables became arrays; the JSON `config` objects were regenerated when
-each subcommand came to record only its own flags. Any change in a float's
-last bit, a row order, the JSON layout or a recorded flag fails here.
+each subcommand came to record only its own flags, and `total_probability` in
+`distribution_21_2_ell{1,2}/distribution.json` (0.9999999999999999 ->
+0.9999999999999997) when the total became the correctly rounded `math.fsum`
+instead of a left-to-right sum in the order of the table. Any change in a
+float's last bit, a row order, the JSON layout or a recorded flag fails here.
 
 Regenerate (only when an output change is intended) with
 

@@ -1,4 +1,4 @@
-"""The batched FFT row transform and the gate-level transform against loop
+"""The batched FFT column transform and the gate-level transform against loop
 and matrix references that share no code with either."""
 
 import numpy as np
@@ -29,28 +29,28 @@ def random_amplitudes(rng, size):
     return amps / np.linalg.norm(amps)
 
 
-def rows_of(supports, amps, q):
-    """(m, q) matrix whose row j holds amps[j] at columns supports[j]."""
-    rows = np.zeros((len(supports), q), dtype=np.complex128)
-    for row, support, values in zip(rows, supports, amps):
-        row[support] = values
-    return rows
+def columns_of(supports, amps, q):
+    """(q, m) matrix whose column j holds amps[j] at rows supports[j]."""
+    cols = np.zeros((q, len(supports)), dtype=np.complex128)
+    for j, (support, values) in enumerate(zip(supports, amps)):
+        cols[support, j] = values
+    return cols
 
 
-def assert_rows_match_brute_force(supports, amps, q):
-    got = _kernels.dft_rows(rows_of(supports, amps, q))
-    assert got.shape == (len(supports), q)
-    for row, support, values in zip(got, supports, amps):
-        assert np.max(np.abs(row - brute_dft(support, values, q))) <= 1e-12
+def assert_columns_match_brute_force(supports, amps, q):
+    got = _kernels.dft_columns(columns_of(supports, amps, q))
+    assert got.shape == (q, len(supports))
+    for col, support, values in zip(got.T, supports, amps):
+        assert np.max(np.abs(col - brute_dft(support, values, q))) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [8, 64, 256])
 def test_dft_support_against_brute_force(q):
-    # Rows with different supports: half, a quarter and one point of q.
+    # Columns with different supports: half, a quarter and one point of q.
     rng = np.random.default_rng(q)
     supports = [np.sort(rng.choice(q, size=size, replace=False)) for size in (q // 2, q // 4, 1)]
     amps = [random_amplitudes(rng, support.size) for support in supports]
-    assert_rows_match_brute_force(supports, amps, q)
+    assert_columns_match_brute_force(supports, amps, q)
 
 
 def test_dft_support_full_support():
@@ -58,12 +58,12 @@ def test_dft_support_full_support():
     rng = np.random.default_rng(17)
     supports = [np.arange(q), np.arange(q)]
     amps = [random_amplitudes(rng, q), random_amplitudes(rng, q)]
-    assert_rows_match_brute_force(supports, amps, q)
+    assert_columns_match_brute_force(supports, amps, q)
 
 
 def test_dft_support_single_point():
     q, a = 64, 5
-    got = _kernels.dft_rows(rows_of([[a]], [[1.0 + 0j]], q))[0]
+    got = _kernels.dft_columns(columns_of([[a]], [[1.0 + 0j]], q))[:, 0]
     expected = np.exp(2j * np.pi * a * np.arange(q) / q) / np.sqrt(q)
     assert np.max(np.abs(got - expected)) <= 1e-12
     assert np.max(np.abs(got - brute_dft([a], [1.0 + 0j], q))) <= 1e-12

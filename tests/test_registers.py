@@ -154,11 +154,22 @@ class TestStateVector:
         layout = RegisterLayout(s=2, L=1, ell=1)
         index = np.array([5, 1, 3], dtype=np.int64)
         amps = np.array([0.6, 1e-16, 0.8j], dtype=np.complex128)
-        # Sparse storage keeps the order given and drops the amplitude at the floor.
+        # Both backends read back ascending; sparse storage drops the amplitude at the floor.
         sparse = StateVector.from_arrays(layout, SPARSE, index, amps)
-        assert list(sparse.nonzero_items()) == [(5, 0.6 + 0j), (3, 0.8j)]
+        assert list(sparse.nonzero_items()) == [(3, 0.8j), (5, 0.6 + 0j)]
         dense = StateVector.from_arrays(layout, DENSE, index, amps)
         assert list(dense.nonzero_items()) == [(1, 1e-16 + 0j), (3, 0.8j), (5, 0.6 + 0j)]
+
+    def test_sparse_data_written_out_of_order_reads_ascending(self):
+        # A fault injected into a stage can rewrite `data` in any order;
+        # readers still see the entries ascending.
+        state = run_pipeline(ProblemInstance.create(15, 7), ell=2)
+        items = reversed(state.data.items())
+        faulty = StateVector(state.layout, SPARSE, {i ^ 1: v for i, v in items})
+        assert list(faulty.data) != sorted(faulty.data)
+        index, amps = faulty.nonzero_arrays()
+        assert np.all(np.diff(index) > 0)
+        assert list(zip(index.tolist(), amps.tolist())) == sorted(faulty.data.items())
 
     def test_zeros_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -225,6 +236,14 @@ class TestSnapshots:
     def test_norm_off_one_is_rejected(self, tmp_path, backend, lines):
         with pytest.raises(ValueError, match="norm"):
             self._load(tmp_path, backend, lines)
+
+    def test_cap_below_the_header_layout_is_refused(self, tmp_path):
+        # 2**(3 + 2*1) = 32 dense amplitudes against a cap of 2**4.
+        path = tmp_path / "state.txt"
+        path.write_text("3 2 1 dense\n0 1 0\n")
+        with pytest.raises(CapacityError):
+            StateVector.load(path, qubit_cap=4)
+        assert StateVector.load(path, qubit_cap=5).layout.qubit_cap == 5
 
     def test_valid_hand_written_snapshot_loads(self, tmp_path):
         state = self._load(tmp_path, SPARSE, ["1 0.6 0", "6 0 0.8"])
