@@ -13,7 +13,8 @@ Storage is decided here and nowhere else: `StateVector.nonzero_arrays` reads
 a state as (ascending packed indices, amplitudes) and `StateVector.from_arrays`
 writes one, for either backend. Every circuit stage goes through these two
 calls, and sparse storage drops amplitudes at or below SPARSE_AMPLITUDE_FLOOR
-in `from_arrays`.
+in `from_arrays`. A sparse state stores exactly that ascending pair, so
+handing a state from one stage to the next converts nothing.
 """
 
 from __future__ import annotations
@@ -160,15 +161,19 @@ class RegisterLayout:
 class StateVector:
     """Complex amplitudes over the full register space, dense or sparse.
 
-    Dense states hold a flat complex128 array of length layout.dim; sparse
-    states hold a dict from packed index to amplitude, into which `from_arrays`
-    puts only entries above SPARSE_AMPLITUDE_FLOOR. In a pipeline state each
-    control value pairs with at most r <= 2**L function-register contents (x^k
-    repeated in every register), so a sparse state holds at most q * 2**L
-    entries whatever ell is.
+    Dense states hold a flat complex128 array of length layout.dim. Sparse
+    states hold the read-only pair (ascending int64 packed indices, complex128
+    amplitudes) of the entries above SPARSE_AMPLITUDE_FLOOR, which
+    `nonzero_arrays` returns as it is. In a pipeline state each control value
+    pairs with at most r <= 2**L function-register contents (x^k repeated in
+    every register), so a sparse state holds at most q * 2**L entries whatever
+    ell is.
 
     Callers outside this module read a state with `nonzero_arrays` and build
-    one with `from_arrays`, so they never see which storage it uses.
+    one with `from_arrays`, so they never see which storage it uses. The
+    constructor also takes a dict from packed index to amplitude for a sparse
+    state, and `data` turns a sparse pair into such a dict, for code that edits
+    entries in place.
     """
 
     def __init__(self, layout: RegisterLayout, backend: str, data):
@@ -176,36 +181,59 @@ class StateVector:
             raise ValueError(f"unknown backend {backend!r}")
         self.layout = layout
         self.backend = backend
-        self.data = data
+        self._data = data
+
+    @property
+    def data(self):
+        """The flat array of a dense state, or a sparse state's entries as a
+        dict from packed index to amplitude. The dict is made on first access
+        and from then on is the state's storage, so edits to it stick."""
+        if isinstance(self._data, tuple):
+            index, amps = self._data
+            self._data = dict(zip(index.tolist(), amps.tolist()))
+        return self._data
 
     @classmethod
     def zeros(cls, layout: RegisterLayout, backend: str = SPARSE) -> "StateVector":
-        _check_capacity(layout, backend)
-        if backend == DENSE:
-            return cls(layout, DENSE, np.zeros(layout.dim, dtype=np.complex128))
-        return cls(layout, SPARSE, {})
+        empty = np.empty(0, dtype=np.int64)
+        return cls.from_arrays(layout, backend, empty, empty.astype(np.complex128))
 
     @classmethod
     def from_arrays(
         cls, layout: RegisterLayout, backend: str, index: np.ndarray, amps: np.ndarray
     ) -> "StateVector":
-        """State holding amps[k] at the distinct packed index index[k].
+        """State holding amps[k] at the packed index index[k]; a repeated
+        index raises ValueError.
 
         Dense storage scatters every amplitude into the flat array; sparse
-        storage keeps those with magnitude above SPARSE_AMPLITUDE_FLOOR.
+        storage keeps those with magnitude above SPARSE_AMPLITUDE_FLOOR, in
+        ascending index order.
         """
-        state = cls.zeros(layout, backend)
+        _check_capacity(layout, backend)
+        index = np.asarray(index, dtype=np.int64)
+        amps = np.asarray(amps, dtype=np.complex128)
+        # Every stage writes ascending indices; a snapshot may not.
+        if np.any(index[1:] <= index[:-1]):
+            order = np.argsort(index)
+            index, amps = index[order], amps[order]
+            if np.any(index[1:] == index[:-1]):
+                raise ValueError("state repeats an index")
         if backend == DENSE:
-            state.data[index] = amps
-        else:
-            kept = np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
-            state.data.update(zip(index[kept].tolist(), amps[kept].tolist()))
-        return state
+            data = np.zeros(layout.dim, dtype=np.complex128)
+            data[index] = amps
+            return cls(layout, DENSE, data)
+        kept = np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
+        index, amps = index[kept], amps[kept]
+        index.flags.writeable = False
+        amps.flags.writeable = False
+        return cls(layout, SPARSE, (index, amps))
 
     def amplitude(self, index: int) -> complex:
         if self.backend == DENSE:
-            return complex(self.data[index])
-        return complex(self.data.get(index, 0.0))
+            return complex(self._data[index])
+        stored, amps = self.nonzero_arrays()
+        k = int(np.searchsorted(stored, index))
+        return complex(amps[k]) if k < stored.size and stored[k] == index else 0j
 
     def nonzero_items(self):
         """Iterate (index, amplitude) over stored nonzero entries."""
@@ -214,17 +242,19 @@ class StateVector:
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(packed indices, amplitudes) of the stored nonzero entries, the
-        indices ascending on both backends."""
+        indices ascending on both backends. A sparse state returns its stored
+        read-only pair, without a copy."""
         if self.backend == DENSE:
             # Half the time of np.flatnonzero(self.data), which tests each
             # complex entry twice (once to count, once to collect).
-            index = np.flatnonzero(self.data != 0)
-            return index, self.data[index]
-        count = len(self.data)
-        index = np.fromiter(self.data.keys(), dtype=np.int64, count=count)
-        amps = np.fromiter(self.data.values(), dtype=np.complex128, count=count)
-        # Every stage writes ascending indices; a hand-written snapshot or
-        # code that writes `data` directly may not.
+            index = np.flatnonzero(self._data != 0)
+            return index, self._data[index]
+        if isinstance(self._data, tuple):
+            return self._data
+        count = len(self._data)
+        index = np.fromiter(self._data.keys(), dtype=np.int64, count=count)
+        amps = np.fromiter(self._data.values(), dtype=np.complex128, count=count)
+        # A dict handed to the constructor or edited in place may be in any order.
         if np.any(index[1:] < index[:-1]):
             order = np.argsort(index)
             index, amps = index[order], amps[order]
@@ -232,8 +262,8 @@ class StateVector:
 
     def nonzero_count(self) -> int:
         if self.backend == DENSE:
-            return int(np.count_nonzero(self.data))
-        return len(self.data)
+            return int(np.count_nonzero(self._data))
+        return self.nonzero_arrays()[0].size
 
     def norm_squared(self) -> float:
         amps = self.nonzero_arrays()[1]
@@ -244,7 +274,7 @@ class StateVector:
         _check_capacity(self.layout, DENSE)
         if self.backend == DENSE:
             # A copy of the flat array is cheaper than a scatter of its entries.
-            return StateVector(self.layout, DENSE, self.data.copy())
+            return StateVector(self.layout, DENSE, self._data.copy())
         return StateVector.from_arrays(self.layout, DENSE, *self.nonzero_arrays())
 
     def sparsify(self) -> "StateVector":
@@ -270,6 +300,8 @@ class StateVector:
                 raise ValueError(f"malformed snapshot header: {header}")
             s, L, ell = (int(v) for v in header[:3])
             layout = RegisterLayout(s=s, L=L, ell=ell, qubit_cap=qubit_cap)
+            # The header alone decides the capacity: refuse before reading the body.
+            _check_capacity(layout, header[3])
             indices, amps = [], []
             for line in fh:
                 index_str, re_str, im_str = line.split()
@@ -278,8 +310,6 @@ class StateVector:
         bad = [i for i in indices if not 0 <= i < layout.dim]
         if bad:
             raise ValueError(f"snapshot index {bad[0]} outside [0, {layout.dim})")
-        if len(set(indices)) != len(indices):
-            raise ValueError("snapshot repeats an index")
         amps = np.array(amps, dtype=np.complex128)
         if not np.all(np.isfinite(amps)):
             raise ValueError("snapshot holds a non-finite amplitude")

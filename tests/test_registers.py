@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 import shorsim
 
+from shorsim.distributions import analytic_joint_probability, measurement_distribution
 from shorsim.errors import CapacityError, NotCoprimeError, RangeError
+from shorsim.numtheory import mod_pow, multiplicative_order
 from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
 from shorsim.registers import (
     DENSE,
@@ -17,6 +19,17 @@ from shorsim.registers import (
     StateVector,
     choose_modulus_power,
 )
+
+
+def _closed_form_miss(inst, state):
+    """Largest |p_simulated - p_analytic| over the outcomes of `state`."""
+    r = multiplicative_order(inst.x, inst.n)
+    exponent = {mod_pow(inst.x, k, inst.n): k for k in range(r)}
+    dist = measurement_distribution(state)
+    return max(
+        abs(p - analytic_joint_probability(inst, r, c, exponent[ys[0]]))
+        for (c, *ys), p in zip(dist.outcome_tuples(), dist.probs.tolist())
+    )
 
 
 class TestChooseModulusPower:
@@ -159,17 +172,48 @@ class TestStateVector:
         assert list(sparse.nonzero_items()) == [(3, 0.8j), (5, 0.6 + 0j)]
         dense = StateVector.from_arrays(layout, DENSE, index, amps)
         assert list(dense.nonzero_items()) == [(1, 1e-16 + 0j), (3, 0.8j), (5, 0.6 + 0j)]
+        for state in (sparse, dense):
+            assert state.amplitude(3) == 0.8j
+            assert state.amplitude(4) == 0
+        # A repeated index is refused, not resolved to one of its amplitudes.
+        for backend in (SPARSE, DENSE):
+            with pytest.raises(ValueError, match="repeats an index"):
+                StateVector.from_arrays(layout, backend, [3, 3], [0.6, 0.8])
 
     def test_sparse_data_written_out_of_order_reads_ascending(self):
+        inst = ProblemInstance.create(15, 7)
+        state = run_pipeline(inst, ell=2)
+        # A sparse state hands out its one stored pair, which nobody may write.
+        index, amps = state.nonzero_arrays()
+        again = state.nonzero_arrays()
+        assert again[0] is index and again[1] is amps
+        for array in (index, amps):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert _closed_form_miss(inst, state) <= 1e-12
+
         # A fault injected into a stage can rewrite `data` in any order;
         # readers still see the entries ascending.
-        state = run_pipeline(ProblemInstance.create(15, 7), ell=2)
         items = reversed(state.data.items())
         faulty = StateVector(state.layout, SPARSE, {i ^ 1: v for i, v in items})
         assert list(faulty.data) != sorted(faulty.data)
         index, amps = faulty.nonzero_arrays()
         assert np.all(np.diff(index) > 0)
         assert list(zip(index.tolist(), amps.tolist())) == sorted(faulty.data.items())
+
+        # The benchmark's transform fault edits `data` in place: scale the
+        # column of the first entry, then renormalise. The edits stick, so the
+        # distribution misses the closed form.
+        out = state
+        right = out.layout.right_dim
+        column = next(iter(out.data)) % right
+        for index in out.data:
+            if index % right == column:
+                out.data[index] *= 1.01
+        norm = sum(abs(v) ** 2 for v in out.data.values()) ** 0.5
+        for index in out.data:
+            out.data[index] /= norm
+        assert _closed_form_miss(inst, out) > 1e-12
 
     def test_zeros_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -245,6 +289,13 @@ class TestSnapshots:
             StateVector.load(path, qubit_cap=4)
         assert StateVector.load(path, qubit_cap=5).layout.qubit_cap == 5
 
+    def test_capacity_is_refused_before_the_body_is_read(self, tmp_path):
+        # 2**(30 + 4) dense amplitudes; the line after the header is never parsed.
+        path = tmp_path / "state.txt"
+        path.write_text("30 4 1 dense\nzero 1 0\n")
+        with pytest.raises(CapacityError):
+            StateVector.load(path)
+
     def test_valid_hand_written_snapshot_loads(self, tmp_path):
         state = self._load(tmp_path, SPARSE, ["1 0.6 0", "6 0 0.8"])
         assert state.amplitude(6) == 0.8j
@@ -252,7 +303,8 @@ class TestSnapshots:
 
 
 def test_only_registers_touches_state_storage():
-    # The storage format (flat array or dict) and the choice between the two
+    # The storage format (a flat array, or the ascending (index, amps) pair
+    # with its on-demand dict view `data`) and the choice between the two
     # are known to registers.py alone: every other module goes through
     # nonzero_arrays / from_arrays, passes a backend on without comparing it,
     # and never converts a state to the other storage.
