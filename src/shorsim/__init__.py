@@ -2,6 +2,7 @@
 configurable number of function registers, paired with exact
 measurement-statistics auditing and entanglement diagnostics."""
 
+from .checks import Check, check
 from .distributions import (
     AuditReport,
     BoundReport,

@@ -5,10 +5,13 @@ Subcommands map one-to-one onto the analyses: `distribution` (outcome table),
 floor report), `factor` (end-to-end factoring), `entanglement` (Schmidt
 spectra, entropies, correlations, transform locality).
 
-Exit codes encode verdicts so CI can consume the auditor directly: 0 means
-the run succeeded and every checked claim held, 1 means a failed run or a
-failed verdict, 2 is a usage error. All experiment configuration comes from
-flags (no environment variables), so a command line alone reproduces a run.
+Each command returns the claims it checked as `checks.Check` records; each is
+printed as one `PASS|FAIL` line and recorded in the JSON envelope's `checks`
+list. The exit code is 0 iff the run succeeded and every check passed, so CI
+can consume the auditor directly; 1 means a failed check or a failed run (an
+error, `factor` finding no factors among them), and 2 is a usage error. All
+experiment configuration comes from flags (no environment variables), so a
+command line alone reproduces a run.
 Each subcommand accepts only the flags it reads, and every JSON report's
 `config` records exactly those, resolved.
 """
@@ -20,16 +23,18 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import distributions, entanglement, orderfinding, pipeline
+from .checks import Check
 from .errors import ShorSimError, UnsuitableInputError
 from .numtheory import gcd, multiplicative_order
 from .registers import DEFAULT_QUBIT_CAP, ProblemInstance
 
-SCHEMA_VERSION = distributions.SCHEMA_VERSION
+SCHEMA_VERSION = 2
 
 
 def _at_least(low: int):
@@ -133,7 +138,7 @@ def _make_instance(args) -> ProblemInstance:
     return ProblemInstance.create(args.n, args.x)
 
 
-def _write_json(args, payload: dict, filename: str) -> Path:
+def _write_json(args, payload: dict, filename: str, checks: list[Check]) -> Path:
     """Write the report envelope; its `config` is every flag the command parsed."""
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,11 +147,20 @@ def _write_json(args, payload: dict, filename: str) -> Path:
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "config": vars(args),
+        "checks": [asdict(c) for c in checks],
         "report": payload,
     }
     with open(path, "w") as fh:
         fh.write(format_json(document) + "\n")
     return path
+
+
+def _verdict(checks: list[Check]) -> int:
+    """Print one line per check; the exit code is 0 iff every check passed."""
+    for c in checks:
+        print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.6g} {c.relation} "
+              f"{c.bound:.6g} (margin {c.margin:.3g})")
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def format_json(value, depth: int = 0) -> str:
@@ -193,7 +207,7 @@ def _maybe_dump_state(args, state) -> None:
         state.dump(out_dir / "state.txt")
 
 
-def cmd_distribution(args) -> int:
+def cmd_distribution(args) -> list[Check]:
     instance = _make_instance(args)
     state = pipeline.run_pipeline(
         instance, ell=args.ell, backend=args.backend, qft=args.qft, qubit_cap=args.qubit_cap
@@ -226,35 +240,34 @@ def cmd_distribution(args) -> int:
             ],
             "marginals": marginals,
         }
-        _write_json(args, summary, "distribution.json")
+        _write_json(args, summary, "distribution.json", [])
     print(
         f"n={instance.n} x={instance.x} q={instance.q} ell={args.ell}: "
         f"{dist.index.size} outcomes, total probability {total:.12f}"
     )
-    return 0
+    return []
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> list[Check]:
     instance = _make_instance(args)
     report = distributions.multi_register_audit(
         instance, ell=args.ell, backend=args.backend, qft=args.qft,
         qubit_cap=args.qubit_cap,
     )
     _maybe_dump_state(args, report.state)
-    _write_json(args, report.to_json_dict(), "audit.json")
+    _write_json(args, report.to_json_dict(), "audit.json", report.checks)
     print(
         f"audit n={report.n} x={report.x} ell={report.ell}: "
         f"equal-outcome discrepancy {report.equal_outcome_discrepancy:.3e}, "
         f"unequal-register mass {report.unequal_register_mass:.3e}"
     )
-    print(report.verdict)
-    return 0 if report.passed else 1
+    return report.checks
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> list[Check]:
     instance = _make_instance(args)
     report = distributions.shor_bound_report(instance)
-    _write_json(args, report.to_json_dict(), "bound.json")
+    _write_json(args, asdict(report), "bound.json", report.checks)
     print(
         f"bound n={report.n} x={report.x} r={report.r}: {report.good_c_count} good c, "
         f"{report.coprime_good_c_count} with gcd(d, r) = 1, "
@@ -262,10 +275,10 @@ def cmd_bound(args) -> int:
         f"(bounds {report.success_bound_phi_over_3r:.6f} / "
         f"{report.success_bound_phi_over_3r2:.6f})"
     )
-    return 0 if report.all_clear else 1
+    return report.checks
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> list[Check]:
     pair, trace = orderfinding.factor(
         args.n,
         max_attempts=args.max_attempts,
@@ -275,17 +288,16 @@ def cmd_factor(args) -> int:
         backend=args.backend,
         qubit_cap=args.qubit_cap,
     )
-    _write_json(args, trace.to_json_dict(), "factor_trace.json")
+    _write_json(args, trace.to_json_dict(), "factor_trace.json", [])
     if args.trace:
         print(json.dumps(trace.to_json_dict(), indent=2))
     if pair is None:
-        print(f"no factors found for {args.n} within {args.max_attempts} attempts")
-        return 1
+        raise ShorSimError(f"no factors found for {args.n} within {args.max_attempts} attempts")
     print(f"{args.n} = {pair.f1} × {pair.f2}")
-    return 0
+    return []
 
 
-def cmd_entanglement(args) -> int:
+def cmd_entanglement(args) -> list[Check]:
     instance = _make_instance(args)
     before, after = pipeline.pre_measurement_states(
         instance, ell=args.ell, backend=args.backend, qft=args.qft,
@@ -312,18 +324,18 @@ def cmd_entanglement(args) -> int:
                 )
     payload = {
         "entanglement": {
-            "locality": locality.to_json_dict(),
+            "locality": asdict(locality),
             "pre_transform_cuts": cuts,
             "correlations": correlations,
         }
     }
-    _write_json(args, payload, "entanglement.json")
+    _write_json(args, payload, "entanglement.json", locality.checks)
     print(
         f"entanglement n={instance.n} x={instance.x} ell={args.ell}: "
         f"entropy {locality.entropy_before_bits:.6f} bits across the control cut, "
         f"transform deviation {locality.max_deviation:.3e}"
     )
-    return 0 if locality.passed else 1
+    return locality.checks
 
 
 _COMMANDS = {
@@ -338,7 +350,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _verdict(_COMMANDS[args.command](args))
     except (ShorSimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
+from .checks import Check, check
 from .errors import ConditioningError, NormalizationError, RangeError
 from .numtheory import euler_phi, mod_pow, multiplicative_order
 from .pipeline import QFT_DIRECT, run_pipeline
@@ -34,8 +35,6 @@ from .registers import (
     distinct_positions,
     write_rows,
 )
-
-SCHEMA_VERSION = 1
 
 # Below this, a probability is reported as exactly zero: it separates
 # geometric-sum cancellation from floating-point noise.
@@ -236,7 +235,6 @@ class BoundRow:
     gcd_d_r: int
     probabilities: tuple[float, ...]
     p_min: float
-    clears_1_over_3r2: bool
     margin_vs_4_over_pi2_r2: float
 
 
@@ -259,11 +257,13 @@ class BoundReport:
     success_mass: float
     success_bound_phi_over_3r: float
     success_bound_phi_over_3r2: float
-    all_clear: bool
     rows: tuple[BoundRow, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
+    @property
+    def checks(self) -> list[Check]:
+        """Every good c clears the floor: the least p_min over them exceeds 1/(3r^2)."""
+        p_min = min(row.p_min for row in self.rows)
+        return [check("good_c_probability_floor", p_min, ">", self.bound_1_over_3r2)]
 
 
 def shor_bound_report(instance: ProblemInstance) -> BoundReport:
@@ -297,7 +297,6 @@ def shor_bound_report(instance: ProblemInstance) -> BoundReport:
                 gcd_d_r=g,
                 probabilities=probs,
                 p_min=p_min,
-                clears_1_over_3r2=p_min > floor_bound,
                 margin_vs_4_over_pi2_r2=p_min - sine_bound,
             )
         )
@@ -318,7 +317,6 @@ def shor_bound_report(instance: ProblemInstance) -> BoundReport:
         success_mass=success_mass,
         success_bound_phi_over_3r=phi_r / (3.0 * r),
         success_bound_phi_over_3r2=phi_r / (3.0 * r * r),
-        all_clear=all(row.clears_1_over_3r2 for row in rows),
     )
 
 
@@ -348,59 +346,19 @@ class AuditReport:
     modal_outcome: tuple[int, ...]
     modal_joint_probability: float
     modal_conditional_probability: float
-    tolerance: float = 1e-12
     state: StateVector | None = field(default=None, repr=False, compare=False)
 
     @property
-    def joint_probabilities_match(self) -> bool:
-        return self.equal_outcome_discrepancy <= self.tolerance
-
-    @property
-    def registers_perfectly_correlated(self) -> bool:
-        return self.unequal_register_mass <= self.tolerance
-
-    @property
-    def passed(self) -> bool:
-        return self.joint_probabilities_match and self.registers_perfectly_correlated
-
-    @property
-    def verdict(self) -> str:
-        eq_part = (
-            "adding registers leaves the equal-outcome joint probabilities unchanged"
-            if self.joint_probabilities_match
-            else "equal-outcome joint probabilities differ between register counts"
-        )
-        mass_part = (
-            "outcomes with unequal function registers carry zero probability, so the "
-            "function registers are perfectly correlated rather than independent"
-            if self.registers_perfectly_correlated
-            else "outcomes with unequal function registers carry nonzero probability"
-        )
-        cond_part = (
-            "under the conditional reading, probability of the modal control value given "
-            f"its function value is {self.modal_conditional_probability:.6g} versus the "
-            f"joint {self.modal_joint_probability:.6g}"
-        )
-        return f"{eq_part}; {mass_part}; {cond_part}"
+    def checks(self) -> list[Check]:
+        """Adding registers leaves the equal-outcome joint probabilities
+        unchanged, and the function registers never disagree."""
+        return [
+            check("equal_outcome_discrepancy", self.equal_outcome_discrepancy, "<=", 1e-12),
+            check("unequal_register_mass", self.unequal_register_mass, "<=", 1e-12),
+        ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "x": self.x,
-            "q": self.q,
-            "r": self.r,
-            "ell": self.ell,
-            "equal_outcome_discrepancy": self.equal_outcome_discrepancy,
-            "unequal_register_mass": self.unequal_register_mass,
-            "joint_probabilities_match": self.joint_probabilities_match,
-            "registers_perfectly_correlated": self.registers_perfectly_correlated,
-            "modal_outcome": list(self.modal_outcome),
-            "modal_joint_probability": self.modal_joint_probability,
-            "modal_conditional_probability": self.modal_conditional_probability,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "state"}
 
 
 def multi_register_audit(

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .checks import Check, check
 from .distributions import OutcomeDistribution, marginal, sequential_sum
 from .errors import CapacityError, RangeError
 from .pipeline import QFT_DIRECT, pre_measurement_states
@@ -97,14 +98,10 @@ class LocalityReport:
     max_deviation: float
     entropy_before_bits: float
     entropy_after_bits: float
-    tolerance: float = 1e-10
 
     @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+    def checks(self) -> list[Check]:
+        return [check("control_cut_spectrum_deviation", self.max_deviation, "<=", 1e-10)]
 
 
 def spectra_deviation(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .checks import Check, check
 from .distributions import (
     OutcomeDistribution,
     marginal,
@@ -330,19 +331,14 @@ class SuccessRateReport:
     bound_phi_over_3r2: float
 
     @property
-    def clears_phi_over_3r(self) -> bool:
-        return self.exact_rate >= self.bound_phi_over_3r
-
-    @property
-    def clears_phi_over_3r2(self) -> bool:
-        return self.exact_rate >= self.bound_phi_over_3r2
+    def checks(self) -> list[Check]:
+        return [
+            check("exact_rate_vs_phi_over_3r", self.exact_rate, ">=", self.bound_phi_over_3r),
+            check("exact_rate_vs_phi_over_3r2", self.exact_rate, ">=", self.bound_phi_over_3r2),
+        ]
 
     def to_json_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "clears_phi_over_3r": self.clears_phi_over_3r,
-            "clears_phi_over_3r2": self.clears_phi_over_3r2,
-        }
+        return asdict(self)
 
 
 def success_rate_estimate(

@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
+from .checks import Check, check
 from .errors import StageOrderError
 from .numtheory import mod_pow_array
 from .registers import (
@@ -50,6 +51,8 @@ def init_uniform(
 ) -> StateVector:
     """Uniform superposition over the control register, function registers zeroed."""
     layout = instance.layout(ell=ell, qubit_cap=qubit_cap)
+    # Refuse before allocating the q-entry arrays, not after (from_arrays checks too).
+    layout.check_capacity(backend)
     q = layout.q
     index = np.arange(q, dtype=np.int64) * layout.right_dim
     amps = np.full(q, 1.0 / np.sqrt(q), dtype=np.complex128)
@@ -161,11 +164,10 @@ class LinearityReport:
     q: int
     sample_count: int
     max_discrepancy: float
-    tolerance: float = 1e-12
 
     @property
-    def passed(self) -> bool:
-        return self.max_discrepancy <= self.tolerance
+    def checks(self) -> list[Check]:
+        return [check("fanout_linearity_discrepancy", self.max_discrepancy, "<=", 1e-12)]
 
 
 def linearity_check(
@@ -187,17 +189,19 @@ def linearity_check(
     superposed = StateVector.from_arrays(
         layout, SPARSE, control, np.full(control.size, amp, dtype=np.complex128)
     )
-    fanned = dict(apply_modexp_fanout(superposed, instance).nonzero_items())
-
-    assembled: dict[int, complex] = {}
+    fanned_index, fanned_amps = apply_modexp_fanout(superposed, instance).nonzero_arrays()
+    # Superposed minus assembled amplitude, summed at every index either one reaches.
+    indices, deltas = [fanned_index], [fanned_amps]
     one = np.ones(1, dtype=np.complex128)
     for k in range(control.size):
         basis = StateVector.from_arrays(layout, SPARSE, control[k : k + 1], one)
-        for index, value in apply_modexp_fanout(basis, instance).nonzero_items():
-            assembled[index] = assembled.get(index, 0.0) + amp * value
-
-    indices = set(fanned) | set(assembled)
-    worst = max(abs(fanned.get(i, 0.0) - assembled.get(i, 0.0)) for i in indices)
+        index, value = apply_modexp_fanout(basis, instance).nonzero_arrays()
+        indices.append(index)
+        deltas.append(-amp * value)
+    keys, slot = distinct_positions(np.concatenate(indices))
+    difference = np.zeros(keys.size, dtype=np.complex128)
+    np.add.at(difference, slot, np.concatenate(deltas))
+    worst = np.abs(difference).max()
     return LinearityReport(
         n=instance.n,
         x=instance.x,

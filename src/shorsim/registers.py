@@ -91,7 +91,7 @@ class RegisterLayout:
     """Widths of the control register (s) and the ell function registers (L each).
 
     `qubit_cap` limits the memory a state on this layout may allocate; it is
-    checked by StateVector.zeros and densify (see _check_capacity), not here.
+    checked by `check_capacity` wherever a state is allocated, not here.
     """
 
     s: int
@@ -131,6 +131,21 @@ class RegisterLayout:
     @property
     def dim(self) -> int:
         return 1 << self.total_qubits
+
+    def check_capacity(self, backend: str) -> None:
+        """Refuse a state whose storage would exceed 2**qubit_cap amplitudes:
+        2**(s + ell*L) for dense storage, at most 2**(s + L) for sparse."""
+        if backend == DENSE:
+            qubits = self.total_qubits
+        elif backend == SPARSE:
+            qubits = self.s + self.L
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
+        if qubits > self.qubit_cap:
+            raise CapacityError(
+                f"{backend} state needs up to 2^{qubits} amplitudes, cap is 2^{self.qubit_cap} "
+                f"(raise the cap explicitly to allow this)"
+            )
 
     def pack_index(self, a: int, ys) -> int:
         """Global basis index for control value a and function values ys."""
@@ -209,7 +224,7 @@ class StateVector:
         storage keeps those with magnitude above SPARSE_AMPLITUDE_FLOOR, in
         ascending index order.
         """
-        _check_capacity(layout, backend)
+        layout.check_capacity(backend)
         index = np.asarray(index, dtype=np.int64)
         amps = np.asarray(amps, dtype=np.complex128)
         # Every stage writes ascending indices; a snapshot may not.
@@ -234,11 +249,6 @@ class StateVector:
         stored, amps = self.nonzero_arrays()
         k = int(np.searchsorted(stored, index))
         return complex(amps[k]) if k < stored.size and stored[k] == index else 0j
-
-    def nonzero_items(self):
-        """Iterate (index, amplitude) over stored nonzero entries."""
-        index, amps = self.nonzero_arrays()
-        return zip(index.tolist(), amps.tolist())
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(packed indices, amplitudes) of the stored nonzero entries, the
@@ -271,7 +281,7 @@ class StateVector:
 
     def densify(self) -> "StateVector":
         """Dense copy with identical amplitudes."""
-        _check_capacity(self.layout, DENSE)
+        self.layout.check_capacity(DENSE)
         if self.backend == DENSE:
             # A copy of the flat array is cheaper than a scatter of its entries.
             return StateVector(self.layout, DENSE, self._data.copy())
@@ -301,7 +311,7 @@ class StateVector:
             s, L, ell = (int(v) for v in header[:3])
             layout = RegisterLayout(s=s, L=L, ell=ell, qubit_cap=qubit_cap)
             # The header alone decides the capacity: refuse before reading the body.
-            _check_capacity(layout, header[3])
+            layout.check_capacity(header[3])
             indices, amps = [], []
             for line in fh:
                 index_str, re_str, im_str = line.split()
@@ -332,19 +342,3 @@ def write_rows(fh, row: str, columns) -> None:
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         chunk = [column[start : start + CSV_CHUNK_ROWS].tolist() for column in columns]
         fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
-
-
-def _check_capacity(layout: RegisterLayout, backend: str) -> None:
-    """Refuse a state whose storage would exceed 2**qubit_cap amplitudes:
-    2**(s + ell*L) for dense storage, at most 2**(s + L) for sparse."""
-    if backend == DENSE:
-        qubits = layout.total_qubits
-    elif backend == SPARSE:
-        qubits = layout.s + layout.L
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    if qubits > layout.qubit_cap:
-        raise CapacityError(
-            f"{backend} state needs up to 2^{qubits} amplitudes, cap is 2^{layout.qubit_cap} "
-            f"(raise the cap explicitly to allow this)"
-        )

@@ -21,6 +21,36 @@ def read_json(path):
         return json.load(fh)
 
 
+def verdicts(doc) -> dict[str, bool]:
+    """Check name -> passed, from a report envelope."""
+    return {c["name"]: c["passed"] for c in doc["checks"]}
+
+
+def flip_low_bit(transform):
+    """Fault: flip the low bit of the last function register after the
+    transform. Norm-preserving, but the registers now disagree."""
+
+    def faulty(state):
+        index, amps = transform(state).nonzero_arrays()
+        return StateVector.from_arrays(state.layout, state.backend, index ^ 1, amps)
+
+    return faulty
+
+
+def scale_first_column(transform):
+    """Fault: scale the function-register column of the first entry after the
+    transform and renormalise. The control | function spectrum changes."""
+
+    def faulty(state):
+        index, amps = transform(state).nonzero_arrays()
+        right = state.layout.right_dim
+        amps = amps * np.where(index % right == index[0] % right, 1.01, 1.0)
+        amps /= np.vdot(amps, amps).real ** 0.5
+        return StateVector.from_arrays(state.layout, state.backend, index, amps)
+
+    return faulty
+
+
 class TestDistributionCommand:
     def test_writes_csv_and_json(self, tmp_path, capsys):
         code = main(
@@ -33,7 +63,8 @@ class TestDistributionCommand:
         assert len(rows) == 17  # header + 16 outcomes
         assert all(float(row[2]) == pytest.approx(0.0625, abs=1e-12) for row in rows[1:])
         doc = read_json(tmp_path / "distribution.json")
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert doc["checks"] == []
         assert doc["config"]["n"] == 15
         assert doc["config"]["x"] == 7
         assert doc["report"]["r"] == 4
@@ -87,6 +118,15 @@ class TestDistributionCommand:
         ranked = sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0]))
         assert [(tuple(t["outcome"]), t["probability"]) for t in top] == ranked[:7]
 
+    def test_capacity_error_exits_one(self, tmp_path, capsys):
+        code = main(["distribution", "--n", "5001", "--x", "2", "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: sparse state needs up to 2^38 amplitudes, cap is 2^26 "
+            "(raise the cap explicitly to allow this)\n"
+        )
+        assert not any(tmp_path.iterdir())
+
     def test_negative_top_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["distribution", "--n", "15", "--x", "7", "--top", "-1",
@@ -106,18 +146,15 @@ class TestAuditCommand:
         assert doc["report"]["unequal_register_mass"] <= 1e-12
 
     def test_qft_flag_selects_the_audited_transform(self, tmp_path, monkeypatch):
-        gates = pipeline.apply_qft_register1_gates
-
-        def faulty(state):
-            # Flip the low bit of the last function register after the
-            # transform: norm-preserving, but the registers now disagree.
-            out = gates(state)
-            return StateVector(out.layout, out.backend, {i ^ 1: v for i, v in out.data.items()})
-
+        faulty = flip_low_bit(pipeline.apply_qft_register1_gates)
         monkeypatch.setattr(pipeline, "apply_qft_register1_gates", faulty)
         argv = ["audit", "--n", "15", "--x", "7", "--output-dir", str(tmp_path)]
         assert main(argv + ["--qft", "gates"]) == 1
+        assert verdicts(read_json(tmp_path / "audit.json")) == {
+            "equal_outcome_discrepancy": True, "unequal_register_mass": False,
+        }
         assert main(argv + ["--qft", "direct"]) == 0
+        assert all(verdicts(read_json(tmp_path / "audit.json")).values())
 
     @pytest.mark.parametrize("qft", ["direct", "gates"])
     def test_fanout_fault_fails_the_audit(self, tmp_path, monkeypatch, qft):
@@ -140,7 +177,9 @@ class TestAuditCommand:
         code = main(["audit", "--n", "15", "--x", "7", "--ell", "2", "--qft", qft,
                      "--output-dir", str(tmp_path)])
         assert code == 1
-        assert read_json(tmp_path / "audit.json")["report"]["unequal_register_mass"] > 1e-12
+        doc = read_json(tmp_path / "audit.json")
+        assert doc["report"]["unequal_register_mass"] > 1e-12
+        assert verdicts(doc)["unequal_register_mass"] is False
 
     def test_dump_state_reuses_the_audited_state(self, tmp_path, monkeypatch):
         calls = []
@@ -197,7 +236,7 @@ class TestBoundCommand:
         assert code == 0
         doc = read_json(tmp_path / "bound.json")
         assert doc["report"]["good_c_count"] == good
-        assert doc["report"]["all_clear"] is True
+        assert verdicts(doc) == {"good_c_probability_floor": True}
 
 
 class TestFactorCommand:
@@ -223,6 +262,14 @@ class TestFactorCommand:
         with pytest.raises(SystemExit) as err:
             main(["factor", "--n", "15", "--dump-state", "--output-dir", str(tmp_path)])
         assert err.value.code == 2
+
+    def test_no_factors_is_a_failed_run(self, tmp_path, capsys):
+        code = main(["factor", "--n", "21", "--seed", "2", "--max-attempts", "1",
+                     "--samples-per-attempt", "1", "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert "no factors found for 21 within 1 attempts" in capsys.readouterr().err
+        doc = read_json(tmp_path / "factor_trace.json")
+        assert doc["checks"] == [] and doc["report"]["factors"] is None
 
     def test_trace_flag_prints_attempts(self, tmp_path, capsys):
         code = main(
@@ -257,24 +304,17 @@ class TestEntanglementCommand:
         assert ent["locality"]["max_deviation"] <= 1e-10
 
     def test_transform_fault_fails_the_locality_verdict(self, tmp_path, monkeypatch):
-        direct = pipeline.apply_qft_register1_direct
-
-        def faulty(state):
-            # Scale one function-register column after the transform and
-            # renormalise: the control | function spectrum changes.
-            out = direct(state)
-            right = out.layout.right_dim
-            column = next(iter(out.data)) % right
-            data = {i: v * (1.01 if i % right == column else 1.0) for i, v in out.data.items()}
-            norm = sum(abs(v) ** 2 for v in data.values()) ** 0.5
-            return StateVector(out.layout, out.backend, {i: v / norm for i, v in data.items()})
-
+        faulty = scale_first_column(pipeline.apply_qft_register1_direct)
+        argv = ["entanglement", "--n", "15", "--x", "7", "--ell", "2", "--output-dir"]
+        assert main(argv + [str(tmp_path / "direct")]) == 0
+        assert verdicts(read_json(tmp_path / "direct" / "entanglement.json")) == {
+            "control_cut_spectrum_deviation": True
+        }
         monkeypatch.setattr(pipeline, "apply_qft_register1_direct", faulty)
-        code = main(["entanglement", "--n", "15", "--x", "7", "--ell", "2",
-                     "--output-dir", str(tmp_path)])
-        assert code == 1
-        ent = read_json(tmp_path / "entanglement.json")["report"]["entanglement"]
-        assert ent["locality"]["passed"] is False
+        assert main(argv + [str(tmp_path / "faulty")]) == 1
+        assert verdicts(read_json(tmp_path / "faulty" / "entanglement.json")) == {
+            "control_cut_spectrum_deviation": False
+        }
 
     def test_sparse_run_beyond_the_dense_qubit_cap(self, tmp_path):
         # 13 + 2*7 = 27 qubits as a dense vector; the full 8192 x 16384 cut
@@ -290,8 +330,8 @@ class TestEntanglementCommand:
         code = main(["entanglement", "--n", "77", "--x", "2", "--ell", "2", "--qft", "gates",
                      "--output-dir", str(tmp_path)])
         assert code == 0
-        ent = read_json(tmp_path / "entanglement.json")["report"]["entanglement"]
-        assert ent["locality"]["passed"] is True
+        doc = read_json(tmp_path / "entanglement.json")
+        assert verdicts(doc) == {"control_cut_spectrum_deviation": True}
 
 
 class TestDeterminism:
@@ -344,6 +384,25 @@ class TestRecordedConfig:
         if "x" in config:
             # The base is recorded resolved, also when drawn from the seed.
             assert isinstance(config["x"], int) and 1 < config["x"] < 15
+
+    @pytest.mark.parametrize(
+        "command,faulted",
+        [(command, False) for command in sorted(RUNS)]
+        + [(command, True) for command in ("audit", "bound", "entanglement")],
+    )
+    def test_exit_code_is_all_checks_passed(self, tmp_path, monkeypatch, command, faulted):
+        if faulted:
+            transform = flip_low_bit(scale_first_column(pipeline.apply_qft_register1_direct))
+            monkeypatch.setattr(pipeline, "apply_qft_register1_direct", transform)
+            monkeypatch.setattr(distributions, "analytic_joint_probability", lambda *a: 0.0)
+        flags, filename = self.RUNS[command]
+        code = main([command, *flags, "--output-dir", str(tmp_path)])
+        doc = read_json(tmp_path / filename)
+        assert code == (0 if all(c["passed"] for c in doc["checks"]) else 1)
+        assert code == faulted
+        assert [list(c) for c in doc["checks"]] == [
+            ["name", "value", "relation", "bound", "margin", "passed"]
+        ] * len(doc["checks"])
 
     def test_distribution_records_top(self, tmp_path):
         assert main(["distribution", "--n", "15", "--x", "7", "--top", "3",

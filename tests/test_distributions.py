@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class TestMeasurementDistribution:
 
     def test_rejects_unnormalized_state(self):
         layout = INST_15_7.layout(1)
-        bad = StateVector(layout, SPARSE, {0: 0.5 + 0j})
+        bad = StateVector.from_arrays(layout, SPARSE, [0], [0.5])
         with pytest.raises(NormalizationError):
             measurement_distribution(bad)
 
@@ -220,7 +221,10 @@ class TestBoundReport:
         for row in report.rows:
             assert row.p_min == pytest.approx(1 / 16, abs=1e-12)
             assert row.p_min >= 4 / (math.pi**2 * 16) - 1e-12
-        assert report.all_clear
+        (floor,) = report.checks
+        assert (floor.name, floor.relation, floor.passed) == ("good_c_probability_floor", ">", True)
+        assert floor.value == min(row.p_min for row in report.rows)
+        assert floor.bound == report.bound_1_over_3r2
 
     def test_n15_success_mass(self):
         report = shor_bound_report(INST_15_7)
@@ -238,7 +242,7 @@ class TestBoundReport:
         floor = 1 / (3 * 36)
         for row in report.rows:
             assert row.p_min > floor
-        assert report.all_clear
+        assert all(c.passed for c in report.checks)
 
     def test_phi_matches_oracle(self):
         for inst in (INST_15_7, INST_21_2):
@@ -265,8 +269,8 @@ class TestBoundReport:
         assert all(type(row.c) is int and type(row.residue) is int for row in rows)
 
     def test_json_round_trip_fields(self):
-        doc = shor_bound_report(INST_15_7).to_json_dict()
-        assert doc["schema_version"] == 1
+        doc = asdict(shor_bound_report(INST_15_7))
+        assert "schema_version" not in doc and "all_clear" not in doc
         assert len(doc["rows"]) == doc["good_c_count"]
         assert all("margin_vs_4_over_pi2_r2" in row for row in doc["rows"])
 
@@ -296,9 +300,10 @@ class TestAudit:
         report = multi_register_audit(inst, ell=ell)
         assert report.equal_outcome_discrepancy <= 1e-12
         assert report.unequal_register_mass <= 1e-12
-        assert report.passed
-        assert report.joint_probabilities_match
-        assert report.registers_perfectly_correlated
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("equal_outcome_discrepancy", True),
+            ("unequal_register_mass", True),
+        ]
 
     def test_conditional_alternative_scales_by_order(self):
         # With a uniform function-register marginal the conditional reading is
@@ -313,11 +318,12 @@ class TestAudit:
             multi_register_audit(INST_15_7, ell=1)
 
     def test_json_fields(self):
+        # Measurements only: the verdicts live in `checks`, the state is not written.
         doc = multi_register_audit(INST_15_7, ell=2).to_json_dict()
-        assert doc["schema_version"] == 1
-        assert doc["joint_probabilities_match"] is True
-        assert doc["registers_perfectly_correlated"] is True
-        assert "verdict" in doc
+        assert list(doc) == [
+            "n", "x", "q", "r", "ell", "equal_outcome_discrepancy", "unequal_register_mass",
+            "modal_outcome", "modal_joint_probability", "modal_conditional_probability",
+        ]
 
 
 class TestCsvExport:

@@ -29,7 +29,7 @@ def pre_transform_state(inst, ell=1):
 class TestSchmidtSpectrum:
     def test_product_state_has_rank_one(self):
         layout = RegisterLayout(s=1, L=1, ell=1)
-        state = StateVector(layout, SPARSE, {layout.pack_index(0, [0]): 1.0 + 0j})
+        state = StateVector.from_arrays(layout, SPARSE, [layout.pack_index(0, [0])], [1.0])
         spectrum = schmidt_spectrum(state, cut_after=1)
         assert spectrum.eigenvalues == pytest.approx((1.0,), abs=1e-12)
 
@@ -37,8 +37,8 @@ class TestSchmidtSpectrum:
         # (|01> + |10>) / sqrt(2), cut between the qubits
         layout = RegisterLayout(s=1, L=1, ell=1)
         amp = complex(1 / np.sqrt(2))
-        state = StateVector(
-            layout, SPARSE, {layout.pack_index(0, [1]): amp, layout.pack_index(1, [0]): amp}
+        state = StateVector.from_arrays(
+            layout, SPARSE, [layout.pack_index(0, [1]), layout.pack_index(1, [0])], [amp, amp]
         )
         spectrum = schmidt_spectrum(state, cut_after=1)
         assert spectrum.eigenvalues == pytest.approx((0.5, 0.5), abs=1e-12)
@@ -67,8 +67,8 @@ class TestSchmidtSpectrum:
         for state in states:
             layout = state.layout
             full = np.zeros(layout.dim, dtype=np.complex128)
-            for index, amp in state.nonzero_items():
-                full[index] = amp
+            index, amps = state.nonzero_arrays()
+            full[index] = amps
             for cut in range(1, ell + 1):
                 left_dim = layout.q << ((cut - 1) * layout.L)
                 singular = np.linalg.svd(full.reshape(left_dim, -1), compute_uv=False)
@@ -133,7 +133,9 @@ class TestLocality:
     def test_transform_leaves_cut_spectrum_unchanged(self, inst, ell):
         report = qft_locality_check(inst, ell=ell)
         assert report.max_deviation <= 1e-10
-        assert report.passed
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("control_cut_spectrum_deviation", True)
+        ]
         assert report.entropy_before_bits == pytest.approx(
             report.entropy_after_bits, abs=1e-10
         )
@@ -145,14 +147,20 @@ class TestLocality:
             # Scale one function-register column after the transform and
             # renormalise: the control | function spectrum changes.
             out = gates(state)
-            right = out.layout.right_dim
-            data = {i: v * (1.01 if i % right == 1 else 1.0) for i, v in out.data.items()}
-            norm = math.sqrt(sum(abs(v) ** 2 for v in data.values()))
-            return StateVector(out.layout, out.backend, {i: v / norm for i, v in data.items()})
+            index, amps = out.nonzero_arrays()
+            amps = amps * np.where(index % out.layout.right_dim == 1, 1.01, 1.0)
+            amps /= math.sqrt(np.vdot(amps, amps).real)
+            return StateVector.from_arrays(out.layout, out.backend, index, amps)
 
         monkeypatch.setattr(pipeline, "apply_qft_register1_gates", faulty)
-        assert not qft_locality_check(INST_15_7, qft="gates").passed
-        assert qft_locality_check(INST_15_7, qft="direct").passed
+        verdicts = {
+            qft: [(c.name, c.passed) for c in qft_locality_check(INST_15_7, qft=qft).checks]
+            for qft in ("gates", "direct")
+        }
+        assert verdicts == {
+            "gates": [("control_cut_spectrum_deviation", False)],
+            "direct": [("control_cut_spectrum_deviation", True)],
+        }
 
     def test_deviation_helper(self):
         a = SchmidtSpectrum(1, (0.6, 0.4))

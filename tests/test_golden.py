@@ -8,8 +8,15 @@ outcome tables became arrays; the JSON `config` objects were regenerated when
 each subcommand came to record only its own flags, and `total_probability` in
 `distribution_21_2_ell{1,2}/distribution.json` (0.9999999999999999 ->
 0.9999999999999997) when the total became the correctly rounded `math.fsum`
-instead of a left-to-right sum in the order of the table. Any change in a
-float's last bit, a row order, the JSON layout or a recorded flag fails here.
+instead of a left-to-right sum in the order of the table. Every JSON file
+was regenerated for schema version 2, when each verdict became a record of
+the envelope's `checks` list: the verdict fields left the `report` (`bound`'s
+`all_clear` and per-row `clears_1_over_3r2`; the audit's
+`joint_probabilities_match`, `registers_perfectly_correlated`, `tolerance`
+and `verdict`; the locality `tolerance` and `passed`), and so did the inner
+`schema_version`. Every other value kept its bytes, and no CSV or state file
+changed. Any change in a float's last bit, a row order, the JSON layout or a
+recorded flag fails here.
 
 Regenerate (only when an output change is intended) with
 

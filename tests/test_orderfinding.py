@@ -144,8 +144,10 @@ class TestSuccessRate:
         assert report.exact_rate == pytest.approx(0.5, abs=1e-12)
         assert report.bound_phi_over_3r == pytest.approx(1 / 6)
         assert report.bound_phi_over_3r2 == pytest.approx(1 / 24)
-        assert report.clears_phi_over_3r
-        assert report.clears_phi_over_3r2
+        assert [(c.name, c.value, c.bound, c.passed) for c in report.checks] == [
+            ("exact_rate_vs_phi_over_3r", report.exact_rate, report.bound_phi_over_3r, True),
+            ("exact_rate_vs_phi_over_3r2", report.exact_rate, report.bound_phi_over_3r2, True),
+        ]
 
     def test_empirical_converges(self):
         report = success_rate_estimate(

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from shorsim import _kernels, numtheory, pipeline
 from shorsim.distributions import marginal, measurement_distribution
-from shorsim.errors import StageOrderError
+from shorsim.errors import CapacityError, StageOrderError
 from shorsim.pipeline import (
     apply_modexp_fanout,
     apply_qft_register1_direct,
@@ -31,10 +33,22 @@ class TestInitUniform:
     def test_uniform_support(self, ell):
         state = init_uniform(INST_15_7, ell=ell)
         assert state.nonzero_count() == 256
-        for index, amp in state.nonzero_items():
-            assert abs(amp) == pytest.approx(1 / 16, abs=1e-15)
-            assert index % state.layout.right_dim == 0
+        index, amps = state.nonzero_arrays()
+        assert np.all(np.abs(np.abs(amps) - 1 / 16) <= 1e-15)
+        assert np.all(index % state.layout.right_dim == 0)
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
+    def test_capacity_refused_before_allocating(self):
+        # q = 2^25: the q-entry index and amplitude arrays alone take 768 MB.
+        inst = ProblemInstance.create(5001, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"sparse state needs up to 2\^38"):
+                init_uniform(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestFanout:
@@ -55,8 +69,8 @@ class TestFanout:
         before = init_uniform(INST_15_7, ell=1, backend=backend)
         after = apply_modexp_fanout(before, INST_15_7)
         assert after.nonzero_count() == before.nonzero_count() == 256
-        before_mags = sorted(abs(a) for _, a in before.nonzero_items())
-        after_mags = sorted(abs(a) for _, a in after.nonzero_items())
+        before_mags = np.sort(np.abs(before.nonzero_arrays()[1]))
+        after_mags = np.sort(np.abs(after.nonzero_arrays()[1]))
         assert np.allclose(before_mags, after_mags)
 
     def test_function_register_holds_every_power(self, monkeypatch):
@@ -136,9 +150,9 @@ class TestGateTransform:
         direct = run_pipeline(INST_15_7, ell=1, backend=SPARSE, qft="direct")
         gates = run_pipeline(INST_15_7, ell=1, backend=SPARSE, qft="gates")
         assert gates.backend == SPARSE
-        indices = {i for i, _ in direct.nonzero_items()} | {
-            i for i, _ in gates.nonzero_items()
-        }
+        indices = set(direct.nonzero_arrays()[0].tolist()) | set(
+            gates.nonzero_arrays()[0].tolist()
+        )
         worst = max(abs(direct.amplitude(i) - gates.amplitude(i)) for i in indices)
         assert worst <= 1e-10
 
@@ -251,7 +265,9 @@ class TestLinearity:
     def test_single_branch(self):
         report = linearity_check(INST_15_7, [0])
         assert report.max_discrepancy == 0.0
-        assert report.passed
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("fanout_linearity_discrepancy", True)
+        ]
 
     def test_full_range(self):
         report = linearity_check(INST_15_7, range(256))
