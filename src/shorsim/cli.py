@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the analyses: `distribution` (outcome table),
 `audit` (multi-register joint-probability audit), `bound` (good-c probability
 floor report), `factor` (end-to-end factoring), `entanglement` (Schmidt
-spectra, entropies, correlations, transform locality).
+spectra, entropies, correlations, transform locality). Each command builds
+the circuit it needs through `pipeline`, with the circuit flags, and hands
+the analyses the states and tables they check.
 
 Each command returns the claims it checked as `checks.Check` records; each is
 printed as one `PASS|FAIL` line and recorded in the JSON envelope's `checks`
@@ -114,13 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_base(n: int, x: int | None, seed: int) -> int:
-    """Explicit x, or a seeded random coprime draw from a dedicated generator."""
+    """Explicit x (`ProblemInstance` checks it), or a seeded random coprime
+    draw from a dedicated generator."""
     if x is not None:
-        if not 1 < x < n:
-            raise ValueError(f"x must satisfy 1 < x < n, got x={x}")
-        g = gcd(x, n)
-        if g != 1:
-            raise ValueError(f"x={x} shares factor {g} with n={n}")
         return x
     rng = np.random.default_rng(seed)
     while True:
@@ -250,12 +248,16 @@ def cmd_distribution(args) -> list[Check]:
 
 def cmd_audit(args) -> list[Check]:
     instance = _make_instance(args)
-    report = distributions.multi_register_audit(
-        instance, ell=args.ell, backend=args.backend, qft=args.qft,
-        qubit_cap=args.qubit_cap,
+    circuit = dict(backend=args.backend, qft=args.qft, qubit_cap=args.qubit_cap)
+    single = distributions.measurement_distribution(
+        pipeline.run_pipeline(instance, ell=1, **circuit)
     )
-    _maybe_dump_state(args, report.state)
-    _write_json(args, report.to_json_dict(), "audit.json", report.checks)
+    state = pipeline.run_pipeline(instance, ell=args.ell, **circuit)
+    report = distributions.multi_register_audit(
+        instance, single, distributions.measurement_distribution(state)
+    )
+    _maybe_dump_state(args, state)
+    _write_json(args, asdict(report), "audit.json", report.checks)
     print(
         f"audit n={report.n} x={report.x} ell={report.ell}: "
         f"equal-outcome discrepancy {report.equal_outcome_discrepancy:.3e}, "
@@ -288,9 +290,10 @@ def cmd_factor(args) -> list[Check]:
         backend=args.backend,
         qubit_cap=args.qubit_cap,
     )
-    _write_json(args, trace.to_json_dict(), "factor_trace.json", [])
+    document = asdict(trace)
+    _write_json(args, document, "factor_trace.json", [])
     if args.trace:
-        print(json.dumps(trace.to_json_dict(), indent=2))
+        print(json.dumps(document, indent=2))
     if pair is None:
         raise ShorSimError(f"no factors found for {args.n} within {args.max_attempts} attempts")
     print(f"{args.n} = {pair.f1} × {pair.f2}")
@@ -303,7 +306,7 @@ def cmd_entanglement(args) -> list[Check]:
         instance, ell=args.ell, backend=args.backend, qft=args.qft,
         qubit_cap=args.qubit_cap,
     )
-    locality = entanglement.locality_report(instance, before, after)
+    locality = entanglement.qft_locality_check(instance, before, after)
     _maybe_dump_state(args, after)
     # The locality report already holds the cut-1 spectrum of `before`.
     spectra = [entanglement.SchmidtSpectrum(1, locality.eigenvalues_before)]

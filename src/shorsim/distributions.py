@@ -4,7 +4,8 @@ Two independent routes to the same numbers are kept deliberately separate:
 `measurement_distribution` squares the simulated state-vector amplitudes,
 while `analytic_joint_probability` evaluates the closed-form geometric-sum
 expression for the probability of landing on (c, x^k). Their agreement is a
-core acceptance check and neither consults the other.
+core acceptance check and neither consults the other. Nothing here runs the
+circuit: the multi-register audit compares two outcome tables it is handed.
 
 Register positions are 1-based: position 1 is the control register, positions
 2..ell+1 are the function registers, so a full outcome is the tuple
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,15 +25,13 @@ import numpy as np
 from .checks import Check, check
 from .errors import ConditioningError, NormalizationError, RangeError
 from .numtheory import euler_phi, mod_pow, multiplicative_order
-from .pipeline import QFT_DIRECT, run_pipeline
 from .registers import (
-    DEFAULT_QUBIT_CAP,
     NORM_TOLERANCE,
-    SPARSE,
     ProblemInstance,
     RegisterLayout,
     StateVector,
     distinct_positions,
+    max_abs_difference,
     write_rows,
 )
 
@@ -327,13 +326,12 @@ def shor_bound_report(instance: ProblemInstance) -> BoundReport:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Adjudication of the multi-register claims by direct simulation.
+    """Adjudication of the multi-register claims on two simulated tables.
 
     equal_outcome_discrepancy: max over (c, k) of the difference between the
-    ell-register joint probability of (c, x^k, ..., x^k) and the two-register
+    ell-register joint probability of (c, x^k, ..., x^k) and the one-register
     joint probability of (c, x^k). unequal_register_mass: total probability
-    of outcomes whose function registers disagree anywhere. state: the
-    audited ell-register pre-measurement state (not part of the JSON report).
+    of outcomes whose function registers disagree anywhere.
     """
 
     n: int
@@ -346,7 +344,6 @@ class AuditReport:
     modal_outcome: tuple[int, ...]
     modal_joint_probability: float
     modal_conditional_probability: float
-    state: StateVector | None = field(default=None, repr=False, compare=False)
 
     @property
     def checks(self) -> list[Check]:
@@ -357,62 +354,51 @@ class AuditReport:
             check("unequal_register_mass", self.unequal_register_mass, "<=", 1e-12),
         ]
 
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "state"}
-
 
 def multi_register_audit(
-    instance: ProblemInstance,
-    ell: int = 2,
-    backend: str = SPARSE,
-    qft: str = QFT_DIRECT,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
+    instance: ProblemInstance, single: OutcomeDistribution, multi: OutcomeDistribution
 ) -> AuditReport:
-    """Compare the ell-register pipeline against the two-register one, both
-    run with the transform named by `qft`.
+    """Compare the full outcome table of an ell-register run (`multi`, ell >= 2)
+    against that of the one-register run (`single`) on the same registers.
 
-    Joint probabilities are squared amplitudes of the full state. The
-    conditional reading is reported alongside as a labeled alternative,
-    computed from the same distribution via `conditional`.
+    Joint probabilities are the tables' entries. The conditional reading is
+    reported alongside as a labeled alternative, computed from `multi` via
+    `conditional`.
     """
-    if ell < 2:
-        raise ValueError(f"audit needs at least two function registers, got ell={ell}")
+    one, many = single.layout, multi.layout
+    if not (one.ell == 1 < many.ell and (one.s, one.L) == (many.s, many.L)):
+        raise ValueError(
+            "audit needs a one-register and an ell >= 2 table on the same registers, "
+            f"got {one} and {many}"
+        )
     r = multiplicative_order(instance.x, instance.n)
-    dist_single = measurement_distribution(
-        run_pipeline(instance, ell=1, backend=backend, qft=qft, qubit_cap=qubit_cap)
-    )
-    state = run_pipeline(instance, ell=ell, backend=backend, qft=qft, qubit_cap=qubit_cap)
-    dist_multi = measurement_distribution(state)
+    ell = many.ell
 
-    # Equal-register outcomes (c, y, ..., y), y = x^k, looked up as (c, y) in the
-    # single-register table; an outcome missing from a table has probability 0.
-    is_residue = np.zeros(dist_multi.layout.function_dim, dtype=bool)
+    # Equal-register outcomes (c, y, ..., y), y = x^k, compared as (c, y) with
+    # the one-register table; an outcome missing from a table has probability 0.
+    is_residue = np.zeros(many.function_dim, dtype=bool)
     is_residue[[mod_pow(instance.x, k, instance.n) for k in range(r)]] = True
-    c_multi, *ys = dist_multi.registers()
-    unequal = np.zeros(dist_multi.index.size, dtype=bool)
+    c_multi, *ys = multi.registers()
+    unequal = np.zeros(multi.index.size, dtype=bool)
     for y in ys[1:]:
         unequal |= y != ys[0]
     compared = ~unequal & is_residue[ys[0]]
-    keys = (c_multi[compared] << dist_multi.layout.L) | ys[0][compared]
-    hit = np.minimum(np.searchsorted(dist_single.index, keys), dist_single.index.size - 1)
-    found = dist_single.index[hit] == keys
-    p_single = np.where(found, dist_single.probs[hit], 0.0)
-    unmatched = is_residue[dist_single.register(2)]
-    unmatched[hit[found]] = False
-    worst = max(
-        np.abs(dist_multi.probs[compared] - p_single).max(initial=0.0),
-        dist_single.probs[unmatched].max(initial=0.0),
+    in_single = is_residue[single.register(2)]
+    worst = max_abs_difference(
+        (c_multi[compared] << many.L) | ys[0][compared],
+        multi.probs[compared],
+        single.index[in_single],
+        single.probs[in_single],
     )
-    unequal_mass = sequential_sum(dist_multi.probs[unequal])
+    unequal_mass = sequential_sum(multi.probs[unequal])
 
-    # The most probable outcome; ties go to the largest outcome.
-    modal_joint = dist_multi.probs.max()
-    tied = np.flatnonzero(dist_multi.probs == modal_joint)
-    modal_outcome = dist_multi.outcome_tuples([tied[np.argmax(dist_multi.index[tied])]])[0]
+    # The most probable outcome; ties go to the largest, the last in the table.
+    modal_joint = multi.probs.max()
+    modal = np.flatnonzero(multi.probs == modal_joint)[-1]
+    modal_outcome = multi.outcome_tuples([modal])[0]
     given = {pos: modal_outcome[pos - 1] for pos in range(2, ell + 2)}
-    modal_conditional = marginal(conditional(dist_multi, given), (1,)).probability(
-        (modal_outcome[0],)
-    )
+    given_ys = conditional(multi, given)
+    modal_conditional = given_ys.probs[np.searchsorted(given_ys.index, multi.index[modal])]
 
     return AuditReport(
         n=instance.n,
@@ -420,10 +406,9 @@ def multi_register_audit(
         q=instance.q,
         r=r,
         ell=ell,
-        equal_outcome_discrepancy=float(worst),
+        equal_outcome_discrepancy=worst,
         unequal_register_mass=float(unequal_mass),
         modal_outcome=modal_outcome,
         modal_joint_probability=float(modal_joint),
         modal_conditional_probability=float(modal_conditional),
-        state=state,
     )

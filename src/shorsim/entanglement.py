@@ -5,7 +5,8 @@ of the bipartition has fewer occupied values; for pipeline states that side
 holds at most r values (one per residue class), so the eigenvalue problem is
 cheap and numerically stable. A transform that acts entirely on one side of
 a cut cannot change that cut's spectrum, which is what the locality check
-verifies for the control-register Fourier transform.
+verifies for the control-register Fourier transform, given the states just
+before and just after it. Nothing here runs the circuit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from .checks import Check, check
 from .distributions import OutcomeDistribution, marginal, sequential_sum
 from .errors import CapacityError, RangeError
-from .pipeline import QFT_DIRECT, pre_measurement_states
-from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, StateVector, distinct_positions
+from .registers import ProblemInstance, StateVector, distinct_positions
 
 EIGENVALUE_FLOOR = 1e-14
 DEFAULT_SIDE_CAP = 4096
@@ -115,7 +115,7 @@ def spectra_deviation(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
     return worst
 
 
-def locality_report(
+def qft_locality_check(
     instance: ProblemInstance, before: StateVector, after: StateVector
 ) -> LocalityReport:
     """Compare the (control | function registers) Schmidt spectra of the
@@ -132,21 +132,6 @@ def locality_report(
         entropy_before_bits=von_neumann_entropy(spec_before),
         entropy_after_bits=von_neumann_entropy(spec_after),
     )
-
-
-def qft_locality_check(
-    instance: ProblemInstance,
-    ell: int = 1,
-    backend: str = "sparse",
-    qft: str = QFT_DIRECT,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> LocalityReport:
-    """Verify the transform named by `qft` leaves the
-    (control | function registers) Schmidt spectrum unchanged."""
-    before, after = pre_measurement_states(
-        instance, ell=ell, backend=backend, qft=qft, qubit_cap=qubit_cap
-    )
-    return locality_report(instance, before, after)
 
 
 @dataclass(frozen=True)

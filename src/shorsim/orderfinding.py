@@ -48,16 +48,12 @@ def sample_outcomes(
     return dist.outcome_tuples(_draw_indices(dist.cdf, count, seed))
 
 
-def _draw_indices(cdf: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Positions of `count` i.i.d. inverse-CDF draws from one generator."""
+def _draw_indices(cdf: np.ndarray, count: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Positions of `count` i.i.d. inverse-CDF draws from one generator: a
+    new one seeded by `seed`, or `seed` itself when it is a Generator."""
     rng = np.random.default_rng(seed)
     picks = np.searchsorted(cdf, rng.random(count), side="right")
     return np.minimum(picks, len(cdf) - 1, out=picks)
-
-
-def _draw_outcome(dist: OutcomeDistribution, rng) -> tuple[int, ...]:
-    pick = int(np.searchsorted(dist.cdf, rng.random(), side="right"))
-    return dist.outcome_tuples([min(pick, dist.cdf.size - 1)])[0]
 
 
 def _minimal_verified_order(x: int, n: int, candidate: int) -> int:
@@ -92,10 +88,6 @@ class OrderAttempt:
     raw_candidate: int | None
     order: int | None
 
-    @property
-    def used_multiplier_above_one(self) -> bool:
-        return any(c.verified and c.multiplier > 1 for c in self.candidates)
-
 
 @dataclass(frozen=True)
 class RunTrace:
@@ -111,17 +103,8 @@ class RunTrace:
     max_samples: int
     order: int | None
     failure_reason: str | None
+    used_multiplier_above_one: bool
     attempts: tuple[OrderAttempt, ...]
-
-    @property
-    def used_multiplier_above_one(self) -> bool:
-        return any(a.used_multiplier_above_one for a in self.attempts)
-
-    def to_json_dict(self) -> dict:
-        document = asdict(self)
-        attempts = document.pop("attempts")
-        return {**document, "used_multiplier_above_one": self.used_multiplier_above_one,
-                "attempts": attempts}
 
 
 def _find_order_with_rng(
@@ -131,12 +114,11 @@ def _find_order_with_rng(
     multiplier_bound: int,
     rng,
     seed: int | None,
-    ell: int,
 ) -> tuple[int | None, RunTrace]:
     attempts = []
     order = None
     for attempt in range(1, max_samples + 1):
-        outcome = _draw_outcome(dist, rng)
+        outcome = dist.outcome_tuples(_draw_indices(dist.cdf, 1, rng))[0]
         c, ys = outcome[0], outcome[1:]
         raw, convergents, checks = order_recovery_steps(
             c, instance.q, instance.x, instance.n, multiplier_bound
@@ -163,13 +145,18 @@ def _find_order_with_rng(
         x=instance.x,
         q=instance.q,
         s=instance.s,
-        ell=ell,
+        ell=dist.layout.ell,
         seed=seed,
         multiplier_bound=multiplier_bound,
         max_samples=max_samples,
-        attempts=tuple(attempts),
         order=order,
         failure_reason=None if order is not None else "sample budget exhausted",
+        used_multiplier_above_one=any(
+            candidate.verified and candidate.multiplier > 1
+            for a in attempts
+            for candidate in a.candidates
+        ),
+        attempts=tuple(attempts),
     )
     return order, trace
 
@@ -186,9 +173,6 @@ def find_order(
     max_samples: int = 32,
     multiplier_bound: int = 1,
     seed: int = 0,
-    ell: int = 1,
-    backend: str = SPARSE,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[int | None, RunTrace]:
     """Sample measurement outcomes until one recovers a verified order.
 
@@ -196,13 +180,9 @@ def find_order(
     returned order always equals the true multiplicative order.
     """
     _require_budgets(max_samples=max_samples, multiplier_bound=multiplier_bound)
-    dist = measurement_distribution(
-        run_pipeline(instance, ell=ell, backend=backend, qubit_cap=qubit_cap)
-    )
+    dist = measurement_distribution(run_pipeline(instance))
     rng = np.random.default_rng(seed)
-    return _find_order_with_rng(
-        instance, dist, max_samples, multiplier_bound, rng, seed, ell
-    )
+    return _find_order_with_rng(instance, dist, max_samples, multiplier_bound, rng, seed)
 
 
 @dataclass(frozen=True)
@@ -213,10 +193,6 @@ class FactorAttempt:
     outcome: str
     factors: tuple[int, int] | None
     order_trace: RunTrace | None
-
-    def to_json_dict(self) -> dict:
-        trace = self.order_trace.to_json_dict() if self.order_trace else None
-        return {**asdict(self), "order_trace": trace}
 
 
 @dataclass(frozen=True)
@@ -229,9 +205,6 @@ class FactorTrace:
     factors: tuple[int, int] | None
     failure_reason: str | None
     attempts: tuple[FactorAttempt, ...]
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "attempts": [a.to_json_dict() for a in self.attempts]}
 
 
 def screen_factoring_input(n: int) -> None:
@@ -285,8 +258,7 @@ def factor(
                 run_pipeline(instance, ell=1, backend=backend, qubit_cap=qubit_cap)
             )
         order, trace = _find_order_with_rng(
-            instance, dist_cache[x], samples_per_attempt, multiplier_bound, rng,
-            None, 1,
+            instance, dist_cache[x], samples_per_attempt, multiplier_bound, rng, None
         )
         if order is None:
             attempts.append(FactorAttempt(attempt, x, None, "no order recovered", None, trace))
@@ -346,8 +318,6 @@ def success_rate_estimate(
     trials: int = 10_000,
     multiplier_bound: int = 1,
     seed: int = 0,
-    backend: str = SPARSE,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> SuccessRateReport:
     """Fraction of single-sample runs whose c recovers a verified order.
 
@@ -361,9 +331,7 @@ def success_rate_estimate(
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     _require_budgets(multiplier_bound=multiplier_bound)
-    dist = measurement_distribution(
-        run_pipeline(instance, ell=1, backend=backend, qubit_cap=qubit_cap)
-    )
+    dist = measurement_distribution(run_pipeline(instance))
     r = multiplicative_order(instance.x, instance.n)
     phi_r = euler_phi(r)
 

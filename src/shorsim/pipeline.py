@@ -37,6 +37,7 @@ from .registers import (
     RegisterLayout,
     StateVector,
     distinct_positions,
+    max_abs_difference,
 )
 
 QFT_DIRECT = "direct"
@@ -190,22 +191,21 @@ def linearity_check(
         layout, SPARSE, control, np.full(control.size, amp, dtype=np.complex128)
     )
     fanned_index, fanned_amps = apply_modexp_fanout(superposed, instance).nonzero_arrays()
-    # Superposed minus assembled amplitude, summed at every index either one reaches.
-    indices, deltas = [fanned_index], [fanned_amps]
+    # The assembled state: amp times each basis state's image, summed per index.
+    indices, terms = [], []
     one = np.ones(1, dtype=np.complex128)
     for k in range(control.size):
         basis = StateVector.from_arrays(layout, SPARSE, control[k : k + 1], one)
         index, value = apply_modexp_fanout(basis, instance).nonzero_arrays()
         indices.append(index)
-        deltas.append(-amp * value)
-    keys, slot = distinct_positions(np.concatenate(indices))
-    difference = np.zeros(keys.size, dtype=np.complex128)
-    np.add.at(difference, slot, np.concatenate(deltas))
-    worst = np.abs(difference).max()
+        terms.append(amp * value)
+    worst = max_abs_difference(
+        fanned_index, fanned_amps, np.concatenate(indices), np.concatenate(terms)
+    )
     return LinearityReport(
         n=instance.n,
         x=instance.x,
         q=instance.q,
         sample_count=len(sample_as),
-        max_discrepancy=float(worst),
+        max_discrepancy=worst,
     )

@@ -337,6 +337,18 @@ def distinct_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, keys)
 
 
+def max_abs_difference(
+    index_a: np.ndarray, values_a: np.ndarray, index_b: np.ndarray, values_b: np.ndarray
+) -> float:
+    """Max |a - b| over the union of the keys of two (index, values) tables, a
+    key missing from a table read as 0 and a repeated key summing its values;
+    0.0 when both tables are empty."""
+    keys, slot = distinct_positions(np.concatenate([index_a, index_b]))
+    difference = np.zeros(keys.size, dtype=np.result_type(values_a, values_b))
+    np.add.at(difference, slot, np.concatenate([values_a, -values_b]))
+    return float(np.abs(difference).max(initial=0.0))
+
+
 def write_rows(fh, row: str, columns) -> None:
     """Write `row % values` for each position of `columns`, one `%` per CSV_CHUNK_ROWS rows."""
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):

@@ -31,6 +31,7 @@ from shorsim.pipeline import (
     apply_qft_register1_gates,
     init_uniform,
     linearity_check,
+    pre_measurement_states,
     run_pipeline,
 )
 from shorsim.registers import DENSE, SPARSE, ProblemInstance, RegisterLayout, StateVector
@@ -135,7 +136,11 @@ def test_04_multi_register_audit():
     worst_eq = 0.0
     worst_mass = 0.0
     for n, x, ell in cases:
-        rep = multi_register_audit(ProblemInstance.create(n, x), ell=ell)
+        inst = ProblemInstance.create(n, x)
+        single = measurement_distribution(run_pipeline(inst, ell=1))
+        rep = multi_register_audit(
+            inst, single, measurement_distribution(run_pipeline(inst, ell=ell))
+        )
         worst_eq = max(worst_eq, rep.equal_outcome_discrepancy)
         worst_mass = max(worst_mass, rep.unequal_register_mass)
     ok = worst_eq <= 1e-12 and worst_mass <= 1e-12
@@ -200,7 +205,8 @@ def test_07_transform_locality_and_entropy():
     worst_dev = 0.0
     worst_entropy_err = 0.0
     for n, x, ell in [(15, 7, 1), (15, 7, 2), (21, 2, 1), (35, 2, 1)]:
-        rep = qft_locality_check(ProblemInstance.create(n, x), ell=ell)
+        inst = ProblemInstance.create(n, x)
+        rep = qft_locality_check(inst, *pre_measurement_states(inst, ell=ell))
         worst_dev = max(worst_dev, rep.max_deviation)
     for x in coprime_bases(15):
         inst = ProblemInstance.create(15, x)

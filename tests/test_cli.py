@@ -86,6 +86,16 @@ class TestDistributionCommand:
         assert code == 1
         assert "unsuitable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "x, named",
+        [("1", "x=1, n=15"), ("15", "x=15, n=15"), ("5", "gcd(5, 15)"), ("20", "x=20, n=15")],
+    )
+    def test_unusable_base_exits_one(self, tmp_path, capsys, x, named):
+        code = main(["distribution", "--n", "15", "--x", x, "--output-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
     def test_random_base_is_seeded(self, tmp_path):
         assert main(
             ["distribution", "--n", "15", "--seed", "5", "--output-dir", str(tmp_path / "a")]
@@ -190,7 +200,6 @@ class TestAuditCommand:
             return run(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_pipeline", recording)
-        monkeypatch.setattr(distributions, "run_pipeline", recording)
         code = main(["audit", "--n", "21", "--x", "2", "--ell", "2", "--dump-state",
                      "--output-dir", str(tmp_path)])
         assert code == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shorsim.distributions import (
+    OutcomeDistribution,
     analytic_joint_probability,
     conditional,
     marginal,
@@ -294,10 +295,17 @@ class TestUniformSupportWhenOrderDivides:
         assert len(dist.entries) == r * r
 
 
+def audit(inst, ell):
+    """The audit of the default pipeline's ell-register table against its one-register one."""
+    single = measurement_distribution(run_pipeline(inst, ell=1))
+    multi = measurement_distribution(run_pipeline(inst, ell=ell))
+    return multi_register_audit(inst, single, multi)
+
+
 class TestAudit:
     @pytest.mark.parametrize("inst,ell", [(INST_15_7, 2), (INST_15_7, 3), (INST_21_2, 2)])
     def test_claims(self, inst, ell):
-        report = multi_register_audit(inst, ell=ell)
+        report = audit(inst, ell)
         assert report.equal_outcome_discrepancy <= 1e-12
         assert report.unequal_register_mass <= 1e-12
         assert [(c.name, c.passed) for c in report.checks] == [
@@ -308,18 +316,39 @@ class TestAudit:
     def test_conditional_alternative_scales_by_order(self):
         # With a uniform function-register marginal the conditional reading is
         # exactly r times the joint one.
-        report = multi_register_audit(INST_15_7, ell=2)
+        report = audit(INST_15_7, 2)
         assert report.modal_conditional_probability == pytest.approx(
             report.r * report.modal_joint_probability, abs=1e-12
         )
 
-    def test_requires_two_registers(self):
-        with pytest.raises(ValueError):
-            multi_register_audit(INST_15_7, ell=1)
+    def test_requires_two_registers(self, dist_15_7, dist_15_7_ell2):
+        dist_21_2_ell2 = measurement_distribution(run_pipeline(INST_21_2, ell=2))
+        for single, multi in [
+            (dist_15_7, dist_15_7),
+            (dist_15_7_ell2, dist_15_7_ell2),
+            (dist_15_7_ell2, dist_15_7),
+            (dist_15_7, dist_21_2_ell2),
+        ]:
+            with pytest.raises(ValueError, match="one-register and an ell >= 2 table"):
+                multi_register_audit(INST_15_7, single, multi)
+
+    def test_moved_equal_outcome_fails_only_its_check(self, dist_15_7, dist_15_7_ell2):
+        # Move the probability of one residue outcome (c, x^k) of the
+        # one-register table by delta: the discrepancy is that delta.
+        delta = 1e-9
+        probs = dist_15_7.probs.copy()
+        probs[0] += delta
+        moved = OutcomeDistribution(dist_15_7.layout, dist_15_7.positions, dist_15_7.index, probs)
+        report = multi_register_audit(INST_15_7, moved, dist_15_7_ell2)
+        assert abs(report.equal_outcome_discrepancy - delta) <= 1e-15
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("equal_outcome_discrepancy", False),
+            ("unequal_register_mass", True),
+        ]
 
     def test_json_fields(self):
-        # Measurements only: the verdicts live in `checks`, the state is not written.
-        doc = multi_register_audit(INST_15_7, ell=2).to_json_dict()
+        # Measurements only: the verdicts live in `checks`.
+        doc = asdict(audit(INST_15_7, 2))
         assert list(doc) == [
             "n", "x", "q", "r", "ell", "equal_outcome_discrepancy", "unequal_register_mass",
             "modal_outcome", "modal_joint_probability", "modal_conditional_probability",

@@ -131,7 +131,7 @@ class TestLocality:
         "inst,ell", [(INST_15_7, 1), (INST_15_7, 2), (INST_21_2, 1)]
     )
     def test_transform_leaves_cut_spectrum_unchanged(self, inst, ell):
-        report = qft_locality_check(inst, ell=ell)
+        report = qft_locality_check(inst, *pipeline.pre_measurement_states(inst, ell=ell))
         assert report.max_deviation <= 1e-10
         assert [(c.name, c.passed) for c in report.checks] == [
             ("control_cut_spectrum_deviation", True)
@@ -153,10 +153,11 @@ class TestLocality:
             return StateVector.from_arrays(out.layout, out.backend, index, amps)
 
         monkeypatch.setattr(pipeline, "apply_qft_register1_gates", faulty)
-        verdicts = {
-            qft: [(c.name, c.passed) for c in qft_locality_check(INST_15_7, qft=qft).checks]
-            for qft in ("gates", "direct")
-        }
+        verdicts = {}
+        for qft in ("gates", "direct"):
+            states = pipeline.pre_measurement_states(INST_15_7, qft=qft)
+            report = qft_locality_check(INST_15_7, *states)
+            verdicts[qft] = [(c.name, c.passed) for c in report.checks]
         assert verdicts == {
             "gates": [("control_cut_spectrum_deviation", False)],
             "direct": [("control_cut_spectrum_deviation", True)],

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -89,8 +90,8 @@ class TestFindOrder:
         order, trace = find_order(INST_15_7, max_samples=5, multiplier_bound=2, seed=0)
         assert order == 4
         assert trace.attempts[0].c == 128
-        assert trace.used_multiplier_above_one
-        assert trace.to_json_dict()["used_multiplier_above_one"] is True
+        assert trace.used_multiplier_above_one is True
+        assert asdict(trace)["used_multiplier_above_one"] is True
 
     def test_returned_orders_match_oracle(self):
         for n in (15, 21, 35):
@@ -105,7 +106,7 @@ class TestFindOrder:
     def test_trace_is_deterministic(self):
         _, t1 = find_order(INST_15_7, max_samples=16, multiplier_bound=2, seed=21)
         _, t2 = find_order(INST_15_7, max_samples=16, multiplier_bound=2, seed=21)
-        assert json.dumps(t1.to_json_dict()) == json.dumps(t2.to_json_dict())
+        assert json.dumps(asdict(t1)) == json.dumps(asdict(t2))
 
 
 class TestFactor:
@@ -120,7 +121,7 @@ class TestFactor:
     def test_seed_determinism(self):
         _, t1 = factor(21, seed=9)
         _, t2 = factor(21, seed=9)
-        assert json.dumps(t1.to_json_dict()) == json.dumps(t2.to_json_dict())
+        assert json.dumps(asdict(t1)) == json.dumps(asdict(t2))
 
     def test_screening(self):
         with pytest.raises(UnsuitableInputError, match="even"):

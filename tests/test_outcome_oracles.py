@@ -187,14 +187,14 @@ def test_array_tables_equal_dict_oracles(data):
             oracle_correlation(entries, positions, i, j)
         )
 
-        single = as_dict(measurement_distribution(run_pipeline(instance, ell=1)))
-        audit = multi_register_audit(instance, ell=ell)
+        single = measurement_distribution(run_pipeline(instance, ell=1))
+        audit = multi_register_audit(instance, single, dist)
         assert (
             audit.equal_outcome_discrepancy,
             audit.unequal_register_mass,
             audit.modal_outcome,
             audit.modal_joint_probability,
-        ) == oracle_audit(instance, r, ell, single, entries)
+        ) == oracle_audit(instance, r, ell, as_dict(single), entries)
 
 
 def test_wide_marginals_sum_like_the_dense_table(monkeypatch):

@@ -18,6 +18,7 @@ from shorsim.registers import (
     RegisterLayout,
     StateVector,
     choose_modulus_power,
+    max_abs_difference,
 )
 
 
@@ -302,6 +303,37 @@ class TestSnapshots:
         state = self._load(tmp_path, SPARSE, ["1 0.6 0", "6 0 0.8"])
         assert state.amplitude(6) == 0.8j
         assert state.nonzero_count() == 2
+
+
+def _table(keys, values, dtype=np.float64):
+    return np.array(keys, dtype=np.int64), np.array(values, dtype=dtype)
+
+
+class TestMaxAbsDifference:
+    def test_shared_keys(self):
+        a, b = _table([1, 4], [0.5, 0.25]), _table([1, 4], [0.5, 0.75])
+        assert max_abs_difference(*a, *b) == 0.5
+
+    def test_disjoint_keys_read_the_other_side_as_zero(self):
+        assert max_abs_difference(*_table([2], [0.25]), *_table([3], [0.5])) == 0.5
+        assert max_abs_difference(*_table([2], [0.5]), *_table([3], [0.25])) == 0.5
+
+    def test_repeated_keys_sum(self):
+        a = _table([7, 7, 9], [0.25, 0.25, 0.125])
+        assert max_abs_difference(*a, *_table([7, 9], [0.5, 0.125])) == 0.0
+        assert max_abs_difference(*a, *_table([9], [0.125])) == 0.5
+
+    def test_an_empty_side(self):
+        empty = _table([], [])
+        assert max_abs_difference(*empty, *_table([5, 6], [-0.5, 0.25])) == 0.5
+        assert max_abs_difference(*_table([5], [0.75]), *empty) == 0.75
+        assert max_abs_difference(*empty, *empty) == 0.0
+
+    def test_complex_values_compare_by_modulus(self):
+        a = _table([0, 1], [0.6 + 0.8j, 1j], np.complex128)
+        b = _table([0, 2], [0.0, 0.5], np.complex128)
+        assert max_abs_difference(*a, *b) == 1.0
+        assert max_abs_difference(*a, *a) == 0.0
 
 
 def test_only_registers_touches_state_storage():
