@@ -24,7 +24,7 @@ import numpy as np
 
 from .checks import Check, check
 from .errors import ConditioningError, NormalizationError, RangeError
-from .numtheory import euler_phi, mod_pow, multiplicative_order
+from .numtheory import euler_phi, multiplicative_order
 from .registers import (
     NORM_TOLERANCE,
     ProblemInstance,
@@ -97,12 +97,12 @@ class OutcomeDistribution:
         return ["c" if p == 1 else f"y{p - 1}" for p in self.positions]
 
     def write_csv(self, path) -> None:
-        """One row per outcome, ascending: the bytes of `csv.writer` rows with `.17g` floats."""
-        columns = [*self.registers(), self.probs]
-        row = ",".join(["%d"] * (len(columns) - 1) + ["%.17g"]) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.column_names() + ["probability"]) + "\r\n")
-            write_rows(fh, row, columns)
+        """One row per outcome, ascending: `c,y1,...,probability` as the bytes of
+        `'%d,...,%d,%.17g\\r\\n' % row` (what `csv.writer` gives for `.17g`
+        floats), written by `write_rows`."""
+        with open(path, "wb") as fh:
+            fh.write((",".join(self.column_names() + ["probability"]) + "\r\n").encode())
+            write_rows(fh, [*self.registers(), self.probs], ",", "\r\n")
 
 
 class _EntriesView(Mapping):
@@ -328,10 +328,11 @@ def shor_bound_report(instance: ProblemInstance) -> BoundReport:
 class AuditReport:
     """Adjudication of the multi-register claims on two simulated tables.
 
-    equal_outcome_discrepancy: max over (c, k) of the difference between the
-    ell-register joint probability of (c, x^k, ..., x^k) and the one-register
-    joint probability of (c, x^k). unequal_register_mass: total probability
-    of outcomes whose function registers disagree anywhere.
+    equal_outcome_discrepancy: max over (c, y) of the difference between the
+    ell-register joint probability of (c, y, ..., y) and the one-register
+    joint probability of (c, y), over every y either table holds.
+    unequal_register_mass: total probability of outcomes whose function
+    registers disagree anywhere.
     """
 
     n: int
@@ -374,21 +375,16 @@ def multi_register_audit(
     r = multiplicative_order(instance.x, instance.n)
     ell = many.ell
 
-    # Equal-register outcomes (c, y, ..., y), y = x^k, compared as (c, y) with
-    # the one-register table; an outcome missing from a table has probability 0.
-    is_residue = np.zeros(many.function_dim, dtype=bool)
-    is_residue[[mod_pow(instance.x, k, instance.n) for k in range(r)]] = True
+    # Every equal-register outcome (c, y, ..., y) compared as (c, y) with every
+    # outcome of the one-register table; an outcome missing from a table has
+    # probability 0, so mass either table puts off the residues x^k counts.
     c_multi, *ys = multi.registers()
     unequal = np.zeros(multi.index.size, dtype=bool)
     for y in ys[1:]:
         unequal |= y != ys[0]
-    compared = ~unequal & is_residue[ys[0]]
-    in_single = is_residue[single.register(2)]
+    equal = ~unequal
     worst = max_abs_difference(
-        (c_multi[compared] << many.L) | ys[0][compared],
-        multi.probs[compared],
-        single.index[in_single],
-        single.probs[in_single],
+        (c_multi[equal] << many.L) | ys[0][equal], multi.probs[equal], single.index, single.probs
     )
     unequal_mass = sequential_sum(multi.probs[unequal])
 

@@ -20,7 +20,6 @@ handing a state from one stage to the next converts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -32,7 +31,7 @@ DEFAULT_QUBIT_CAP = 26
 INDEX_BITS = 63
 SPARSE_AMPLITUDE_FLOOR = 1e-15
 NORM_TOLERANCE = 1e-12
-CSV_CHUNK_ROWS = 1 << 16
+CSV_CHUNK_ROWS = 1 << 14
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -292,12 +291,14 @@ class StateVector:
         return StateVector.from_arrays(self.layout, SPARSE, *self.nonzero_arrays())
 
     def dump(self, path) -> None:
-        """Write the text snapshot: header line, then one 'index re im' line per entry."""
+        """Write the text snapshot: the header line `s L ell backend`, then one
+        line per stored entry, ascending, as the bytes of
+        `'%d %.17g %.17g\\n' % (index, re, im)`, written by `write_rows`."""
         layout = self.layout
         index, amps = self.nonzero_arrays()
-        with open(path, "w") as fh:
-            fh.write(f"{layout.s} {layout.L} {layout.ell} {self.backend}\n")
-            write_rows(fh, "%d %.17g %.17g\n", [index, amps.real, amps.imag])
+        with open(path, "wb") as fh:
+            fh.write(f"{layout.s} {layout.L} {layout.ell} {self.backend}\n".encode())
+            write_rows(fh, [index, amps.real, amps.imag], " ", "\n")
 
     @classmethod
     def load(cls, path, qubit_cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
@@ -349,8 +350,171 @@ def max_abs_difference(
     return float(np.abs(difference).max(initial=0.0))
 
 
-def write_rows(fh, row: str, columns) -> None:
-    """Write `row % values` for each position of `columns`, one `%` per CSV_CHUNK_ROWS rows."""
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        chunk = [column[start : start + CSV_CHUNK_ROWS].tolist() for column in columns]
-        fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+# Rows are formatted in numpy, several ASCII bytes per uint32 word, into a
+# NUL-padded (rows, words) matrix that one `mat[mat != 0]` compresses. Python's
+# `%` formats only the values the kernel leaves undecided (`_float_words`).
+
+# Each integer 0..9999 as the word "dddd"; then with its trailing zeros NUL
+# (for fractions), its leading zeros NUL, and its leading zeros but a last one
+# NUL (for integers, whose lowest group prints at least one digit).
+def _digit_quads() -> np.ndarray:
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()
+    chars = digits + np.uint8(ord("0"))
+    nonzero = digits != 0
+    from_first = np.logical_or.accumulate(nonzero, axis=1)
+    to_last = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    kept = [np.True_, to_last, from_first, from_first | (np.arange(4) == 3)]
+    return np.concatenate([chars * keep for keep in kept]).view(np.uint32).ravel()
+
+
+_QUADS = _digit_quads()
+_FULL, _TRAILING_NUL, _LEADING_NUL, _LEADING_NUL_BUT_ONE = (0, 10000, 20000, 30000)
+
+
+def _words(rows) -> np.ndarray:
+    """uint32 words from rows of four byte values (0 for NUL)."""
+    return np.array(rows, dtype=np.uint8).view(np.uint32).ravel()
+
+
+_ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
+# A float field is 7 words: [sign 0 . 0] [0 0 d .], four words of 16 digits,
+# [e - x x], for a value with decimal exponent X and first digit d. z = -X
+# zeros open "0.000d..." in %g's fixed notation for -4 <= X < 0, else z = 0.
+# Word 0 is indexed by sign * 5 + z, word 1 by (z * 10 + d) * 2 + point, the
+# last word by -X in the exponent form (X < -4), else by 0.
+_SIGN_WORDS = _words(
+    [[sign, _ZERO * (z > 0), _POINT * (z > 0), _ZERO * (z > 1)]
+     for sign in (0, _MINUS) for z in range(5)]
+)
+_LEAD_WORDS = _words(
+    [[_ZERO * (z > 2), _ZERO * (z > 3), _ZERO + d, _POINT * point]
+     for z in range(5) for d in range(10) for point in (0, 1)]
+)
+_EXPONENT_WORDS = _words(
+    [[ord("e"), _MINUS, _ZERO + x // 10, _ZERO + x % 10] if x else [0] * 4 for x in range(26)]
+)
+_FLOAT_WORDS = 7
+
+# The kernel decides 1e-24 <= |v| < 10, where 16 - X stays within the table.
+# 10**k is the unevaluated sum of the doubles hi + lo, and hi's Veltkamp halves
+# (split by 2**27 + 1) feed Dekker's error-free product.
+_FLOAT_RANGE = (1e-24, 10.0)
+_POW10_HI = np.array([float(10**k) for k in range(42)])
+_POW10_LO = np.array([float(10**k - int(float(10**k))) for k in range(42)])
+# The double-double product is off by less than 1e-14; a rounding decision
+# closer than this to a tie goes to Python.
+_TIE_BAND = 1e-6
+
+
+def _veltkamp_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) with v = high + low exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * v
+    high = c - (c - v)
+    return high, v - high
+
+
+_POW10_HIGH, _POW10_LOW = _veltkamp_split(_POW10_HI)
+
+
+def _float_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write `'%.17g' % v` of each float64 v into the rows of `out` (7 words)
+    and return the rows it leaves undecided, for Python to format: ±0.0,
+    non-finite values, |v| outside [1e-24, 10), a scaled value outside
+    [10**16, 10**17) before or after rounding (log10 off by one next to a
+    power of ten), and a rounding decision within _TIE_BAND of a tie."""
+    magnitude = np.abs(column)
+    decided = (magnitude >= _FLOAT_RANGE[0]) & (magnitude < _FLOAT_RANGE[1])
+    magnitude = np.where(decided, magnitude, 1.0)
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    k = 16 - exponent
+    # magnitude * 10**k = p + e + magnitude * lo, p + e exact (Dekker).
+    p = magnitude * _POW10_HI[k]
+    m_high, m_low = _veltkamp_split(magnitude)
+    p_high, p_low = _POW10_HIGH[k], _POW10_LOW[k]
+    e = ((m_high * p_high - p) + m_high * p_low + m_low * p_high) + m_low * p_low
+    whole = np.floor(p)
+    rest = (p - whole) + (e + magnitude * _POW10_LO[k])
+    carry = np.floor(rest)
+    fraction = rest - carry
+    digits = whole.astype(np.int64) + carry.astype(np.int64)
+    decided &= (digits >= 10**16) & (digits < 10**17) & (np.abs(fraction - 0.5) >= _TIE_BAND)
+    # 17 significant digits, rounded; a round-up to 10**17 goes to Python.
+    digits += fraction > 0.5
+    decided &= digits < 10**17
+    digits = np.where(decided, digits, 10**16)
+
+    # The 17 digits as the lead digit and four groups of four, in int32.
+    high, low = (half.astype(np.int32) for half in np.divmod(digits, 10**8))
+    lead, high = np.divmod(high, 10**8)
+    groups = [high // 10000, high % 10000, low // 10000, low % 10000]
+    zeros = np.where((exponent < 0) & (exponent >= -4), -exponent, 0)
+    point = ((high | low) != 0) & (zeros == 0)
+    out[:, 0] = _SIGN_WORDS[(column < 0) * 5 + zeros]
+    out[:, 1] = _LEAD_WORDS[(zeros * 10 + lead) * 2 + point]
+    # Trailing zeros after the last nonzero digit become NUL.
+    nothing_after = np.ones(column.size, dtype=bool)
+    for word in range(5, 1, -1):
+        group = groups[word - 2]
+        out[:, word] = _QUADS[group + _TRAILING_NUL * nothing_after]
+        nothing_after &= group == 0
+    out[:, 6] = _EXPONENT_WORDS[np.where(exponent < -4, -exponent, 0)]
+    return np.flatnonzero(~decided)
+
+
+def _int_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write `'%d' % v` of each non-negative int64 v into the rows of `out`
+    (enough words for the widest); return the negative rows, for Python."""
+    negative = column < 0
+    value = np.where(negative, 0, column)
+    groups = out.shape[1]
+    for word in range(groups - 1, -1, -1):
+        higher = value // 10000
+        table = _LEADING_NUL_BUT_ONE if word == groups - 1 else _LEADING_NUL
+        out[:, word] = _QUADS[value - higher * 10000 + np.where(higher == 0, table, _FULL)]
+        value = higher
+    return np.flatnonzero(negative)
+
+
+def _tail_words(text: str) -> np.ndarray:
+    chars = text.encode("ascii")
+    return np.frombuffer(chars.ljust(-(-len(chars) // 4) * 4, b"\0"), dtype=np.uint32)
+
+
+def write_rows(fh, columns, sep: str, end: str) -> None:
+    """Write one row per position of `columns` to the binary file `fh`: each
+    entry as `'%d'` for an integer column or `'%.17g'` for a float column,
+    joined by `sep` and ended by `end`. The bytes are those of
+    `(sep.join(templates) + end) % row` for every row; numpy formats them,
+    CSV_CHUNK_ROWS rows at a time, and Python formats only negative integers
+    and the floats `_float_words` leaves undecided."""
+    fields = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind == "f":
+            column = column.astype(np.float64, casting="safe")
+            fields.append((column, _float_words, _FLOAT_WORDS, "%.17g"))
+        else:
+            column = column.astype(np.int64, casting="safe")
+            # Digits of the widest entry, sign included, in groups of four.
+            top = max(int(column.max(initial=0)), -10 * int(column.min(initial=0)))
+            fields.append((column, _int_words, -(-len(str(top)) // 4), "%d"))
+    tails = [_tail_words(sep)] * (len(fields) - 1) + [_tail_words(end)]
+    width = sum(words for _, _, words, _ in fields) + sum(tail.size for tail in tails)
+    rows = len(fields[0][0])
+    mat = np.empty((min(rows, CSV_CHUNK_ROWS), width), dtype=np.uint32)
+    spans, at = [], 0
+    for (_, _, words, _), tail in zip(fields, tails):
+        spans.append((at, at + words))
+        mat[:, at + words : at + words + tail.size] = tail
+        at += words + tail.size
+    for start in range(0, rows, CSV_CHUNK_ROWS):
+        chunk = mat[: min(CSV_CHUNK_ROWS, rows - start)]
+        for (column, kernel, _, template), (lo, hi) in zip(fields, spans):
+            values = column[start : start + chunk.shape[0]]
+            field = chunk[:, lo:hi]
+            for row in kernel(values, field).tolist():
+                text = np.frombuffer((template % values[row].item()).encode(), dtype=np.uint8)
+                chars = field[row].view(np.uint8)
+                chars[:] = 0
+                chars[: text.size] = text
+        chars = chunk.view(np.uint8)
+        fh.write(chars[chars != 0])

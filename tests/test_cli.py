@@ -160,8 +160,10 @@ class TestAuditCommand:
         monkeypatch.setattr(pipeline, "apply_qft_register1_gates", faulty)
         argv = ["audit", "--n", "15", "--x", "7", "--output-dir", str(tmp_path)]
         assert main(argv + ["--qft", "gates"]) == 1
+        # The faulted one-register table holds its mass off the powers of x,
+        # where the equal-outcome comparison now looks too.
         assert verdicts(read_json(tmp_path / "audit.json")) == {
-            "equal_outcome_discrepancy": True, "unequal_register_mass": False,
+            "equal_outcome_discrepancy": False, "unequal_register_mass": False,
         }
         assert main(argv + ["--qft", "direct"]) == 0
         assert all(verdicts(read_json(tmp_path / "audit.json")).values())

@@ -29,7 +29,7 @@ from shorsim.distributions import (
     multi_register_audit,
 )
 from shorsim.entanglement import register_correlation
-from shorsim.numtheory import is_prime, mod_pow, multiplicative_order, prime_power_base
+from shorsim.numtheory import is_prime, prime_power_base
 from shorsim.orderfinding import sample_outcomes
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import ProblemInstance, distinct_positions
@@ -85,15 +85,13 @@ def oracle_cdf(entries):
     return [outcome for outcome, _ in items], np.cumsum([prob for _, prob in items])
 
 
-def oracle_audit(instance, r, ell, single, multi):
+def oracle_audit(single, multi):
     """(equal-outcome discrepancy, unequal-register mass, modal outcome, modal joint)."""
-    residues = [mod_pow(instance.x, k, instance.n) for k in range(r)]
+    equal = {(outcome[0], outcome[1]): prob for outcome, prob in multi.items()
+             if len(set(outcome[1:])) == 1}
     worst = 0.0
-    for c in range(instance.q):
-        for y in residues:
-            p_single = single.get((c, y), 0.0)
-            p_multi = multi.get((c,) + (y,) * ell, 0.0)
-            worst = max(worst, abs(p_multi - p_single))
+    for key in set(single) | set(equal):
+        worst = max(worst, abs(equal.get(key, 0.0) - single.get(key, 0.0)))
     unequal_mass = 0.0
     for outcome, prob in multi.items():
         ys = outcome[1:]
@@ -124,7 +122,6 @@ def test_array_tables_equal_dict_oracles(data):
     x = data.draw(st.sampled_from([x for x in range(2, n) if math.gcd(x, n) == 1]), label="x")
     ell = data.draw(st.sampled_from([1, 2, 3]), label="ell")
     instance = ProblemInstance.create(n, x)
-    r = multiplicative_order(x, n)
     dist = measurement_distribution(run_pipeline(instance, ell=ell))
     entries = as_dict(dist)
     positions = dist.positions
@@ -194,7 +191,7 @@ def test_array_tables_equal_dict_oracles(data):
             audit.unequal_register_mass,
             audit.modal_outcome,
             audit.modal_joint_probability,
-        ) == oracle_audit(instance, r, ell, as_dict(single), entries)
+        ) == oracle_audit(as_dict(single), entries)
 
 
 def test_wide_marginals_sum_like_the_dense_table(monkeypatch):
