@@ -205,6 +205,18 @@ def _maybe_dump_state(args, state) -> None:
         state.dump(out_dir / "state.txt")
 
 
+def _top_rows(dist: distributions.OutcomeDistribution, k: int) -> np.ndarray:
+    """Rows of the k most probable outcomes, ties in ascending outcome order:
+    `np.lexsort((dist.index, -dist.probs))[:k]`, sorting only the rows at or
+    above the k-th largest probability."""
+    k = min(k, dist.probs.size)
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
+    cut = np.partition(dist.probs, dist.probs.size - k)[dist.probs.size - k]
+    rows = np.flatnonzero(dist.probs >= cut)
+    return rows[np.lexsort((dist.index[rows], -dist.probs[rows]))[:k]]
+
+
 def cmd_distribution(args) -> list[Check]:
     instance = _make_instance(args)
     state = pipeline.run_pipeline(
@@ -219,7 +231,7 @@ def cmd_distribution(args) -> list[Check]:
     if args.format in ("csv", "both"):
         dist.write_csv(out_dir / "distribution.csv")
     if args.format in ("json", "both"):
-        top = np.lexsort((dist.index, -dist.probs))[: args.top]
+        top = _top_rows(dist, args.top)
         marginals = {}
         for p, name in enumerate(dist.column_names(), start=1):
             m = distributions.marginal(dist, (p,))

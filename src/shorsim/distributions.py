@@ -140,7 +140,8 @@ def measurement_distribution(state: StateVector) -> OutcomeDistribution:
     index, amps = state.nonzero_arrays()
     probs = np.abs(amps) ** 2
     norm = float(probs.sum())
-    if abs(norm - 1.0) > NORM_TOLERANCE:
+    # Written so that a NaN norm fails too.
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
         raise NormalizationError(f"state norm is {norm}, not 1 within {NORM_TOLERANCE}")
     kept = probs > PROBABILITY_FLOOR
     positions = tuple(range(1, state.layout.ell + 2))

@@ -19,7 +19,7 @@ import numpy as np
 from .checks import Check, check
 from .distributions import OutcomeDistribution, marginal, sequential_sum
 from .errors import CapacityError, RangeError
-from .registers import ProblemInstance, StateVector, distinct_positions
+from .registers import ProblemInstance, StateVector, distinct_positions, max_abs_difference
 
 EIGENVALUE_FLOOR = 1e-14
 DEFAULT_SIDE_CAP = 4096
@@ -43,9 +43,7 @@ class SchmidtSpectrum:
         return {"cut_after": self.cut_after, "eigenvalues": list(self.eigenvalues)}
 
 
-def schmidt_spectrum(
-    state: StateVector, cut_after: int, side_cap: int = DEFAULT_SIDE_CAP
-) -> SchmidtSpectrum:
+def schmidt_spectrum(state: StateVector, cut_after: int) -> SchmidtSpectrum:
     """Eigenvalues of the reduced state across the cut after register `cut_after`.
 
     The amplitude matrix spans only the occupied rows (left-side contents)
@@ -62,9 +60,9 @@ def schmidt_spectrum(
     row_keys, row_of = distinct_positions(index // right_dim)
     col_keys, col_of = distinct_positions(index % right_dim)
     rows, cols = row_keys.size, col_keys.size
-    if min(rows, cols) > side_cap:
+    if min(rows, cols) > DEFAULT_SIDE_CAP:
         raise CapacityError(
-            f"both sides of the cut exceed {side_cap} occupied values "
+            f"both sides of the cut exceed {DEFAULT_SIDE_CAP} occupied values "
             f"({rows} rows x {cols} columns)"
         )
     matrix = np.zeros((rows, cols), dtype=np.complex128)
@@ -106,13 +104,10 @@ class LocalityReport:
 
 def spectra_deviation(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
     """Max difference of descending eigenvalues, padding the shorter with zeros."""
-    width = max(len(a.eigenvalues), len(b.eigenvalues))
-    worst = 0.0
-    for i in range(width):
-        va = a.eigenvalues[i] if i < len(a.eigenvalues) else 0.0
-        vb = b.eigenvalues[i] if i < len(b.eigenvalues) else 0.0
-        worst = max(worst, abs(va - vb))
-    return worst
+    return max_abs_difference(
+        np.arange(a.rank()), np.array(a.eigenvalues, dtype=np.float64),
+        np.arange(b.rank()), np.array(b.eigenvalues, dtype=np.float64),
+    )
 
 
 def qft_locality_check(

@@ -3,6 +3,8 @@
 All functions are pure. The scalar ones operate on Python integers, so
 intermediate products are arbitrary precision. `multiplicative_order` is the
 brute-force ground-truth oracle the rest of the package is verified against.
+`prime_factors` is the one trial-division loop: the totient, the factoring
+driver's input screen and its order reduction all read it.
 
 Two functions work on int64 arrays instead and are tested against a scalar
 twin: `mod_pow_array` (x^e mod n over an exponent array) against `mod_pow`,
@@ -105,6 +107,26 @@ def multiplicative_order(x: int, n: int) -> int:
     return r
 
 
+def prime_factors(m: int) -> list[tuple[int, int]]:
+    """Ascending (prime, exponent) pairs whose product of p**e is m, by trial
+    division; [] for m = 1."""
+    if m < 1:
+        raise ValueError(f"can only factor m >= 1, got {m}")
+    factors = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
 def euler_phi(r: int) -> int:
     """Euler's totient: count of k in [1, r] coprime to r.
 
@@ -114,16 +136,8 @@ def euler_phi(r: int) -> int:
     if r < 1:
         raise ValueError(f"totient argument must be >= 1, got {r}")
     result = r
-    m = r
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p, _ in prime_factors(r):
+        result -= result // p
     return result
 
 
@@ -260,43 +274,4 @@ def factor_from_order(n: int, x: int, r: int) -> FactorPair | None:
     f2 = math.gcd(h + 1, n)
     if 1 < f1 < n and 1 < f2 < n:
         return FactorPair.of(n, f1, f2)
-    return None
-
-
-def integer_kth_root(n: int, k: int) -> int:
-    """Largest a with a^k <= n (n >= 0, k >= 1)."""
-    if n < 0 or k < 1:
-        raise ValueError("integer_kth_root requires n >= 0 and k >= 1")
-    if n in (0, 1) or k == 1:
-        return n
-    a = int(round(n ** (1.0 / k)))
-    while a > 1 and a**k > n:
-        a -= 1
-    while (a + 1) ** k <= n:
-        a += 1
-    return a
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality check; only used to screen driver inputs."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 2
-    return True
-
-
-def prime_power_base(n: int) -> int | None:
-    """Return p when n = p^k for a prime p and k >= 2, else None."""
-    for k in range(2, n.bit_length() + 1):
-        a = integer_kth_root(n, k)
-        if a >= 2 and a**k == n and is_prime(a):
-            return a
     return None

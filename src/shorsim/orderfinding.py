@@ -26,11 +26,10 @@ from .numtheory import (
     euler_phi,
     factor_from_order,
     gcd,
-    is_prime,
     mod_pow,
     multiplicative_order,
     order_recovery_steps,
-    prime_power_base,
+    prime_factors,
     recoverable_controls,
 )
 from .pipeline import run_pipeline
@@ -57,18 +56,14 @@ def _draw_indices(cdf: np.ndarray, count: int, seed: int | np.random.Generator) 
 
 
 def _minimal_verified_order(x: int, n: int, candidate: int) -> int:
-    """Smallest divisor d of candidate with x^d = 1 (mod n)."""
-    divisors = []
-    i = 1
-    while i * i <= candidate:
-        if candidate % i == 0:
-            divisors.append(i)
-            divisors.append(candidate // i)
-        i += 1
-    for d in sorted(divisors):
-        if mod_pow(x, d, n) == 1:
-            return d
-    return candidate
+    """Smallest divisor d of candidate with x^d = 1 (mod n). The order divides
+    every such d, so dividing out each prime p while x^(d/p) = 1 still holds
+    leaves exactly the order when candidate is verified, and candidate otherwise."""
+    d = candidate
+    for p, _ in prime_factors(candidate):
+        while d % p == 0 and mod_pow(x, d // p, n) == 1:
+            d //= p
+    return d
 
 
 @dataclass(frozen=True)
@@ -213,11 +208,10 @@ def screen_factoring_input(n: int) -> None:
         raise UnsuitableInputError(n, "must be at least 3")
     if n % 2 == 0:
         raise UnsuitableInputError(n, "even")
-    if is_prime(n):
-        raise UnsuitableInputError(n, "prime")
-    base = prime_power_base(n)
-    if base is not None:
-        raise UnsuitableInputError(n, f"prime power {base}^k")
+    factors = prime_factors(n)
+    if len(factors) == 1:
+        p, k = factors[0]
+        raise UnsuitableInputError(n, "prime" if k == 1 else f"prime power {p}^k")
 
 
 def factor(

@@ -53,8 +53,6 @@ class ProblemInstance:
 
     n: int
     x: int
-    q: int
-    s: int
 
     def __post_init__(self):
         if self.n < 3:
@@ -64,15 +62,18 @@ class ProblemInstance:
         g = gcd(self.x, self.n)
         if g != 1:
             raise NotCoprimeError(self.x, self.n, g)
-        if self.q != 1 << self.s:
-            raise ValueError(f"q={self.q} is not 2**{self.s}")
-        if not self.n**2 <= self.q < 2 * self.n**2:
-            raise ValueError(f"q={self.q} outside [n^2, 2n^2) for n={self.n}")
 
     @classmethod
     def create(cls, n: int, x: int) -> "ProblemInstance":
-        q, s = choose_modulus_power(n)
-        return cls(n=n, x=x, q=q, s=s)
+        return cls(n=n, x=x)
+
+    @property
+    def q(self) -> int:
+        return choose_modulus_power(self.n)[0]
+
+    @property
+    def s(self) -> int:
+        return choose_modulus_power(self.n)[1]
 
     @property
     def function_register_width(self) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from shorsim import distributions, pipeline
-from shorsim.cli import build_parser, main
+from shorsim.cli import _top_rows, build_parser, main
 from shorsim.distributions import measurement_distribution
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import ProblemInstance, StateVector
@@ -127,6 +127,15 @@ class TestDistributionCommand:
         dist = measurement_distribution(run_pipeline(ProblemInstance.create(21, 2), ell=1))
         ranked = sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0]))
         assert [(tuple(t["outcome"]), t["probability"]) for t in top] == ranked[:7]
+
+    @pytest.mark.parametrize("n,x,ell", [(15, 7, 1), (21, 2, 1), (21, 2, 2)])
+    def test_top_rows_are_the_head_of_the_full_lexsort(self, n, x, ell):
+        # At n = 15, x = 7, ell = 1 all 16 outcomes tie at 1/16.
+        dist = measurement_distribution(run_pipeline(ProblemInstance.create(n, x), ell=ell))
+        full = np.lexsort((dist.index, -dist.probs))
+        size = dist.probs.size
+        for k in (0, 1, 3, size - 1, size, size + 5):
+            assert np.array_equal(_top_rows(dist, k), full[:k]), k
 
     def test_capacity_error_exits_one(self, tmp_path, capsys):
         code = main(["distribution", "--n", "5001", "--x", "2", "--output-dir", str(tmp_path)])

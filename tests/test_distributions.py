@@ -17,13 +17,7 @@ from shorsim.distributions import (
     signed_residue,
 )
 from shorsim.errors import ConditioningError, NormalizationError, RangeError
-from shorsim.numtheory import (
-    euler_phi,
-    is_prime,
-    mod_pow,
-    multiplicative_order,
-    prime_power_base,
-)
+from shorsim.numtheory import euler_phi, mod_pow, multiplicative_order, prime_factors
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import DENSE, SPARSE, ProblemInstance, StateVector
 
@@ -67,11 +61,19 @@ class TestMeasurementDistribution:
         with pytest.raises(NormalizationError):
             measurement_distribution(bad)
 
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    def test_rejects_a_nan_amplitude(self, backend):
+        state = run_pipeline(INST_15_7, ell=1, backend=backend)
+        index, amps = state.nonzero_arrays()
+        amps = amps.copy()
+        amps[0] = np.nan
+        bad = StateVector.from_arrays(state.layout, backend, index, amps)
+        with pytest.raises(NormalizationError):
+            measurement_distribution(bad)
+
 
 # Odd composites that are not prime powers: the inputs order finding factors.
-FACTORABLE_N = [
-    n for n in range(9, 151, 2) if not is_prime(n) and prime_power_base(n) is None
-]
+FACTORABLE_N = [n for n in range(9, 151, 2) if len(prime_factors(n)) > 1]
 
 # Dense states of at most 2**20 amplitudes (16 MB) are cheap enough to compare.
 DENSE_QUBIT_LIMIT = 20

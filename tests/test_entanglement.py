@@ -12,7 +12,7 @@ from shorsim.entanglement import (
     spectra_deviation,
     von_neumann_entropy,
 )
-from shorsim import pipeline
+from shorsim import entanglement, pipeline
 from shorsim.errors import CapacityError, RangeError
 from shorsim.numtheory import mod_pow, multiplicative_order
 from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
@@ -77,12 +77,14 @@ class TestSchmidtSpectrum:
                 assert np.max(np.abs(np.array(got) - expected[: len(got)])) <= 1e-12
                 assert np.all(expected[len(got):] <= 1e-12)
 
-    def test_side_cap_counts_occupied_values(self):
+    def test_side_cap_counts_occupied_values(self, monkeypatch):
         # Full dims 256 x 16, but only 4 columns are occupied.
         state = pre_transform_state(INST_15_7)
-        assert schmidt_spectrum(state, cut_after=1, side_cap=4).rank() == 4
+        monkeypatch.setattr(entanglement, "DEFAULT_SIDE_CAP", 4)
+        assert schmidt_spectrum(state, cut_after=1).rank() == 4
+        monkeypatch.setattr(entanglement, "DEFAULT_SIDE_CAP", 3)
         with pytest.raises(CapacityError):
-            schmidt_spectrum(state, cut_after=1, side_cap=3)
+            schmidt_spectrum(state, cut_after=1)
 
     def test_cut_out_of_range(self):
         state = pre_transform_state(INST_15_7, ell=1)
@@ -167,6 +169,11 @@ class TestLocality:
         a = SchmidtSpectrum(1, (0.6, 0.4))
         b = SchmidtSpectrum(1, (0.5, 0.3, 0.2))
         assert spectra_deviation(a, b) == pytest.approx(0.2)
+        # Each eigenvalue pair differs exactly as in float arithmetic.
+        assert spectra_deviation(a, b) == max(0.6 - 0.5, abs(0.4 - 0.3), 0.2)
+        empty = SchmidtSpectrum(1, ())
+        assert spectra_deviation(empty, empty) == 0.0
+        assert spectra_deviation(empty, b) == 0.5
 
 
 @pytest.fixture(scope="module")

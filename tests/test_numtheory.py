@@ -12,22 +12,18 @@ from shorsim.numtheory import (
     euler_phi,
     factor_from_order,
     gcd,
-    integer_kth_root,
-    is_prime,
     mod_pow,
     mod_pow_array,
     multiplicative_order,
     order_recovery_steps,
-    prime_power_base,
+    prime_factors,
     recover_order_from_sample,
     recoverable_controls,
 )
 from shorsim.registers import ProblemInstance
 
 # Odd composite non-prime-power n: the inputs order finding is run on.
-FACTORABLE_N_150 = [
-    n for n in range(9, 151, 2) if not is_prime(n) and prime_power_base(n) is None
-]
+FACTORABLE_N_150 = [n for n in range(9, 151, 2) if len(prime_factors(n)) > 1]
 FACTORABLE_N_45 = [n for n in FACTORABLE_N_150 if n <= 45]
 
 
@@ -286,22 +282,27 @@ class TestFactorPair:
             FactorPair.of(16, 3, 5)
 
 
-class TestScreeningHelpers:
-    def test_integer_kth_root(self):
-        for n in (1, 2, 8, 9, 26, 27, 28, 1000, 59049):
-            for k in (1, 2, 3, 5):
-                a = integer_kth_root(n, k)
-                assert a**k <= n < (a + 1) ** k
+class TestPrimeFactors:
+    def test_examples(self):
+        assert prime_factors(1) == []
+        assert prime_factors(2) == [(2, 1)]
+        assert prime_factors(81) == [(3, 4)]
+        assert prime_factors(360) == [(2, 3), (3, 2), (5, 1)]
+        assert prime_factors(2 * 1009) == [(2, 1), (1009, 1)]
 
-    def test_is_prime(self):
-        primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
-        for n in range(2, 40):
-            assert is_prime(n) == (n in primes)
+    def test_matches_brute_force_below_2000(self):
+        primes = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+        for m in range(1, 2000):
+            expected = []
+            for p in primes:
+                e = 0
+                while m % p ** (e + 1) == 0:
+                    e += 1
+                if e:
+                    expected.append((p, e))
+            assert prime_factors(m) == expected, m
 
-    def test_prime_power_base(self):
-        assert prime_power_base(9) == 3
-        assert prime_power_base(27) == 3
-        assert prime_power_base(81) == 3
-        assert prime_power_base(121) == 11
-        assert prime_power_base(15) is None
-        assert prime_power_base(36) is None  # perfect square but not a prime power
+    def test_rejects_below_one(self):
+        for m in (0, -1, -12):
+            with pytest.raises(ValueError):
+                prime_factors(m)

@@ -8,12 +8,7 @@ import pytest
 from shorsim import orderfinding
 from shorsim.distributions import marginal, measurement_distribution, sequential_sum
 from shorsim.errors import UnsuitableInputError
-from shorsim.numtheory import (
-    is_prime,
-    multiplicative_order,
-    prime_power_base,
-    recover_order_from_sample,
-)
+from shorsim.numtheory import multiplicative_order, prime_factors, recover_order_from_sample
 from shorsim.orderfinding import (
     factor,
     find_order,
@@ -30,7 +25,7 @@ INST_15_7 = ProblemInstance.create(15, 7)
 RATE_CASES = [
     (n, x)
     for n in range(9, 64, 2)
-    if not is_prime(n) and prime_power_base(n) is None
+    if len(prime_factors(n)) > 1
     for x in [x for x in range(2, n) if math.gcd(x, n) == 1][::5]
 ]
 
@@ -103,6 +98,19 @@ class TestFindOrder:
                 if order is not None:
                     assert order == multiplicative_order(x, n)
 
+    @pytest.mark.parametrize("n", [15, 21, 33, 45, 63])
+    def test_order_reduction_is_the_smallest_verified_divisor(self, n):
+        for x in range(2, n):
+            if math.gcd(x, n) != 1:
+                continue
+            for candidate in range(1, 2 * n):
+                verified = [
+                    d for d in range(1, candidate + 1)
+                    if candidate % d == 0 and pow(x, d, n) == 1
+                ]
+                expected = verified[0] if verified else candidate
+                assert orderfinding._minimal_verified_order(x, n, candidate) == expected
+
     def test_trace_is_deterministic(self):
         _, t1 = find_order(INST_15_7, max_samples=16, multiplier_bound=2, seed=21)
         _, t2 = find_order(INST_15_7, max_samples=16, multiplier_bound=2, seed=21)
@@ -131,6 +139,24 @@ class TestFactor:
         with pytest.raises(UnsuitableInputError, match="prime"):
             factor(17)
         screen_factoring_input(15)  # no error
+
+    def test_screening_reasons_match_brute_force(self):
+        for n in range(3, 400, 2):
+            divisors = [d for d in range(2, n) if n % d == 0]
+            smallest = divisors[0] if divisors else n
+            power = smallest
+            while power < n:
+                power *= smallest
+            if not divisors:
+                expected = "prime"
+            elif power == n:
+                expected = f"prime power {smallest}^k"
+            else:
+                screen_factoring_input(n)
+                continue
+            with pytest.raises(UnsuitableInputError) as caught:
+                screen_factoring_input(n)
+            assert caught.value.reason == expected, n
 
     def test_factors_across_seeds(self):
         for seed in range(8):

@@ -29,14 +29,12 @@ from shorsim.distributions import (
     multi_register_audit,
 )
 from shorsim.entanglement import register_correlation
-from shorsim.numtheory import is_prime, prime_power_base
+from shorsim.numtheory import prime_factors
 from shorsim.orderfinding import sample_outcomes
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import ProblemInstance, distinct_positions
 
-FACTORABLE_N = [
-    n for n in range(9, 151, 2) if not is_prime(n) and prime_power_base(n) is None
-]
+FACTORABLE_N = [n for n in range(9, 151, 2) if len(prime_factors(n)) > 1]
 
 
 def as_dict(dist) -> dict:

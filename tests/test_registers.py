@@ -52,6 +52,12 @@ class TestProblemInstance:
         assert (inst.q, inst.s) == (256, 8)
         assert inst.function_register_width == 4
 
+    def test_q_is_the_power_of_two_in_n_squared_to_twice_that(self):
+        for n in range(3, 300, 2):
+            inst = ProblemInstance.create(n, 2)
+            assert inst.q == 1 << inst.s
+            assert n * n <= inst.q < 2 * n * n
+
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
             ProblemInstance.create(15, 1)
@@ -59,12 +65,6 @@ class TestProblemInstance:
             ProblemInstance.create(15, 15)
         with pytest.raises(NotCoprimeError):
             ProblemInstance.create(15, 6)
-
-    def test_rejects_inconsistent_q(self):
-        with pytest.raises(ValueError):
-            ProblemInstance(n=15, x=7, q=255, s=8)
-        with pytest.raises(ValueError):
-            ProblemInstance(n=15, x=7, q=128, s=7)
 
 
 class TestPacking:

@@ -157,15 +157,47 @@ def test_outcome_table_columns():
         assert np.all(column[undecided] == 0.0)
 
 
-def test_cli_import_loads_neither_fractions_nor_decimal():
+def test_cli_import_loads_neither_fractions_nor_decimal(tmp_path):
     src = str(Path(shorsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", "import shorsim.cli"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env=env,
         check=True,
     )
     imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
     assert "shorsim.cli" in imported
     assert not imported & {"fractions", "decimal", "_decimal", "_pydecimal"}
+
+    # Nor does any subcommand load them, numpy.ma, or the undeclared scipy
+    # once it runs: each writes the modules it ended with to a file.
+    script = (
+        "import sys; from shorsim.cli import main; code = main(sys.argv[2:]); "
+        "open(sys.argv[1], 'w').write('\\n'.join(sys.modules)); sys.exit(code)"
+    )
+    runs = {
+        "distribution": ["--x", "7"],
+        "audit": ["--x", "7"],
+        "bound": ["--x", "7"],
+        "factor": [],
+        "entanglement": ["--x", "7"],
+    }
+    for command, flags in runs.items():
+        listing = tmp_path / f"{command}.modules"
+        argv = [command, "--n", "15", *flags, "--output-dir", str(tmp_path / command)]
+        subprocess.run(
+            [sys.executable, "-c", script, str(listing), *argv],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        loaded = listing.read_text().splitlines()
+        assert "shorsim.cli" in loaded
+        forbidden = [
+            name for name in loaded
+            if name.split(".")[0] in {"scipy", "fractions", "decimal", "_decimal", "_pydecimal"}
+            or name == "numpy.ma" or name.startswith("numpy.ma.")
+        ]
+        assert forbidden == [], command
