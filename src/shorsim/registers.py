@@ -14,7 +14,9 @@ a state as (ascending packed indices, amplitudes) and `StateVector.from_arrays`
 writes one, for either backend. Every circuit stage goes through these two
 calls, and sparse storage drops amplitudes at or below SPARSE_AMPLITUDE_FLOOR
 in `from_arrays`. A sparse state stores exactly that ascending pair, so
-handing a state from one stage to the next converts nothing.
+handing a state from one stage to the next converts nothing. A dense state
+stores its read-only flat array with the ascending support `from_arrays`
+scattered into it, so reading it costs O(support), not a scan of the array.
 """
 
 from __future__ import annotations
@@ -161,31 +163,23 @@ class RegisterLayout:
             index = (index << self.L) | y
         return index
 
-    def unpack_index(self, index: int) -> tuple[int, tuple[int, ...]]:
-        """Inverse of pack_index."""
-        if not 0 <= index < self.dim:
-            raise RangeError(f"index {index} outside [0, {self.dim})")
-        mask = self.function_dim - 1
-        ys = []
-        for _ in range(self.ell):
-            ys.append(index & mask)
-            index >>= self.L
-        return index, tuple(reversed(ys))
-
 
 class StateVector:
     """Complex amplitudes over the full register space, dense or sparse.
 
-    Dense states hold a flat complex128 array of length layout.dim. Sparse
-    states hold the read-only pair (ascending int64 packed indices, complex128
-    amplitudes) of the entries above SPARSE_AMPLITUDE_FLOOR, which
-    `nonzero_arrays` returns as it is. In a pipeline state each control value
-    pairs with at most r <= 2**L function-register contents (x^k repeated in
-    every register), so a sparse state holds at most q * 2**L entries whatever
-    ell is.
+    Dense states hold the read-only pair (ascending int64 support, flat
+    complex128 array of length layout.dim): the support is every index
+    `from_arrays` scattered a nonzero amplitude to, so it is exactly the
+    array's nonzero positions. Sparse states hold the read-only pair
+    (ascending int64 packed indices, complex128 amplitudes) of the entries
+    above SPARSE_AMPLITUDE_FLOOR, which `nonzero_arrays` returns as it is. In
+    a pipeline state each control value pairs with at most r <= 2**L
+    function-register contents (x^k repeated in every register), so a sparse
+    state holds at most q * 2**L entries whatever ell is.
 
     Callers outside this module read a state with `nonzero_arrays` and build
-    one with `from_arrays`, so they never see which storage it uses. The
+    one with `from_arrays`, so they never see which storage it uses; a dense
+    state is built by `from_arrays` alone, so its support is never stale. The
     constructor also takes a dict from packed index to amplitude for a sparse
     state, and `data` turns a sparse pair into such a dict, for code that edits
     entries in place.
@@ -194,15 +188,20 @@ class StateVector:
     def __init__(self, layout: RegisterLayout, backend: str, data):
         if backend not in (DENSE, SPARSE):
             raise ValueError(f"unknown backend {backend!r}")
+        if backend == DENSE and not isinstance(data, tuple):
+            raise TypeError("a dense state is built by StateVector.from_arrays")
         self.layout = layout
         self.backend = backend
         self._data = data
 
     @property
     def data(self):
-        """The flat array of a dense state, or a sparse state's entries as a
-        dict from packed index to amplitude. The dict is made on first access
-        and from then on is the state's storage, so edits to it stick."""
+        """The read-only flat array of a dense state, or a sparse state's
+        entries as a dict from packed index to amplitude. The dict is made on
+        first access and from then on is the state's storage, so edits to it
+        stick."""
+        if self.backend == DENSE:
+            return self._data[1]
         if isinstance(self._data, tuple):
             index, amps = self._data
             self._data = dict(zip(index.tolist(), amps.tolist()))
@@ -218,11 +217,13 @@ class StateVector:
         cls, layout: RegisterLayout, backend: str, index: np.ndarray, amps: np.ndarray
     ) -> "StateVector":
         """State holding amps[k] at the packed index index[k]; a repeated
-        index raises ValueError.
+        index, an index outside [0, layout.dim) or a non-finite amplitude
+        raises ValueError.
 
-        Dense storage scatters every amplitude into the flat array; sparse
-        storage keeps those with magnitude above SPARSE_AMPLITUDE_FLOOR, in
-        ascending index order.
+        Dense storage scatters every amplitude into the flat array and records
+        the indices of the nonzero ones as its support; sparse storage keeps
+        those with magnitude above SPARSE_AMPLITUDE_FLOOR. Both keep their
+        indices in ascending order.
         """
         layout.check_capacity(backend)
         index = np.asarray(index, dtype=np.int64)
@@ -233,32 +234,29 @@ class StateVector:
             index, amps = index[order], amps[order]
             if np.any(index[1:] == index[:-1]):
                 raise ValueError("state repeats an index")
+        if index.size and not 0 <= index[0] <= index[-1] < layout.dim:
+            raise ValueError(f"state index outside [0, {layout.dim})")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state holds a non-finite amplitude")
         if backend == DENSE:
-            data = np.zeros(layout.dim, dtype=np.complex128)
-            data[index] = amps
-            return cls(layout, DENSE, data)
-        kept = np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
-        index, amps = index[kept], amps[kept]
+            flat = np.zeros(layout.dim, dtype=np.complex128)
+            flat[index] = amps
+            index, amps = index[amps != 0], flat
+        else:
+            kept = np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
+            index, amps = index[kept], amps[kept]
         index.flags.writeable = False
         amps.flags.writeable = False
-        return cls(layout, SPARSE, (index, amps))
-
-    def amplitude(self, index: int) -> complex:
-        if self.backend == DENSE:
-            return complex(self._data[index])
-        stored, amps = self.nonzero_arrays()
-        k = int(np.searchsorted(stored, index))
-        return complex(amps[k]) if k < stored.size and stored[k] == index else 0j
+        return cls(layout, backend, (index, amps))
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(packed indices, amplitudes) of the stored nonzero entries, the
         indices ascending on both backends. A sparse state returns its stored
-        read-only pair, without a copy."""
+        read-only pair, without a copy; a dense state its support and the
+        amplitudes gathered there."""
         if self.backend == DENSE:
-            # Half the time of np.flatnonzero(self.data), which tests each
-            # complex entry twice (once to count, once to collect).
-            index = np.flatnonzero(self._data != 0)
-            return index, self._data[index]
+            support, flat = self._data
+            return support, flat[support]
         if isinstance(self._data, tuple):
             return self._data
         count = len(self._data)
@@ -271,20 +269,16 @@ class StateVector:
         return index, amps
 
     def nonzero_count(self) -> int:
-        if self.backend == DENSE:
-            return int(np.count_nonzero(self._data))
         return self.nonzero_arrays()[0].size
-
-    def norm_squared(self) -> float:
-        amps = self.nonzero_arrays()[1]
-        return float(np.vdot(amps, amps).real)
 
     def densify(self) -> "StateVector":
         """Dense copy with identical amplitudes."""
         self.layout.check_capacity(DENSE)
         if self.backend == DENSE:
             # A copy of the flat array is cheaper than a scatter of its entries.
-            return StateVector(self.layout, DENSE, self._data.copy())
+            support, flat = (array.copy() for array in self._data)
+            support.flags.writeable = flat.flags.writeable = False
+            return StateVector(self.layout, DENSE, (support, flat))
         return StateVector.from_arrays(self.layout, DENSE, *self.nonzero_arrays())
 
     def sparsify(self) -> "StateVector":
@@ -323,12 +317,12 @@ class StateVector:
         if bad:
             raise ValueError(f"snapshot index {bad[0]} outside [0, {layout.dim})")
         amps = np.array(amps, dtype=np.complex128)
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("snapshot holds a non-finite amplitude")
+        # from_arrays refuses a repeated index and a non-finite amplitude.
+        state = cls.from_arrays(layout, header[3], np.array(indices, dtype=np.int64), amps)
         norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"snapshot norm is {norm}, not 1 within {NORM_TOLERANCE}")
-        return cls.from_arrays(layout, header[3], np.array(indices, dtype=np.int64), amps)
+        return state
 
 
 def distinct_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

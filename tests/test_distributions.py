@@ -67,9 +67,8 @@ class TestMeasurementDistribution:
         index, amps = state.nonzero_arrays()
         amps = amps.copy()
         amps[0] = np.nan
-        bad = StateVector.from_arrays(state.layout, backend, index, amps)
-        with pytest.raises(NormalizationError):
-            measurement_distribution(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector.from_arrays(state.layout, backend, index, amps)
 
 
 # Odd composites that are not prime powers: the inputs order finding factors.

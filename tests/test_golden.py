@@ -25,6 +25,7 @@ Regenerate (only when an output change is intended) with
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -75,6 +76,17 @@ def test_outputs_match_golden_bytes(name, tmp_path):
     assert sorted(written) == sorted(golden)
     for filename, content in golden.items():
         assert written[filename] == content, f"{name}/{filename} differs from the golden file"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("distribution_")))
+def test_dense_distribution_matches_the_sparse_golden(name, tmp_path):
+    # No golden holds a dense run: the dense oracle must write the sparse
+    # golden's outcome table and report, whatever else it records.
+    written = run_case([*CASES[name], "--backend", "dense"], tmp_path)
+    golden = GOLDEN / name
+    assert written["distribution.csv"] == (golden / "distribution.csv").read_bytes()
+    report = json.loads(written["distribution.json"])["report"]
+    assert report == json.loads((golden / "distribution.json").read_text())["report"]
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import shorsim
 
@@ -14,12 +14,32 @@ from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
 from shorsim.registers import (
     DENSE,
     SPARSE,
+    SPARSE_AMPLITUDE_FLOOR,
     ProblemInstance,
     RegisterLayout,
     StateVector,
     choose_modulus_power,
     max_abs_difference,
 )
+
+
+def _unpack(layout, index):
+    """(a, ys) of a packed index: the control value, then each function register."""
+    a, rest = divmod(index, layout.right_dim)
+    shifts = range(layout.L * (layout.ell - 1), -1, -layout.L)
+    return a, tuple((rest >> shift) & (layout.function_dim - 1) for shift in shifts)
+
+
+def _amplitude(state, index):
+    """The amplitude a state holds at one packed index, 0 where it stores none."""
+    stored, amps = state.nonzero_arrays()
+    k = int(np.searchsorted(stored, index))
+    return complex(amps[k]) if k < stored.size and stored[k] == index else 0j
+
+
+def _norm_squared(state):
+    amps = state.nonzero_arrays()[1]
+    return float(np.vdot(amps, amps).real)
 
 
 def _closed_form_miss(inst, state):
@@ -83,20 +103,18 @@ class TestPacking:
             layout.pack_index(0, [8, 0])
         with pytest.raises(RangeError):
             layout.pack_index(0, [0])
-        with pytest.raises(RangeError):
-            layout.unpack_index(layout.dim)
 
     @given(st.integers(min_value=0, max_value=(1 << 14) - 1))
     def test_round_trip(self, index):
         layout = RegisterLayout(s=6, L=4, ell=2)
-        a, ys = layout.unpack_index(index)
+        a, ys = _unpack(layout, index)
         assert layout.pack_index(a, ys) == index
 
     def test_round_trip_exhaustive_small(self):
         layout = RegisterLayout(s=3, L=2, ell=2)
         seen = set()
         for index in range(layout.dim):
-            a, ys = layout.unpack_index(index)
+            a, ys = _unpack(layout, index)
             assert layout.pack_index(a, ys) == index
             seen.add((a, ys))
         assert len(seen) == layout.dim
@@ -136,16 +154,16 @@ class TestStateVector:
     def test_norms(self):
         inst = ProblemInstance.create(15, 7)
         state = init_uniform(inst, ell=1, backend=SPARSE)
-        assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert _norm_squared(state) == pytest.approx(1.0, abs=1e-12)
         zeros = StateVector.zeros(inst.layout(1), SPARSE)
-        assert zeros.norm_squared() == 0.0
+        assert _norm_squared(zeros) == 0.0
 
     def test_dense_sparse_norm_agree(self):
         inst = ProblemInstance.create(21, 2)
         dense = run_pipeline(inst, ell=1, backend=DENSE)
         sparse = run_pipeline(inst, ell=1, backend=SPARSE)
-        assert abs(dense.norm_squared() - sparse.norm_squared()) <= 1e-12
-        assert abs(dense.norm_squared() - 1.0) <= 1e-12
+        assert abs(_norm_squared(dense) - _norm_squared(sparse)) <= 1e-12
+        assert abs(_norm_squared(dense) - 1.0) <= 1e-12
 
     def test_densify_basis_state(self):
         layout = RegisterLayout(s=2, L=1, ell=1)
@@ -160,7 +178,7 @@ class TestStateVector:
         layout = RegisterLayout(s=4, L=2, ell=1)
         amplitudes = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         amplitudes /= np.linalg.norm(amplitudes)
-        dense = StateVector(layout, DENSE, amplitudes.astype(np.complex128))
+        dense = StateVector.from_arrays(layout, DENSE, np.arange(layout.dim), amplitudes)
         back = dense.sparsify().densify()
         assert np.max(np.abs(back.data - dense.data)) <= 1e-15
 
@@ -176,12 +194,29 @@ class TestStateVector:
             [1, 3, 5], [1e-16 + 0j, 0.8j, 0.6 + 0j]
         ]
         for state in (sparse, dense):
-            assert state.amplitude(3) == 0.8j
-            assert state.amplitude(4) == 0
+            assert _amplitude(state, 3) == 0.8j
+            assert _amplitude(state, 4) == 0
         # A repeated index is refused, not resolved to one of its amplitudes.
         for backend in (SPARSE, DENSE):
             with pytest.raises(ValueError, match="repeats an index"):
                 StateVector.from_arrays(layout, backend, [3, 3], [0.6, 0.8])
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize("index", [[-1], [0, -1], [8], [3, 8], [1 << 40]])
+    def test_from_arrays_refuses_an_index_outside_the_layout(self, backend, index):
+        # 2**(2 + 1) = 8 amplitudes: -1 would wrap to the last one in a flat
+        # array, 8 would be past its end.
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        amps = np.full(len(index), 0.5)
+        with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
+            StateVector.from_arrays(layout, backend, index, amps)
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_from_arrays_refuses_a_non_finite_amplitude(self, backend, bad):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector.from_arrays(layout, backend, [1, 6], [0.6, bad])
 
     def test_sparse_data_written_out_of_order_reads_ascending(self):
         inst = ProblemInstance.create(15, 7)
@@ -230,6 +265,50 @@ class TestStateVector:
         magnitudes = set(np.abs(state.nonzero_arrays()[1]).tolist())
         assert all(abs(m - 1 / 16) <= 1e-15 for m in magnitudes)
 
+    def test_a_dense_state_comes_only_from_from_arrays(self):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        with pytest.raises(TypeError, match="from_arrays"):
+            StateVector(layout, DENSE, np.zeros(layout.dim, dtype=np.complex128))
+
+    def test_densify_copies_a_dense_state_and_its_support(self):
+        inst = ProblemInstance.create(15, 7)
+        dense = run_pipeline(inst, ell=1, backend=DENSE)
+        copy = dense.densify()
+        assert copy.data is not dense.data and np.array_equal(copy.data, dense.data)
+        for mine, theirs in zip(copy.nonzero_arrays(), dense.nonzero_arrays()):
+            assert np.array_equal(mine, theirs)
+        with pytest.raises(ValueError, match="read-only"):
+            copy.data[0] = 1
+
+
+# Amplitudes a dense state may be handed: exact zeros of both signs, which it
+# must not record, subnormals and values at or below the sparse floor, which it
+# must, and ordinary values.
+_DENSE_AMPLITUDE_PARTS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, SPARSE_AMPLITUDE_FLOOR, 1e-16, -0.25, 0.6]
+) | st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_support_is_the_scan_of_its_array(data):
+    layout = RegisterLayout(s=data.draw(st.integers(1, 4)), L=data.draw(st.integers(1, 3)), ell=1)
+    index = data.draw(
+        st.lists(st.integers(0, layout.dim - 1), unique=True, max_size=layout.dim), label="index"
+    )
+    amps = [
+        complex(data.draw(_DENSE_AMPLITUDE_PARTS), data.draw(_DENSE_AMPLITUDE_PARTS))
+        for _ in index
+    ]
+    state = StateVector.from_arrays(layout, DENSE, np.array(index, dtype=np.int64), amps)
+    support, values = state.nonzero_arrays()
+    scanned = np.flatnonzero(state.data != 0)
+    assert support.dtype == np.int64 and np.array_equal(support, scanned)
+    assert values.tobytes() == state.data[scanned].tobytes()
+    assert state.nonzero_count() == scanned.size
+    with pytest.raises(ValueError, match="read-only"):
+        state.data[0] = 1
+
 
 class TestSnapshots:
     @pytest.mark.parametrize("backend", [DENSE, SPARSE])
@@ -244,7 +323,7 @@ class TestSnapshots:
         assert loaded.layout.L == state.layout.L
         assert loaded.layout.ell == state.layout.ell
         for index, amp in zip(*(a.tolist() for a in state.nonzero_arrays())):
-            assert loaded.amplitude(index) == pytest.approx(amp, abs=1e-16)
+            assert _amplitude(loaded, index) == pytest.approx(amp, abs=1e-16)
         assert loaded.nonzero_count() == state.nonzero_count()
 
     def test_unknown_backend_in_header_is_rejected(self, tmp_path):
@@ -301,7 +380,7 @@ class TestSnapshots:
 
     def test_valid_hand_written_snapshot_loads(self, tmp_path):
         state = self._load(tmp_path, SPARSE, ["1 0.6 0", "6 0 0.8"])
-        assert state.amplitude(6) == 0.8j
+        assert _amplitude(state, 6) == 0.8j
         assert state.nonzero_count() == 2
 
 
@@ -337,8 +416,9 @@ class TestMaxAbsDifference:
 
 
 def test_only_registers_touches_state_storage():
-    # The storage format (a flat array, or the ascending (index, amps) pair
-    # with its on-demand dict view `data`) and the choice between the two
+    # The storage format (a flat array with its ascending support, or the
+    # ascending (index, amps) pair with its on-demand dict view `data`) and
+    # the choice between the two
     # are known to registers.py alone: every other module goes through
     # nonzero_arrays / from_arrays, passes a backend on without comparing it,
     # and never converts a state to the other storage.
