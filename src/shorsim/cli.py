@@ -23,10 +23,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from . import distributions, entanglement, orderfinding, pipeline
 from .checks import Check
 from .errors import ShorSimError, UnsuitableInputError
 from .numtheory import gcd, multiplicative_order
-from .registers import DEFAULT_QUBIT_CAP, ProblemInstance
+from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, distinct_positions
 
 SCHEMA_VERSION = 2
 
@@ -161,41 +161,58 @@ def _verdict(checks: list[Check]) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def format_json(value, depth: int = 0) -> str:
-    """Byte-identical to `json.dumps(value, indent=2)` nested `depth` levels deep.
+class RecordTable(NamedTuple):
+    """A JSON list of flat records held as columns: row k is
+    `{keys[0]: columns[0][k], keys[1]: columns[1][k], ...}`. The columns are
+    one-dimensional integer or float numpy arrays of one length."""
 
-    Walks dicts with string keys and renders each non-empty list of flat
-    records (same string keys, int or finite float values) from one template;
-    everything else goes to `json.dumps`."""
+    keys: tuple[str, ...]
+    columns: tuple[np.ndarray, ...]
+
+
+def format_json(value, depth: int = 0) -> str:
+    """Byte-identical to `json.dumps(value, indent=2)` nested `depth` levels deep,
+    where each `RecordTable` stands for its list of row dicts.
+
+    Walks dicts with string keys and renders each record table from its
+    columns; everything else goes to `json.dumps`."""
     pad = "  " * depth
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = [f"{json.dumps(k)}: {format_json(v, depth + 1)}" for k, v in value.items()]
         return "{\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}}}"
-    records = _flat_record_values(value)
-    if records is None:
-        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-    keys, values = records
-    fields = ",\n".join(f"{pad}    {json.dumps(key).replace('%', '%%')}: %r" for key in keys)
+    if type(value) is RecordTable:
+        return _format_records(value, pad)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _format_records(table: RecordTable, pad: str) -> str:
+    """The table's rows as `json.dumps` lays them out, every row filled into
+    one `%s` template."""
+    width = len(table.columns)
+    rows = len(table.columns[0])
+    if rows == 0:
+        return "[]"
+    cells = [None] * (rows * width)
+    for j, column in enumerate(table.columns):
+        cells[j::width] = _column_texts(column)
+    fields = ",\n".join(f"{pad}    {json.dumps(key).replace('%', '%%')}: %s" for key in table.keys)
     template = f"{{\n{fields}\n{pad}  }}"
-    body = f",\n{pad}  ".join([template] * len(value)) % values
+    body = f",\n{pad}  ".join([template] * rows) % tuple(cells)
     return f"[\n{pad}  {body}\n{pad}]"
 
 
-def _flat_record_values(value) -> tuple[tuple[str, ...], tuple] | None:
-    """(keys, all values in order) of a list of flat records, else None."""
-    if type(value) is not list or not value or type(value[0]) is not dict or not value[0]:
-        return None
-    keys = tuple(value[0])
-    values = []
-    for record in value:
-        if type(record) is not dict or tuple(record) != keys:
-            return None
-        values.extend(record.values())
-    if not all(type(key) is str for key in keys) or not all(
-        type(v) is int or (type(v) is float and math.isfinite(v)) for v in values
-    ):
-        return None
-    return keys, tuple(values)
+def _column_texts(column: np.ndarray) -> list:
+    """What `json.dumps` writes for each value of an integer or float column:
+    Python ints for `%s`, or one `repr` per distinct bit pattern of a float
+    column (so -0.0 and 0.0 stay apart), `NaN`/`Infinity` as `json` spells them."""
+    if column.dtype.kind in "iu":
+        return column.tolist()
+    if column.dtype.kind != "f":
+        raise TypeError(f"a record column must hold integers or floats, not {column.dtype}")
+    bits, slot = distinct_positions(column.astype(np.float64, copy=False).view(np.int64))
+    values = bits.view(np.float64)
+    render = float.__repr__ if np.isfinite(values).all() else json.dumps
+    return np.array(list(map(render, values.tolist())), dtype=object)[slot].tolist()
 
 
 def _maybe_dump_state(args, state) -> None:
@@ -235,10 +252,7 @@ def cmd_distribution(args) -> list[Check]:
         marginals = {}
         for p, name in enumerate(dist.column_names(), start=1):
             m = distributions.marginal(dist, (p,))
-            marginals[name] = [
-                {name[0]: value, "probability": prob}
-                for value, prob in zip(m.index.tolist(), m.probs.tolist())
-            ]
+            marginals[name] = RecordTable((name[0], "probability"), (m.index, m.probs))
         summary = {
             "r": multiplicative_order(instance.x, instance.n),
             "outcome_count": dist.index.size,

@@ -39,6 +39,14 @@ from .registers import (
 # geometric-sum cancellation from floating-point noise.
 PROBABILITY_FLOOR = 1e-20
 
+# `exact_sum`: values per `np.bincount` block; values per window, the most a
+# slot takes and stays exact; one slot per biased exponent; and the mask that
+# clears the low 27 of a double's 52 mantissa bits.
+_SUM_BLOCK = 1 << 16
+_EXACT_WINDOW = 1 << 26
+_EXPONENT_SLOTS = 1 << 11
+_HIGH_BITS = ~((1 << 27) - 1)
+
 # A marginal over at most this many bits sums into a dense table; a wider
 # one first maps its keys to their distinct values.
 MARGINAL_TABLE_BITS = 20
@@ -88,7 +96,7 @@ class OutcomeDistribution:
 
     def total(self) -> float:
         """Correctly rounded sum of `probs`, whatever their order."""
-        return math.fsum(self.probs.tolist())
+        return exact_sum(self.probs)
 
     def probability(self, outcome) -> float:
         return self.entries.get(tuple(outcome), 0.0)
@@ -132,6 +140,37 @@ def sequential_sum(values: np.ndarray) -> float:
     """Left-to-right float sum, the same rounding as Python's `sum` over the
     array (unlike `np.sum`, which sums pairwise)."""
     return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """`math.fsum(values.tolist())` bit for bit, without a Python float per value.
+
+    Each value splits exactly into a high part (at most 26 significant bits:
+    the value with the low 27 of its 52 mantissa bits cleared) and the
+    remainder, and each part is added up per binary exponent with
+    `np.bincount`. A slot's parts are all multiples of one power of two and
+    below 2^27 of it, so its sum stays exact for up to 2^26 of them;
+    `math.fsum` then rounds the exact partial sums once (exponent-indexed
+    accumulators as in Zhu & Hayes, ACM TOMS Algorithm 908, 2010). A
+    non-finite value, or a slot whose sum overflows, takes `math.fsum` over
+    every value."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    partials = []
+    for window in range(0, values.size, _EXACT_WINDOW):
+        sums = np.zeros((2, _EXPONENT_SLOTS))
+        for start in range(window, min(window + _EXACT_WINDOW, values.size), _SUM_BLOCK):
+            block = values[start : start + _SUM_BLOCK]
+            bits = block.view(np.int64)
+            high = (bits & _HIGH_BITS).view(np.float64)
+            slot = (bits >> 52) & (_EXPONENT_SLOTS - 1)
+            if slot.max() == _EXPONENT_SLOTS - 1:  # NaN or infinity
+                return math.fsum(values.tolist())
+            sums[0] += np.bincount(slot, weights=high, minlength=_EXPONENT_SLOTS)
+            sums[1] += np.bincount(slot, weights=block - high, minlength=_EXPONENT_SLOTS)
+        if not np.isfinite(sums).all():
+            return math.fsum(values.tolist())
+        partials += sums[sums != 0].tolist()
+    return math.fsum(partials)
 
 
 def measurement_distribution(state: StateVector) -> OutcomeDistribution:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shorsim import distributions
 from shorsim.distributions import (
     OutcomeDistribution,
     analytic_joint_probability,
@@ -19,7 +20,7 @@ from shorsim.distributions import (
 from shorsim.errors import ConditioningError, NormalizationError, RangeError
 from shorsim.numtheory import euler_phi, mod_pow, multiplicative_order, prime_factors
 from shorsim.pipeline import run_pipeline
-from shorsim.registers import DENSE, SPARSE, ProblemInstance, StateVector
+from shorsim.registers import DENSE, SPARSE, ProblemInstance, RegisterLayout, StateVector
 
 INST_15_7 = ProblemInstance.create(15, 7)
 INST_21_2 = ProblemInstance.create(21, 2)
@@ -100,6 +101,66 @@ def test_simulation_matches_closed_form_over_many_inputs(data):
         dense = measurement_distribution(run_pipeline(inst, ell=ell, backend=DENSE))
         assert np.array_equal(dense.index, dist.index)
         assert np.array_equal(dense.probs, dist.probs)
+
+
+def fsum_result(compute):
+    """The bytes of a float result, or the exception's type and message."""
+    try:
+        return np.float64(compute()).tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_total_is_fsum(probs):
+    probs = np.asarray(probs, dtype=np.float64)
+    table = OutcomeDistribution(RegisterLayout(s=1, L=1, ell=1), (1,), np.arange(probs.size), probs)
+    assert fsum_result(table.total) == fsum_result(lambda: math.fsum(probs.tolist()))
+
+
+SUBNORMAL_MAX = float(np.nextafter(np.finfo(np.float64).tiny, 0.0))
+magnitudes = (
+    st.sampled_from([0.0, 5e-324, SUBNORMAL_MAX, 1.0])
+    | st.floats(5e-324, SUBNORMAL_MAX)
+    | st.floats(1e-300, 1e300)
+    | st.floats(0.0, 1.0)
+)
+signed = st.tuples(st.booleans(), magnitudes).map(lambda pair: -pair[1] if pair[0] else pair[1])
+
+
+class TestExactTotal:
+    """`total()` is `math.fsum` over the probabilities, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(signed, max_size=200), block=st.sampled_from([None, 1, 4, 64]))
+    def test_equals_fsum(self, values, block):
+        # Small blocks and windows (a window of 2 to 128 values, far below the
+        # 2^26 at which a slot could lose a bit) take every block boundary.
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(distributions, "_SUM_BLOCK", block)
+                patch.setattr(distributions, "_EXACT_WINDOW", 2 * block)
+            assert_total_is_fsum(values)
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+    def test_block_edges(self, size):
+        rng = np.random.default_rng(size)
+        assert_total_is_fsum(rng.random(size) / max(size, 1))
+        # Every value in one exponent slot, each with all 53 bits set.
+        assert_total_is_fsum(np.full(size, np.nextafter(1.0, 0.0)))
+        assert_total_is_fsum(np.full(size, np.nextafter(1.0, 0.0)) * (-1.0) ** np.arange(size))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[math.nan], [0.5, math.inf], [-math.inf, 1.0, 2.0], [math.inf, -math.inf],
+         [math.nan, math.inf], [0.25] * 70_000 + [math.inf]],
+    )
+    def test_non_finite_input(self, values):
+        assert_total_is_fsum(values)
+
+    @pytest.mark.parametrize("n,x", [(15, 7), (21, 2), (99, 73), (143, 2)])
+    def test_real_tables(self, n, x):
+        dist = measurement_distribution(run_pipeline(ProblemInstance.create(n, x), ell=1))
+        assert_total_is_fsum(dist.probs)
 
 
 class TestAnalyticJointProbability:

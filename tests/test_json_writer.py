@@ -1,9 +1,9 @@
 """`cli.format_json` against the standard library.
 
 Every report file must be exactly `json.dump(document, fh, indent=2)`
-followed by a newline. The writer renders lists of flat int/float records
-from a template and must fall back to `json` for anything else, so the
-synthetic documents below mix in every value the template cannot take.
+followed by a newline. The writer renders each `RecordTable` from its
+columns, as `json` would render its rows as dicts, and hands everything else
+to `json`; the synthetic documents below mix in values of every kind.
 """
 
 import json
@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from shorsim.cli import _flat_record_values, format_json, main
+from shorsim.cli import RecordTable, format_json, main
 
 
 def reference(value) -> str:
@@ -98,7 +98,54 @@ def test_each_synthetic_value_alone(key):
         assert format_json(wrapped) + "\n" == reference(wrapped)
 
 
-def test_template_renders_only_flat_int_float_records():
-    templated = {"ints_next_to_floats", "extreme_numbers", "percent_in_keys"}
-    for key, value in SYNTHETIC.items():
-        assert (_flat_record_values(value) is not None) == (key in templated), key
+def floats(*values):
+    return np.array(values, dtype=np.float64)
+
+
+def ints(*values):
+    return np.array(values, dtype=np.int64)
+
+
+RECORD_TABLES = {
+    "empty": RecordTable(("c", "probability"), (ints(), floats())),
+    "one_row": RecordTable(("c", "probability"), (ints(7), floats(0.0625))),
+    "repeated_bit_patterns": RecordTable(
+        ("c", "probability"), (ints(0, 1, 2, 3, 4, 5), floats(0.1, 0.1, 0.25, 0.1, 0.25, 1 / 3))
+    ),
+    "signed_zeros": RecordTable(("y", "p"), (ints(0, 1, 2, 3), floats(0.0, -0.0, -0.0, 0.0))),
+    "edge_floats": RecordTable(
+        ("p",), (floats(5e-324, 1e16, 1e-5, 1.0, 1e-4, 123456789.0, -2.5e-310, 1e300),)
+    ),
+    "int64_extremes": RecordTable(
+        ("i", "f"),
+        (ints(np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, -5),
+         floats(-1.5, 2.0, -0.0, 3e-8, 1e22)),
+    ),
+    "special_keys": RecordTable(
+        ("100%", 'quote "q"', "ключ-é ✓", "%s%%r"),
+        (ints(1, 2), floats(0.5, 0.5), ints(-3, 4), floats(1e-5, -1e-5)),
+    ),
+    "non_finite": RecordTable(
+        ("c", "p", "q"),
+        (ints(0, 1, 2, 3), floats(math.nan, math.inf, -math.inf, 0.5), floats(1, 2, 3, math.nan)),
+    ),
+}
+
+
+def rows_as_dicts(table: RecordTable) -> list[dict]:
+    return [dict(zip(table.keys, row)) for row in zip(*(c.tolist() for c in table.columns))]
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("name", sorted(RECORD_TABLES))
+def test_record_table_equals_json_dump_of_its_rows(name, depth):
+    table = RECORD_TABLES[name]
+    document, expected = table, rows_as_dicts(table)
+    for _ in range(depth):
+        document, expected = {"outer": document}, {"outer": expected}
+    assert format_json(document) + "\n" == reference(expected)
+
+
+def test_record_table_refuses_a_column_json_would_not_write_as_a_number():
+    with pytest.raises(TypeError, match="integers or floats"):
+        format_json(RecordTable(("ok",), (np.array([True]),)))

@@ -172,7 +172,9 @@ def test_cli_import_loads_neither_fractions_nor_decimal(tmp_path):
     assert not imported & {"fractions", "decimal", "_decimal", "_pydecimal"}
 
     # Nor does any subcommand load them, numpy.ma, or the undeclared scipy
-    # once it runs: each writes the modules it ended with to a file.
+    # once it runs: each writes the modules it ended with to a file. The
+    # `distribution` run is perfbench's warm-up command, so a module it loads
+    # (numpy.ma costs about 15 ms) would show in `setup_s`.
     script = (
         "import sys; from shorsim.cli import main; code = main(sys.argv[2:]); "
         "open(sys.argv[1], 'w').write('\\n'.join(sys.modules)); sys.exit(code)"
