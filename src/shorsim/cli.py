@@ -3,9 +3,10 @@
 Subcommands map one-to-one onto the analyses: `distribution` (outcome table),
 `audit` (multi-register joint-probability audit), `bound` (good-c probability
 floor report), `factor` (end-to-end factoring), `entanglement` (Schmidt
-spectra, entropies, correlations, transform locality). Each command builds
-the circuit it needs through `pipeline`, with the circuit flags, and hands
-the analyses the states and tables they check.
+spectra, entropies, correlations, transform locality). Each command but
+`factor` builds the circuit it needs through `pipeline`, with the circuit
+flags, and hands the analyses the states and tables they check; `factor`
+builds no state, and samples one transformed column at a time.
 
 Each command returns the claims it checked as `checks.Check` records; each is
 printed as one `PASS|FAIL` line and recorded in the JSON envelope's `checks`
@@ -87,8 +88,8 @@ _SUBCOMMANDS = {
     ),
     "factor": (
         "end-to-end factoring via order finding",
-        ("n", "seed", "max_attempts", "samples_per_attempt", "multiplier_bound", "backend",
-         "qubit_cap", "output_dir", "trace"),
+        ("n", "seed", "max_attempts", "samples_per_attempt", "multiplier_bound", "qubit_cap",
+         "output_dir", "trace"),
     ),
     "entanglement": ("Schmidt spectra, entropies, correlations", (*_SIMULATION, "dump_state")),
 }
@@ -133,7 +134,7 @@ def _make_instance(args) -> ProblemInstance:
     if args.n < 3 or args.n % 2 == 0:
         raise UnsuitableInputError(args.n, "even" if args.n % 2 == 0 else "must be at least 3")
     args.x = _resolve_base(args.n, args.x, args.seed)
-    return ProblemInstance.create(args.n, args.x)
+    return ProblemInstance(args.n, args.x)
 
 
 def _write_json(args, payload: dict, filename: str, checks: list[Check]) -> Path:
@@ -313,7 +314,6 @@ def cmd_factor(args) -> list[Check]:
         seed=args.seed,
         samples_per_attempt=args.samples_per_attempt,
         multiplier_bound=args.multiplier_bound,
-        backend=args.backend,
         qubit_cap=args.qubit_cap,
     )
     document = asdict(trace)

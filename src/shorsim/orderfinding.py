@@ -1,10 +1,12 @@
 """Seeded sampling, order recovery, the factoring driver, and success rates.
 
-Sampling consumes the exact outcome distribution through an inverse CDF over
-its ascending outcome table; identical seeds give identical samples. The driver
-draws the base x and the measurement samples from one generator, with the x
-draw preceding each order-finding attempt, so whole runs replay exactly from
-(n, seed, budgets).
+`sample_outcomes` and the success-rate trials draw from an exact outcome
+table through an inverse CDF over its ascending outcomes. Order finding
+builds no table: `ColumnSampler` draws y from the fan-out's y-marginal, then
+c from the one transformed column y (the chain rule), in O(q) memory.
+Identical seeds give identical samples. The driver draws the base x and the
+measurement samples from one generator, with the x draw preceding each
+order-finding attempt, so whole runs replay exactly from (n, seed, budgets).
 """
 
 from __future__ import annotations
@@ -13,27 +15,30 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _kernels
 from .checks import Check, check
 from .distributions import (
+    PROBABILITY_FLOOR,
     OutcomeDistribution,
     marginal,
     measurement_distribution,
     sequential_sum,
 )
-from .errors import UnsuitableInputError
+from .errors import CapacityError, UnsuitableInputError
 from .numtheory import (
     FactorPair,
     euler_phi,
     factor_from_order,
     gcd,
     mod_pow,
+    mod_pow_array,
     multiplicative_order,
     order_recovery_steps,
     prime_factors,
     recoverable_controls,
 )
 from .pipeline import run_pipeline
-from .registers import DEFAULT_QUBIT_CAP, SPARSE, ProblemInstance
+from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, choose_modulus_power
 
 
 def sample_outcomes(
@@ -53,6 +58,56 @@ def _draw_indices(cdf: np.ndarray, count: int, seed: int | np.random.Generator) 
     rng = np.random.default_rng(seed)
     picks = np.searchsorted(cdf, rng.random(count), side="right")
     return np.minimum(picks, len(cdf) - 1, out=picks)
+
+
+def _draws_per_block(block_ends: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """How many of the inverse-CDF `draws` land in each block of consecutive
+    outcomes, given the cdf at each block's last outcome (ascending).
+
+    `_draw_indices` puts a draw u on the first outcome whose cdf exceeds u, so
+    the draws below a block's end are those landing in it or an earlier
+    block: a draw equal to an end counts for the next block, and one at or
+    beyond the last end for the last block, where the clip puts it."""
+    below = np.searchsorted(np.sort(draws), block_ends, side="left")
+    below[-1] = draws.size
+    return np.diff(below, prepend=0)
+
+
+class ColumnSampler:
+    """Outcomes (c, y) of the one-register circuit on one instance, drawn
+    without its q·r outcome table, by the chain rule P(c, y) = P(y) P(c | y).
+
+    y is `y_of_a` at a uniform a in [0, q): the fan-out's own map, so this is
+    an exact draw from the y-marginal. c is then an inverse-CDF draw over
+    column y of the transformed state, the indicator of {a : y_of_a[a] = y}
+    scaled by 1/sqrt(q) and transformed by `_kernels.dft_columns`, as the
+    pipeline does with every column at once. A column is built on its first
+    draw and kept, so memory is O(q) per column drawn, not O(q·r).
+    """
+
+    def __init__(self, instance: ProblemInstance):
+        self.q = instance.q
+        self.y_of_a = mod_pow_array(instance.x, np.arange(self.q, dtype=np.int64), instance.n)
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def column(self, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """(c, P(c, y)) over the c of column y whose probability exceeds
+        PROBABILITY_FLOOR, ascending in c: the full table's rows for y."""
+        cols = np.zeros((self.q, 1), dtype=np.complex128)
+        cols[self.y_of_a == y] = 1.0 / np.sqrt(self.q)
+        probs = np.abs(_kernels.dft_columns(cols)[:, 0]) ** 2
+        cs = np.flatnonzero(probs > PROBABILITY_FLOOR)
+        return cs, probs[cs]
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, int]:
+        """One outcome (c, y): the y draw, then the c draw, from `rng`."""
+        y = int(self.y_of_a[rng.integers(self.q)])
+        if y not in self._columns:
+            cs, probs = self.column(y)
+            cdf = np.cumsum(probs)
+            self._columns[y] = cs, cdf / cdf[-1]
+        cs, cdf = self._columns[y]
+        return int(cs[_draw_indices(cdf, 1, rng)[0]]), y
 
 
 def _minimal_verified_order(x: int, n: int, candidate: int) -> int:
@@ -104,7 +159,7 @@ class RunTrace:
 
 def _find_order_with_rng(
     instance: ProblemInstance,
-    dist: OutcomeDistribution,
+    sampler: ColumnSampler,
     max_samples: int,
     multiplier_bound: int,
     rng,
@@ -113,8 +168,7 @@ def _find_order_with_rng(
     attempts = []
     order = None
     for attempt in range(1, max_samples + 1):
-        outcome = dist.outcome_tuples(_draw_indices(dist.cdf, 1, rng))[0]
-        c, ys = outcome[0], outcome[1:]
+        c, y = sampler.draw(rng)
         raw, convergents, checks = order_recovery_steps(
             c, instance.q, instance.x, instance.n, multiplier_bound
         )
@@ -125,7 +179,7 @@ def _find_order_with_rng(
             OrderAttempt(
                 attempt=attempt,
                 c=c,
-                ys=ys,
+                ys=(y,),
                 convergents=tuple(convergents),
                 candidates=tuple(CandidateCheck(*check) for check in checks),
                 raw_candidate=raw,
@@ -140,7 +194,7 @@ def _find_order_with_rng(
         x=instance.x,
         q=instance.q,
         s=instance.s,
-        ell=dist.layout.ell,
+        ell=1,
         seed=seed,
         multiplier_bound=multiplier_bound,
         max_samples=max_samples,
@@ -169,15 +223,17 @@ def find_order(
     multiplier_bound: int = 1,
     seed: int = 0,
 ) -> tuple[int | None, RunTrace]:
-    """Sample measurement outcomes until one recovers a verified order.
+    """Sample measurement outcomes (y, then c, from `ColumnSampler`) until one
+    recovers a verified order.
 
     A verified candidate is reduced to the smallest verified divisor, so the
     returned order always equals the true multiplicative order.
     """
     _require_budgets(max_samples=max_samples, multiplier_bound=multiplier_bound)
-    dist = measurement_distribution(run_pipeline(instance))
     rng = np.random.default_rng(seed)
-    return _find_order_with_rng(instance, dist, max_samples, multiplier_bound, rng, seed)
+    return _find_order_with_rng(
+        instance, ColumnSampler(instance), max_samples, multiplier_bound, rng, seed
+    )
 
 
 @dataclass(frozen=True)
@@ -220,7 +276,6 @@ def factor(
     seed: int = 0,
     samples_per_attempt: int = 16,
     multiplier_bound: int = 8,
-    backend: str = SPARSE,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[FactorPair | None, FactorTrace]:
     """Factor an odd composite non-prime-power n by repeated order finding.
@@ -228,13 +283,21 @@ def factor(
     Each attempt draws x from the run's generator (before any sampling), takes
     the gcd shortcut when x shares a factor with n, and otherwise runs order
     finding followed by the gcd(x^(r/2) -+ 1, n) split. Attempts with an odd
-    order or x^(r/2) = -1 (mod n) are retried with a fresh x.
+    order or x^(r/2) = -1 (mod n) are retried with a fresh x. Each base's
+    `ColumnSampler` is kept for the run. `qubit_cap` bounds its length-q
+    arrays, counted as s qubits, and is checked before any is allocated.
     """
     _require_budgets(max_attempts=max_attempts, samples_per_attempt=samples_per_attempt,
                      multiplier_bound=multiplier_bound)
     screen_factoring_input(n)
+    s = choose_modulus_power(n)[1]
+    if s > qubit_cap:
+        raise CapacityError(
+            f"order finding needs length-2^{s} arrays, cap is 2^{qubit_cap} "
+            f"(raise the cap explicitly to allow this)"
+        )
     rng = np.random.default_rng(seed)
-    dist_cache: dict[int, OutcomeDistribution] = {}
+    samplers: dict[int, ColumnSampler] = {}
     attempts: list[FactorAttempt] = []
     pair = None
     for attempt in range(1, max_attempts + 1):
@@ -246,13 +309,11 @@ def factor(
                 FactorAttempt(attempt, x, g, "gcd shortcut", (pair.f1, pair.f2), None)
             )
             break
-        instance = ProblemInstance.create(n, x)
-        if x not in dist_cache:
-            dist_cache[x] = measurement_distribution(
-                run_pipeline(instance, ell=1, backend=backend, qubit_cap=qubit_cap)
-            )
+        instance = ProblemInstance(n, x)
+        if x not in samplers:
+            samplers[x] = ColumnSampler(instance)
         order, trace = _find_order_with_rng(
-            instance, dist_cache[x], samples_per_attempt, multiplier_bound, rng, None
+            instance, samplers[x], samples_per_attempt, multiplier_bound, rng, None
         )
         if order is None:
             attempts.append(FactorAttempt(attempt, x, None, "no order recovered", None, trace))
@@ -317,10 +378,11 @@ def success_rate_estimate(
 
     The trials are the outcomes `sample_outcomes(dist, trials, seed)` draws:
     one generator seeded by `seed`, one inverse-CDF pass, so the estimate
-    for a seed counts the successes in exactly that sample. The exact rate
-    sums the control-register marginal, in ascending c, over the c values
-    the rounding rule succeeds on; `recoverable_controls` finds those for
-    every c in one array pass, with no per-c call.
+    for a seed counts the successes in exactly that sample. Success depends
+    on c alone, so the draws are counted per c, not looked up per draw. The
+    exact rate sums the control-register marginal, in ascending c, over the
+    c values the rounding rule succeeds on; `recoverable_controls` finds
+    those for every c in one array pass, with no per-c call.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -333,8 +395,11 @@ def success_rate_estimate(
     succeeding = recoverable_controls(instance.q, instance.x, instance.n, multiplier_bound)
     exact_rate = sequential_sum(c_marginal.probs[succeeding[c_marginal.index]])
 
-    hits = succeeding[dist.register(1)]
-    successes = int(hits[_draw_indices(dist.cdf, trials, seed)].sum())
+    # Each c's outcomes are consecutive in the table: its last row is the one
+    # before the first index of c + 1.
+    last_rows = np.searchsorted(dist.index, (c_marginal.index + 1) * dist.layout.right_dim) - 1
+    per_c = _draws_per_block(dist.cdf[last_rows], np.random.default_rng(seed).random(trials))
+    successes = int(per_c[succeeding[c_marginal.index]].sum())
 
     return SuccessRateReport(
         n=instance.n,

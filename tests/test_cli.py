@@ -293,6 +293,14 @@ class TestFactorCommand:
         doc = read_json(tmp_path / "factor_trace.json")
         assert doc["checks"] == [] and doc["report"]["factors"] is None
 
+    def test_qubit_cap_bounds_the_sampler_arrays(self, tmp_path, capsys):
+        # n = 1007 has q = 2^20: refused under a cap of 19 qubits, before
+        # anything is allocated or written.
+        code = main(["factor", "--n", "1007", "--qubit-cap", "19", "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert "order finding needs length-2^20 arrays, cap is 2^19" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_trace_flag_prints_attempts(self, tmp_path, capsys):
         code = main(
             ["factor", "--n", "15", "--seed", "1", "--trace", "--output-dir", str(tmp_path)]
@@ -444,6 +452,7 @@ class TestRecordedConfig:
             ["audit", "--n", "15", "--x", "7", "--format", "csv"],
             ["entanglement", "--n", "15", "--x", "7", "--format", "csv"],
             ["factor", "--n", "15", "--format", "csv"],
+            ["factor", "--n", "15", "--backend", "dense"],
         ],
         ids=" ".join,
     )
