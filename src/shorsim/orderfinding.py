@@ -73,6 +73,15 @@ def _draws_per_block(block_ends: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.diff(below, prepend=0)
 
 
+def _require_qubit_cap(s: int, qubit_cap: int) -> None:
+    """Refuse order finding whose length-2^s arrays exceed 2^qubit_cap entries."""
+    if s > qubit_cap:
+        raise CapacityError(
+            f"order finding needs length-2^{s} arrays, cap is 2^{qubit_cap} "
+            f"(raise the cap explicitly to allow this)"
+        )
+
+
 class ColumnSampler:
     """Outcomes (c, y) of the one-register circuit on one instance, drawn
     without its q·r outcome table, by the chain rule P(c, y) = P(y) P(c | y).
@@ -81,14 +90,15 @@ class ColumnSampler:
     an exact draw from the y-marginal. c is then an inverse-CDF draw over
     column y of the transformed state, the indicator of {a : y_of_a[a] = y}
     scaled by 1/sqrt(q) and transformed by `_kernels.dft_columns`, as the
-    pipeline does with every column at once. A column is built on its first
-    draw and kept, so memory is O(q) per column drawn, not O(q·r).
+    pipeline does with every column at once. Each draw builds its column and
+    drops it, so memory is O(q), not O(q·r). `qubit_cap` bounds the length-q
+    arrays, counted as s qubits, and is checked before any is allocated.
     """
 
-    def __init__(self, instance: ProblemInstance):
+    def __init__(self, instance: ProblemInstance, qubit_cap: int = DEFAULT_QUBIT_CAP):
+        _require_qubit_cap(instance.s, qubit_cap)
         self.q = instance.q
         self.y_of_a = mod_pow_array(instance.x, np.arange(self.q, dtype=np.int64), instance.n)
-        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def column(self, y: int) -> tuple[np.ndarray, np.ndarray]:
         """(c, P(c, y)) over the c of column y whose probability exceeds
@@ -102,12 +112,9 @@ class ColumnSampler:
     def draw(self, rng: np.random.Generator) -> tuple[int, int]:
         """One outcome (c, y): the y draw, then the c draw, from `rng`."""
         y = int(self.y_of_a[rng.integers(self.q)])
-        if y not in self._columns:
-            cs, probs = self.column(y)
-            cdf = np.cumsum(probs)
-            self._columns[y] = cs, cdf / cdf[-1]
-        cs, cdf = self._columns[y]
-        return int(cs[_draw_indices(cdf, 1, rng)[0]]), y
+        cs, probs = self.column(y)
+        cdf = np.cumsum(probs)
+        return int(cs[_draw_indices(cdf / cdf[-1], 1, rng)[0]]), y
 
 
 def _minimal_verified_order(x: int, n: int, candidate: int) -> int:
@@ -222,18 +229,19 @@ def find_order(
     max_samples: int = 32,
     multiplier_bound: int = 1,
     seed: int = 0,
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[int | None, RunTrace]:
     """Sample measurement outcomes (y, then c, from `ColumnSampler`) until one
     recovers a verified order.
 
     A verified candidate is reduced to the smallest verified divisor, so the
-    returned order always equals the true multiplicative order.
+    returned order always equals the true multiplicative order. `qubit_cap`
+    bounds the sampler's length-q arrays (see `ColumnSampler`).
     """
     _require_budgets(max_samples=max_samples, multiplier_bound=multiplier_bound)
+    sampler = ColumnSampler(instance, qubit_cap)
     rng = np.random.default_rng(seed)
-    return _find_order_with_rng(
-        instance, ColumnSampler(instance), max_samples, multiplier_bound, rng, seed
-    )
+    return _find_order_with_rng(instance, sampler, max_samples, multiplier_bound, rng, seed)
 
 
 @dataclass(frozen=True)
@@ -283,21 +291,16 @@ def factor(
     Each attempt draws x from the run's generator (before any sampling), takes
     the gcd shortcut when x shares a factor with n, and otherwise runs order
     finding followed by the gcd(x^(r/2) -+ 1, n) split. Attempts with an odd
-    order or x^(r/2) = -1 (mod n) are retried with a fresh x. Each base's
-    `ColumnSampler` is kept for the run. `qubit_cap` bounds its length-q
-    arrays, counted as s qubits, and is checked before any is allocated.
+    order or x^(r/2) = -1 (mod n) are retried with a fresh x. Each attempt
+    samples through its own `ColumnSampler`. `qubit_cap` bounds the sampler's
+    length-q arrays, counted as s qubits, and is checked before the first
+    attempt, so a run is refused whatever its seed.
     """
     _require_budgets(max_attempts=max_attempts, samples_per_attempt=samples_per_attempt,
                      multiplier_bound=multiplier_bound)
     screen_factoring_input(n)
-    s = choose_modulus_power(n)[1]
-    if s > qubit_cap:
-        raise CapacityError(
-            f"order finding needs length-2^{s} arrays, cap is 2^{qubit_cap} "
-            f"(raise the cap explicitly to allow this)"
-        )
+    _require_qubit_cap(choose_modulus_power(n)[1], qubit_cap)
     rng = np.random.default_rng(seed)
-    samplers: dict[int, ColumnSampler] = {}
     attempts: list[FactorAttempt] = []
     pair = None
     for attempt in range(1, max_attempts + 1):
@@ -310,10 +313,9 @@ def factor(
             )
             break
         instance = ProblemInstance(n, x)
-        if x not in samplers:
-            samplers[x] = ColumnSampler(instance)
         order, trace = _find_order_with_rng(
-            instance, samplers[x], samples_per_attempt, multiplier_bound, rng, None
+            instance, ColumnSampler(instance, qubit_cap), samples_per_attempt,
+            multiplier_bound, rng, None,
         )
         if order is None:
             attempts.append(FactorAttempt(attempt, x, None, "no order recovered", None, trace))

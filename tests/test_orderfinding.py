@@ -7,7 +7,7 @@ import pytest
 
 from shorsim import orderfinding
 from shorsim.distributions import marginal, measurement_distribution, sequential_sum
-from shorsim.errors import UnsuitableInputError
+from shorsim.errors import CapacityError, UnsuitableInputError
 from shorsim.numtheory import (
     multiplicative_order,
     prime_factors,
@@ -295,6 +295,15 @@ class TestColumnSampler:
             order = np.argsort(index)
             assert np.array_equal(index[order], dist.index), (n, x)
             assert np.array_equal(probs[order], dist.probs), (n, x)
+
+    def test_find_order_refuses_arrays_beyond_the_qubit_cap(self, monkeypatch):
+        # INST_15_7 has s = 8: refused under a cap of 7 before the map is built.
+        def refuse(*args):
+            raise AssertionError("length-q map built despite the cap")
+
+        monkeypatch.setattr(orderfinding, "mod_pow_array", refuse)
+        with pytest.raises(CapacityError, match=r"length-2\^8 arrays, cap is 2\^7"):
+            find_order(INST_15_7, seed=1, qubit_cap=7)
 
     def test_y_draws_follow_the_y_marginal(self):
         sampler = orderfinding.ColumnSampler(ProblemInstance(35, 2))
