@@ -12,11 +12,11 @@ touches a contiguous stride pattern.
 Storage is decided here and nowhere else: `StateVector.nonzero_arrays` reads
 a state as (ascending packed indices, amplitudes) and `StateVector.from_arrays`
 writes one, for either backend. Every circuit stage goes through these two
-calls, and sparse storage drops amplitudes at or below SPARSE_AMPLITUDE_FLOOR
-in `from_arrays`. A sparse state stores exactly that ascending pair, so
-handing a state from one stage to the next converts nothing. A dense state
-stores its read-only flat array with the ascending support `from_arrays`
-scattered into it, so reading it costs O(support), not a scan of the array.
+calls. Both backends store exactly that read-only ascending pair, so handing a
+state from one stage to the next converts nothing; they differ only in what
+`from_arrays` drops: exact zeros for dense storage, amplitudes at or below
+SPARSE_AMPLITUDE_FLOOR for sparse. A dense state's flat array of 2**(s + ell*L)
+amplitudes is built only when its `data` is read.
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ class RegisterLayout:
         return 1 << self.total_qubits
 
     def check_capacity(self, backend: str) -> None:
-        """Refuse a state whose storage would exceed 2**qubit_cap amplitudes:
-        2**(s + ell*L) for dense storage, at most 2**(s + L) for sparse."""
+        """Refuse a state that could hold more than 2**qubit_cap amplitudes:
+        2**(s + ell*L) in the flat array a dense state's `data` builds, at
+        most 2**(s + L) in sparse storage."""
         if backend == DENSE:
             qubits = self.total_qubits
         elif backend == SPARSE:
@@ -167,22 +168,18 @@ class RegisterLayout:
 class StateVector:
     """Complex amplitudes over the full register space, dense or sparse.
 
-    Dense states hold the read-only pair (ascending int64 support, flat
-    complex128 array of length layout.dim): the support is every index
-    `from_arrays` scattered a nonzero amplitude to, so it is exactly the
-    array's nonzero positions. Sparse states hold the read-only pair
-    (ascending int64 packed indices, complex128 amplitudes) of the entries
-    above SPARSE_AMPLITUDE_FLOOR, which `nonzero_arrays` returns as it is. In
-    a pipeline state each control value pairs with at most r <= 2**L
-    function-register contents (x^k repeated in every register), so a sparse
-    state holds at most q * 2**L entries whatever ell is.
+    Both backends hold the read-only pair (ascending int64 packed indices,
+    complex128 amplitudes), which `nonzero_arrays` returns as it is: a dense
+    state keeps every nonzero amplitude, a sparse state those above
+    SPARSE_AMPLITUDE_FLOOR. In a pipeline state each control value pairs with
+    at most r <= 2**L function-register contents (x^k repeated in every
+    register), so a state holds at most q * 2**L entries whatever ell is.
 
     Callers outside this module read a state with `nonzero_arrays` and build
     one with `from_arrays`, so they never see which storage it uses; a dense
-    state is built by `from_arrays` alone, so its support is never stale. The
-    constructor also takes a dict from packed index to amplitude for a sparse
-    state, and `data` turns a sparse pair into such a dict, for code that edits
-    entries in place.
+    state is built by `from_arrays` alone. The constructor also takes a dict
+    from packed index to amplitude for a sparse state, and `data` turns a
+    sparse pair into such a dict, for code that edits entries in place.
     """
 
     def __init__(self, layout: RegisterLayout, backend: str, data):
@@ -193,15 +190,21 @@ class StateVector:
         self.layout = layout
         self.backend = backend
         self._data = data
+        self._flat = None
 
     @property
     def data(self):
-        """The read-only flat array of a dense state, or a sparse state's
-        entries as a dict from packed index to amplitude. The dict is made on
-        first access and from then on is the state's storage, so edits to it
-        stick."""
+        """A dense state's read-only flat array of layout.dim amplitudes, or a
+        sparse state's entries as a dict from packed index to amplitude. Each
+        is made on first access and kept; the dict is from then on the sparse
+        state's storage, so edits to it stick."""
         if self.backend == DENSE:
-            return self._data[1]
+            if self._flat is None:
+                index, amps = self._data
+                self._flat = np.zeros(self.layout.dim, dtype=np.complex128)
+                self._flat[index] = amps
+                self._flat.flags.writeable = False
+            return self._flat
         if isinstance(self._data, tuple):
             index, amps = self._data
             self._data = dict(zip(index.tolist(), amps.tolist()))
@@ -220,10 +223,10 @@ class StateVector:
         index, an index outside [0, layout.dim) or a non-finite amplitude
         raises ValueError.
 
-        Dense storage scatters every amplitude into the flat array and records
-        the indices of the nonzero ones as its support; sparse storage keeps
-        those with magnitude above SPARSE_AMPLITUDE_FLOOR. Both keep their
-        indices in ascending order.
+        Dense storage keeps the nonzero amplitudes, sparse storage those with
+        magnitude above SPARSE_AMPLITUDE_FLOOR; both keep their indices in
+        ascending order. The dense capacity check counts all s + ell*L
+        qubits: it bounds the flat array `data` builds.
         """
         layout.check_capacity(backend)
         index = np.asarray(index, dtype=np.int64)
@@ -238,25 +241,16 @@ class StateVector:
             raise ValueError(f"state index outside [0, {layout.dim})")
         if not np.all(np.isfinite(amps)):
             raise ValueError("state holds a non-finite amplitude")
-        if backend == DENSE:
-            flat = np.zeros(layout.dim, dtype=np.complex128)
-            flat[index] = amps
-            index, amps = index[amps != 0], flat
-        else:
-            kept = np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
-            index, amps = index[kept], amps[kept]
+        kept = amps != 0 if backend == DENSE else np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
+        index, amps = index[kept], amps[kept]
         index.flags.writeable = False
         amps.flags.writeable = False
         return cls(layout, backend, (index, amps))
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(packed indices, amplitudes) of the stored nonzero entries, the
-        indices ascending on both backends. A sparse state returns its stored
-        read-only pair, without a copy; a dense state its support and the
-        amplitudes gathered there."""
-        if self.backend == DENSE:
-            support, flat = self._data
-            return support, flat[support]
+        indices ascending on both backends: the stored read-only pair, without
+        a copy, unless a sparse state's entries were opened as a dict."""
         if isinstance(self._data, tuple):
             return self._data
         count = len(self._data)
@@ -272,13 +266,11 @@ class StateVector:
         return self.nonzero_arrays()[0].size
 
     def densify(self) -> "StateVector":
-        """Dense copy with identical amplitudes."""
+        """Dense state with identical amplitudes; a dense state's copy shares
+        its read-only pair."""
         self.layout.check_capacity(DENSE)
         if self.backend == DENSE:
-            # A copy of the flat array is cheaper than a scatter of its entries.
-            support, flat = (array.copy() for array in self._data)
-            support.flags.writeable = flat.flags.writeable = False
-            return StateVector(self.layout, DENSE, (support, flat))
+            return StateVector(self.layout, DENSE, self._data)
         return StateVector.from_arrays(self.layout, DENSE, *self.nonzero_arrays())
 
     def sparsify(self) -> "StateVector":

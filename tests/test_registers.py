@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,31 @@ class TestStateVector:
         with pytest.raises(ValueError, match="read-only"):
             copy.data[0] = 1
 
+    def test_dense_data_is_the_scatter_of_its_pair_built_once(self):
+        inst = ProblemInstance.create(21, 2)
+        state = run_pipeline(inst, ell=2, backend=DENSE)
+        index, amps = state.nonzero_arrays()
+        expected = np.zeros(state.layout.dim, dtype=np.complex128)
+        expected[index] = amps
+        flat = state.data
+        assert flat.shape == (state.layout.dim,)
+        assert flat.tobytes() == expected.tobytes()
+        assert state.data is flat
+        with pytest.raises(ValueError, match="read-only"):
+            flat[0] = 1
+
+    def test_dense_pipeline_never_allocates_the_flat_array(self):
+        # n = 35, ell = 2 spans 2**(11 + 2*6) amplitudes, 134 MB as a flat
+        # complex128 array; its support holds at most 2048 * 12 of them. numpy
+        # reports its buffers to tracemalloc.
+        tracemalloc.start()
+        try:
+            run_pipeline(ProblemInstance(35, 3), ell=2, backend=DENSE, qft="gates")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 # Amplitudes a dense state may be handed: exact zeros of both signs, which it
 # must not record, subnormals and values at or below the sparse floor, which it
@@ -416,12 +442,11 @@ class TestMaxAbsDifference:
 
 
 def test_only_registers_touches_state_storage():
-    # The storage format (a flat array with its ascending support, or the
-    # ascending (index, amps) pair with its on-demand dict view `data`) and
-    # the choice between the two
-    # are known to registers.py alone: every other module goes through
-    # nonzero_arrays / from_arrays, passes a backend on without comparing it,
-    # and never converts a state to the other storage.
+    # The storage format (the ascending (index, amps) pair, with the dense
+    # flat array or the sparse dict view that `data` builds on demand) and
+    # the choice between the backends are known to registers.py alone: every
+    # other module goes through nonzero_arrays / from_arrays, passes a backend
+    # on without comparing it, and never converts a state to the other storage.
     storage_attrs = {"data", "densify", "sparsify", "control_matrix"}
     offenders = []
     for path in sorted(Path(shorsim.__file__).parent.glob("*.py")):
