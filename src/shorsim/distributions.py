@@ -173,15 +173,19 @@ def exact_sum(values: np.ndarray) -> float:
     return math.fsum(partials)
 
 
+def require_unit_norm(probs: np.ndarray) -> None:
+    """Refuse probabilities whose sum is not 1 within NORM_TOLERANCE; a NaN sum fails too."""
+    norm = float(probs.sum())
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
+        raise NormalizationError(f"state norm is {norm}, not 1 within {NORM_TOLERANCE}")
+
+
 def measurement_distribution(state: StateVector) -> OutcomeDistribution:
     """Squared-magnitude probabilities of every outcome, ascending like the
     state; entries below PROBABILITY_FLOOR are omitted."""
     index, amps = state.nonzero_arrays()
     probs = np.abs(amps) ** 2
-    norm = float(probs.sum())
-    # Written so that a NaN norm fails too.
-    if not abs(norm - 1.0) <= NORM_TOLERANCE:
-        raise NormalizationError(f"state norm is {norm}, not 1 within {NORM_TOLERANCE}")
+    require_unit_norm(probs)
     kept = probs > PROBABILITY_FLOOR
     positions = tuple(range(1, state.layout.ell + 2))
     return OutcomeDistribution(state.layout, positions, index[kept], probs[kept])

@@ -7,9 +7,9 @@ brute-force ground-truth oracle the rest of the package is verified against.
 driver's input screen and its order reduction all read it.
 
 Two functions work on int64 arrays instead and are tested against a scalar
-twin: `mod_pow_array` (x^e mod n over an exponent array) against `mod_pow`,
-and `recoverable_controls` (the rounding rule over every control value)
-against `recover_order_from_sample`.
+twin: `mod_pow_range` (x^0 .. x^(count-1) mod n) against `pow`, and
+`recoverable_controls` (the rounding rule over every control value) against
+`recover_order_from_sample`.
 """
 
 from __future__ import annotations
@@ -65,27 +65,20 @@ def mod_pow(x: int, e: int, n: int) -> int:
     return pow(x, e, n)
 
 
-def mod_pow_array(x: int, exponents: np.ndarray, n: int) -> np.ndarray:
-    """x**e mod n for every e of an int64 array, by square-and-multiply; int64 results in [0, n).
-
-    Every product is of two residues below n, so n with (n-1)^2 >= 2^63 is
-    refused rather than overflowed.
-    """
+def mod_pow_range(x: int, count: int, n: int) -> np.ndarray:
+    """x**e mod n for e = 0 .. count-1, int64 in [0, n), by doubling: the next
+    block of powers is the block so far times x**len(block) mod n. Every
+    product is of two residues below n, so n with (n-1)^2 >= 2^63 is refused."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if (n - 1) ** 2 >= INT64_LIMIT:
         raise ValueError(f"modulus {n} is too large for int64 products")
-    e = np.asarray(exponents, dtype=np.int64)
-    if np.any(e < 0):
-        raise ValueError("exponents must be non-negative")
-    result = np.ones(e.shape, dtype=np.int64)
-    square = x % n
-    while np.any(e):
-        odd = (e & 1).astype(bool)
-        result[odd] = result[odd] * square % n
-        square = square * square % n
-        e = e >> 1
-    return result
+    powers = np.ones(count, dtype=np.int64)
+    done = 1
+    while done < count:
+        powers[done : 2 * done] = powers[: min(done, count - done)] * pow(x, done, n) % n
+        done *= 2
+    return powers
 
 
 def multiplicative_order(x: int, n: int) -> int:
@@ -230,12 +223,11 @@ def recoverable_controls(q: int, x: int, n: int, multiplier_bound: int = 1) -> n
         raise NotCoprimeError(x, n, g)
     if (q + 1) * n >= INT64_LIMIT:
         raise ValueError(f"q={q} and n={n} are too large for int64 denominators")
-    t = np.arange(n, dtype=np.int64)
-    is_one = mod_pow_array(x, t, n) == 1
+    is_one = mod_pow_range(x, n, n) == 1
     verified = np.zeros(n, dtype=bool)
     for m in range(1, min(multiplier_bound, n - 1) + 1):
-        fits = m * t < n
-        verified[fits] |= is_one[m * t[fits]]
+        # is_one[::m] holds x^(m*t) = 1 for every t with m*t < n.
+        verified[: is_one[::m].size] |= is_one[::m]
 
     recovered = np.zeros(q, dtype=bool)
     # Live lanes: control value, remainder pair (num, den) and the last two

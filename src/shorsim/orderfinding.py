@@ -1,9 +1,9 @@
 """Seeded sampling, order recovery, the factoring driver, and success rates.
 
-`sample_outcomes` and the success-rate trials draw from an exact outcome
-table through an inverse CDF over its ascending outcomes. Order finding
-builds no table: `ColumnSampler` draws y from the fan-out's y-marginal, then
-c from the one transformed column y (the chain rule), in O(q) memory.
+`sample_outcomes` draws from an exact outcome table through an inverse CDF
+over its ascending outcomes. `ColumnSampler` draws y from the fan-out's
+y-marginal, then c from the one transformed column y (the chain rule), in
+O(q) memory; the success rate reads all its columns at once.
 Identical seeds give identical samples. The driver draws the base x and the
 measurement samples from one generator, with the x draw preceding each
 order-finding attempt, so whole runs replay exactly from (n, seed, budgets).
@@ -20,8 +20,7 @@ from .checks import Check, check
 from .distributions import (
     PROBABILITY_FLOOR,
     OutcomeDistribution,
-    marginal,
-    measurement_distribution,
+    require_unit_norm,
     sequential_sum,
 )
 from .errors import CapacityError, UnsuitableInputError
@@ -31,14 +30,13 @@ from .numtheory import (
     factor_from_order,
     gcd,
     mod_pow,
-    mod_pow_array,
+    mod_pow_range,
     multiplicative_order,
     order_recovery_steps,
     prime_factors,
     recoverable_controls,
 )
-from .pipeline import run_pipeline
-from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, choose_modulus_power
+from .registers import DEFAULT_QUBIT_CAP, SPARSE, ProblemInstance, choose_modulus_power
 
 
 def sample_outcomes(
@@ -47,8 +45,6 @@ def sample_outcomes(
     """Draw `count` i.i.d. outcomes by inverse CDF over ascending outcome order."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    if count == 0:
-        return []
     return dist.outcome_tuples(_draw_indices(dist.cdf, count, seed))
 
 
@@ -83,31 +79,40 @@ def _require_qubit_cap(s: int, qubit_cap: int) -> None:
 
 
 class ColumnSampler:
-    """Outcomes (c, y) of the one-register circuit on one instance, drawn
-    without its q·r outcome table, by the chain rule P(c, y) = P(y) P(c | y).
-
-    y is `y_of_a` at a uniform a in [0, q): the fan-out's own map, so this is
-    an exact draw from the y-marginal. c is then an inverse-CDF draw over
-    column y of the transformed state, the indicator of {a : y_of_a[a] = y}
-    scaled by 1/sqrt(q) and transformed by `_kernels.dft_columns`, as the
-    pipeline does with every column at once. Each draw builds its column and
-    drops it, so memory is O(q), not O(q·r). `qubit_cap` bounds the length-q
-    arrays, counted as s qubits, and is checked before any is allocated.
-    """
+    """Outcomes (c, y) of the one-register circuit by the chain rule
+    P(c, y) = P(y) P(c | y), without its q·r table. y is `y_of_a` (the fan-out's
+    map) at a uniform a in [0, q); c is an inverse-CDF draw over column y: the
+    indicator of {a : y_of_a[a] = y}, scaled by 1/sqrt(q), through `dft_columns`.
+    A draw keeps no column (O(q) memory); `qubit_cap` bounds the length-q
+    arrays, as s qubits, before any is allocated."""
 
     def __init__(self, instance: ProblemInstance, qubit_cap: int = DEFAULT_QUBIT_CAP):
         _require_qubit_cap(instance.s, qubit_cap)
+        self.layout = instance.layout(qubit_cap=qubit_cap)
         self.q = instance.q
-        self.y_of_a = mod_pow_array(instance.x, np.arange(self.q, dtype=np.int64), instance.n)
+        self.y_of_a = mod_pow_range(instance.x, self.q, instance.n)
+
+    def _columns(self, ys: np.ndarray) -> np.ndarray:
+        """(q, len(ys)) probabilities P(c, ys[j]), one column per y as above."""
+        indicator = self.y_of_a[:, None] == ys
+        return np.abs(_kernels.dft_columns(indicator / np.sqrt(self.q) + 0j)) ** 2
 
     def column(self, y: int) -> tuple[np.ndarray, np.ndarray]:
         """(c, P(c, y)) over the c of column y whose probability exceeds
         PROBABILITY_FLOOR, ascending in c: the full table's rows for y."""
-        cols = np.zeros((self.q, 1), dtype=np.complex128)
-        cols[self.y_of_a == y] = 1.0 / np.sqrt(self.q)
-        probs = np.abs(_kernels.dft_columns(cols)[:, 0]) ** 2
+        probs = self._columns(np.array([y]))[:, 0]
         cs = np.flatnonzero(probs > PROBABILITY_FLOOR)
         return cs, probs[cs]
+
+    def table(self) -> np.ndarray:
+        """(q, m) probabilities of all m columns, y ascending, the cells the
+        outcome table omits at 0.0. Refused before allocation where a sparse
+        state is; its norm is checked as `measurement_distribution` checks one."""
+        self.layout.check_capacity(SPARSE)
+        probs = self._columns(np.flatnonzero(np.bincount(self.y_of_a)))
+        require_unit_norm(probs)
+        probs[probs <= PROBABILITY_FLOOR] = 0.0
+        return probs
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int]:
         """One outcome (c, y): the y draw, then the c draw, from `rng`."""
@@ -378,30 +383,29 @@ def success_rate_estimate(
 ) -> SuccessRateReport:
     """Fraction of single-sample runs whose c recovers a verified order.
 
-    The trials are the outcomes `sample_outcomes(dist, trials, seed)` draws:
-    one generator seeded by `seed`, one inverse-CDF pass, so the estimate
-    for a seed counts the successes in exactly that sample. Success depends
-    on c alone, so the draws are counted per c, not looked up per draw. The
-    exact rate sums the control-register marginal, in ascending c, over the
-    c values the rounding rule succeeds on; `recoverable_controls` finds
-    those for every c in one array pass, with no per-c call.
-    """
+    It reads only `ColumnSampler.table()`, whose row-major cells are the
+    outcome table `dist` in order, and runs no pipeline. The trials are the
+    outcomes `sample_outcomes(dist, trials, seed)` draws, counted per c (on
+    which success depends) against the cdf at each c's last cell. The exact
+    rate sums the c-marginal, ascending, over the c `recoverable_controls`
+    marks. Each c's mass adds its cells in ascending y, as `marginal` does,
+    and adding a 0.0 cell is exact, so both equal the table's bit for bit."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     _require_budgets(multiplier_bound=multiplier_bound)
-    dist = measurement_distribution(run_pipeline(instance))
+    table = ColumnSampler(instance).table()
+    q, m = table.shape
+    c_probs = np.zeros(q)
+    for column in table.T:
+        c_probs += column
+    kept = np.flatnonzero(c_probs)
+    succeeding = recoverable_controls(q, instance.x, instance.n, multiplier_bound)[kept]
+    exact_rate = sequential_sum(c_probs[kept][succeeding])
+    block_ends = np.cumsum(table.ravel())[kept * m + m - 1]
+    per_c = _draws_per_block(block_ends, np.random.default_rng(seed).random(trials))
+    successes = int(per_c[succeeding].sum())
     r = multiplicative_order(instance.x, instance.n)
     phi_r = euler_phi(r)
-
-    c_marginal = marginal(dist, (1,))
-    succeeding = recoverable_controls(instance.q, instance.x, instance.n, multiplier_bound)
-    exact_rate = sequential_sum(c_marginal.probs[succeeding[c_marginal.index]])
-
-    # Each c's outcomes are consecutive in the table: its last row is the one
-    # before the first index of c + 1.
-    last_rows = np.searchsorted(dist.index, (c_marginal.index + 1) * dist.layout.right_dim) - 1
-    per_c = _draws_per_block(dist.cdf[last_rows], np.random.default_rng(seed).random(trials))
-    successes = int(per_c[succeeding[c_marginal.index]].sum())
 
     return SuccessRateReport(
         n=instance.n,

@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .checks import Check, check
 from .errors import StageOrderError
-from .numtheory import mod_pow_array
+from .numtheory import mod_pow_range
 from .registers import (
     DEFAULT_QUBIT_CAP,
     SPARSE,
@@ -80,7 +80,7 @@ def apply_modexp_fanout(state: StateVector, instance: ProblemInstance) -> StateV
     a, ykey = np.divmod(index, layout.right_dim)
     if np.any(ykey):
         raise StageOrderError("fan-out requires zeroed function registers")
-    y = mod_pow_array(instance.x, a, instance.n)
+    y = mod_pow_range(instance.x, int(a.max(initial=-1)) + 1, instance.n)[a]
     packed = _repeated_function_value(layout, y)
     return StateVector.from_arrays(layout, state.backend, index + packed, amps)
 

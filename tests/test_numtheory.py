@@ -13,7 +13,7 @@ from shorsim.numtheory import (
     factor_from_order,
     gcd,
     mod_pow,
-    mod_pow_array,
+    mod_pow_range,
     multiplicative_order,
     order_recovery_steps,
     prime_factors,
@@ -175,32 +175,41 @@ class TestRecoverOrder:
                 assert mod_pow(2, candidate, 21) == 1
 
 
-class TestModPowArray:
+class TestModPowRange:
     @pytest.mark.parametrize("n", FACTORABLE_N_45)
     def test_equals_pow_for_every_exponent(self, n):
         q = ProblemInstance.create(n, 2).q
-        exponents = np.arange(q, dtype=np.int64)
         for x in coprime_bases(n):
-            got = mod_pow_array(x, exponents, n)
+            got = mod_pow_range(x, q, n)
             assert got.dtype == np.int64
             assert got.tolist() == [pow(x, e, n) for e in range(q)]
 
-    def test_empty_and_zero_exponents(self):
-        assert mod_pow_array(7, np.zeros(3, dtype=np.int64), 15).tolist() == [1, 1, 1]
-        assert mod_pow_array(7, np.zeros(0, dtype=np.int64), 15).size == 0
+    def test_empty_and_single(self):
+        assert mod_pow_range(7, 0, 15).size == 0
+        assert mod_pow_range(7, 1, 15).tolist() == [1]
+
+    def test_base_at_or_above_the_modulus(self):
+        for x in (15, 22, 15 * 7 + 4):
+            assert mod_pow_range(x, 20, 15).tolist() == [pow(x, e, 15) for e in range(20)]
+
+    def test_count_not_a_power_of_two(self):
+        for count in (3, 5, 37, 1000):
+            assert mod_pow_range(2, count, 1007).tolist() == [
+                pow(2, e, 1007) for e in range(count)
+            ]
 
     def test_int64_guard(self):
         # (n-1)^2 must stay below 2^63; the largest allowed n passes.
         largest = math.isqrt(2**63 - 1) + 1
-        assert mod_pow_array(2, np.array([64]), largest).tolist() == [pow(2, 64, largest)]
+        assert mod_pow_range(2, 65, largest).tolist() == [pow(2, e, largest) for e in range(65)]
         with pytest.raises(ValueError, match="too large"):
-            mod_pow_array(2, np.array([3]), largest + 1)
+            mod_pow_range(2, 3, largest + 1)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="modulus"):
-            mod_pow_array(2, np.array([3]), 1)
-        with pytest.raises(ValueError, match="non-negative"):
-            mod_pow_array(2, np.array([3, -1]), 15)
+            mod_pow_range(2, 3, 1)
+        with pytest.raises(ValueError, match="negative"):
+            mod_pow_range(2, -1, 15)
 
 
 def scalar_mask(q, x, n, bound):

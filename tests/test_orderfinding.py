@@ -5,9 +5,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from shorsim import orderfinding
+from shorsim import _kernels, distributions, orderfinding, pipeline
 from shorsim.distributions import marginal, measurement_distribution, sequential_sum
-from shorsim.errors import CapacityError, UnsuitableInputError
+from shorsim.errors import CapacityError, NormalizationError, UnsuitableInputError
 from shorsim.numtheory import (
     multiplicative_order,
     prime_factors,
@@ -124,8 +124,8 @@ class TestFindOrder:
         def refuse(*args, **kwargs):
             raise AssertionError("order finding built the q·r outcome table")
 
-        for name in ("run_pipeline", "measurement_distribution"):
-            monkeypatch.setattr(orderfinding, name, refuse)
+        monkeypatch.setattr(pipeline, "run_pipeline", refuse)
+        monkeypatch.setattr(distributions, "measurement_distribution", refuse)
         assert find_order(INST_15_7, seed=7)[0] == 4
         assert factor(35, seed=1)[0] is not None
 
@@ -278,6 +278,55 @@ class TestSuccessRate:
         assert report.exact_rate == pytest.approx(0.5, abs=1e-12)
 
 
+def _outcome_table_oracle(instance, bound, seed, trials):
+    """(successes, exact_rate) as read from the packed outcome table: the
+    control marginal, each c's last row located in the table, its cdf there."""
+    dist = measurement_distribution(run_pipeline(instance))
+    c_marginal = marginal(dist, (1,))
+    succeeding = recoverable_controls(instance.q, instance.x, instance.n, bound)[c_marginal.index]
+    exact_rate = sequential_sum(c_marginal.probs[succeeding])
+    last_rows = np.searchsorted(dist.index, (c_marginal.index + 1) * dist.layout.right_dim) - 1
+    per_c = orderfinding._draws_per_block(
+        dist.cdf[last_rows], np.random.default_rng(seed).random(trials)
+    )
+    return int(per_c[succeeding].sum()), exact_rate
+
+
+class TestSuccessRateFromTheColumnTable:
+    @pytest.mark.parametrize("n", FACTORABLE)
+    def test_equals_the_outcome_table_route(self, n):
+        # Every coprime base; one seed, bound 1.
+        for x in (x for x in range(2, n) if math.gcd(x, n) == 1):
+            instance = ProblemInstance(n, x)
+            successes, exact_rate = _outcome_table_oracle(instance, 1, 0, 5000)
+            report = success_rate_estimate(instance, trials=5000, multiplier_bound=1, seed=0)
+            assert (report.successes, report.exact_rate) == (successes, exact_rate), (n, x)
+
+    def test_runs_no_pipeline(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the success rate ran the pipeline")
+
+        monkeypatch.setattr(pipeline, "run_pipeline", refuse)
+        monkeypatch.setattr(distributions, "measurement_distribution", refuse)
+        report = success_rate_estimate(ProblemInstance(35, 2), trials=1000, seed=4)
+        assert report.exact_rate == _outcome_table_oracle(ProblemInstance(35, 2), 1, 4, 1000)[1]
+
+    def test_refused_where_the_sparse_state_is(self, monkeypatch):
+        # s + L = 18 + 9 = 27 qubits, above the default cap of 26.
+        def refuse(*args):
+            raise AssertionError("the table was transformed despite the cap")
+
+        monkeypatch.setattr(_kernels, "dft_columns", refuse)
+        with pytest.raises(CapacityError, match=r"sparse state needs up to 2\^27 amplitudes"):
+            success_rate_estimate(ProblemInstance(363, 2), trials=10)
+
+    def test_table_norm_is_checked(self, monkeypatch):
+        dft_columns = _kernels.dft_columns
+        monkeypatch.setattr(_kernels, "dft_columns", lambda cols: dft_columns(cols) * 1.01)
+        with pytest.raises(NormalizationError, match="not 1 within"):
+            success_rate_estimate(INST_15_7, trials=10)
+
+
 class TestColumnSampler:
     @pytest.mark.parametrize("n", FACTORABLE)
     def test_columns_are_the_full_table(self, n):
@@ -301,7 +350,7 @@ class TestColumnSampler:
         def refuse(*args):
             raise AssertionError("length-q map built despite the cap")
 
-        monkeypatch.setattr(orderfinding, "mod_pow_array", refuse)
+        monkeypatch.setattr(orderfinding, "mod_pow_range", refuse)
         with pytest.raises(CapacityError, match=r"length-2\^8 arrays, cap is 2\^7"):
             find_order(INST_15_7, seed=1, qubit_cap=7)
 

@@ -271,13 +271,15 @@ class TestStateVector:
         with pytest.raises(TypeError, match="from_arrays"):
             StateVector(layout, DENSE, np.zeros(layout.dim, dtype=np.complex128))
 
-    def test_densify_copies_a_dense_state_and_its_support(self):
+    def test_densify_of_a_dense_state_shares_its_pair(self):
         inst = ProblemInstance.create(15, 7)
         dense = run_pipeline(inst, ell=1, backend=DENSE)
         copy = dense.densify()
-        assert copy.data is not dense.data and np.array_equal(copy.data, dense.data)
+        # The copy holds the same read-only (index, amps) arrays, not copies of
+        # them; each state builds its own `.data` from them.
         for mine, theirs in zip(copy.nonzero_arrays(), dense.nonzero_arrays()):
-            assert np.array_equal(mine, theirs)
+            assert mine is theirs
+        assert copy.data is not dense.data and np.array_equal(copy.data, dense.data)
         with pytest.raises(ValueError, match="read-only"):
             copy.data[0] = 1
 
