@@ -24,8 +24,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,7 +37,7 @@ from . import distributions, entanglement, orderfinding, pipeline
 from .checks import Check
 from .errors import ShorSimError, UnsuitableInputError
 from .numtheory import gcd, multiplicative_order
-from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, distinct_positions
+from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, float_reprs
 
 SCHEMA_VERSION = 2
 
@@ -150,7 +152,7 @@ def _write_json(args, payload: dict, filename: str, checks: list[Check]) -> Path
         "report": payload,
     }
     with open(path, "w") as fh:
-        fh.write(format_json(document) + "\n")
+        fh.writelines((format_json(document), "\n"))
     return path
 
 
@@ -171,49 +173,111 @@ class RecordTable(NamedTuple):
     columns: tuple[np.ndarray, ...]
 
 
-def format_json(value, depth: int = 0) -> str:
-    """Byte-identical to `json.dumps(value, indent=2)` nested `depth` levels deep,
-    where each `RecordTable` stands for its list of row dicts.
+def format_json(value) -> str:
+    """Byte-identical to `json.dumps(value, indent=2)`, where each `RecordTable`
+    stands for its list of row dicts.
 
-    Walks dicts with string keys and renders each record table from its
-    columns; everything else goes to `json.dumps`."""
-    pad = "  " * depth
-    if type(value) is dict and value and all(type(key) is str for key in value):
-        items = [f"{json.dumps(k)}: {format_json(v, depth + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}}}"
+    Renders strings, ints, finite floats, None, bools, non-empty lists,
+    tuples and dicts with string keys itself, as `json`'s encoder does, and
+    every record table from its columns; everything else (an empty container,
+    a dict with a non-string key, a non-finite float, a numpy scalar, an
+    unknown type) goes to `json.dumps`.
+    The float columns of all the document's record tables are formatted
+    together, in one pass of the row kernel (`registers.float_reprs`)."""
+    tables, parts = [], []
+    _find_tables(value, tables)
+    _render(value, "", _record_cells(tables), parts)
+    return "".join(parts)
+
+
+def _find_tables(value, tables: list) -> None:
+    """Append the record tables in `value` to `tables`, in document order."""
     if type(value) is RecordTable:
-        return _format_records(value, pad)
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        tables.append(value)
+    elif type(value) in (list, tuple, dict):
+        for item in value.values() if type(value) is dict else value:
+            _find_tables(item, tables)
 
 
-def _format_records(table: RecordTable, pad: str) -> str:
-    """The table's rows as `json.dumps` lays them out, every row filled into
-    one `%s` template."""
-    width = len(table.columns)
+def _render(value, pad: str, cells: dict, parts: list) -> None:
+    """Append the text of `value`, as `json.dumps(value, indent=2)` writes it
+    `pad` deep, to `parts`; `cells` maps id(table) to the `%s` cells of each
+    record table's rows. Nothing is copied into an enclosing container's
+    text, so a large table is copied once, by the caller's join."""
+    kind = type(value)
+    if kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is float and math.isfinite(value):
+        parts.append(float.__repr__(value))
+    elif value is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif kind is RecordTable:
+        parts.append(_format_records(value, pad, cells[id(value)]))
+    elif (kind is list or kind is tuple) and value:
+        inner = pad + "  "
+        separator = "[\n" + inner
+        for item in value:
+            parts.append(separator)
+            separator = ",\n" + inner
+            _render(item, inner, cells, parts)
+        parts.append(f"\n{pad}]")
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            parts.append(f"{separator}{encode_basestring_ascii(key)}: ")
+            separator = ",\n" + inner
+            _render(item, inner, cells, parts)
+        parts.append(f"\n{pad}}}")
+    else:
+        parts.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+
+
+def _record_cells(tables: list) -> dict:
+    """id(table) -> the `%s` cells of the table's rows, row after row: an
+    integer column's Python ints, a float column's texts. The float columns
+    of all the tables go through `float_reprs` as one column."""
+    floats = []
+    for column in (column for table in tables for column in table.columns):
+        if column.dtype.kind not in "iuf":
+            raise TypeError(f"a record column must hold integers or floats, not {column.dtype}")
+        if column.dtype.kind == "f":
+            floats.append(column.astype(np.float64, copy=False))
+    values = np.concatenate(floats) if floats else np.empty(0)
+    texts = float_reprs(values)
+    # `json` spells the non-finite floats NaN, Infinity and -Infinity.
+    for row in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[row] = json.dumps(values[row].item())
+    cells, at = {}, 0
+    for table in tables:
+        width, rows = len(table.columns), len(table.columns[0])
+        row_cells = [None] * (rows * width)
+        for j, column in enumerate(table.columns):
+            if column.dtype.kind == "f":
+                row_cells[j::width] = texts[at : at + rows]
+                at += rows
+            else:
+                row_cells[j::width] = column.tolist()
+        cells[id(table)] = row_cells
+    return cells
+
+
+def _format_records(table: RecordTable, pad: str, cells: list) -> str:
+    """The table's rows as `json.dumps` lays them out, `pad` deep, every row
+    filled into one `%s` template from `cells`."""
     rows = len(table.columns[0])
     if rows == 0:
         return "[]"
-    cells = [None] * (rows * width)
-    for j, column in enumerate(table.columns):
-        cells[j::width] = _column_texts(column)
-    fields = ",\n".join(f"{pad}    {json.dumps(key).replace('%', '%%')}: %s" for key in table.keys)
+    fields = ",\n".join(
+        f"{pad}    {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in table.keys
+    )
     template = f"{{\n{fields}\n{pad}  }}"
     body = f",\n{pad}  ".join([template] * rows) % tuple(cells)
     return f"[\n{pad}  {body}\n{pad}]"
-
-
-def _column_texts(column: np.ndarray) -> list:
-    """What `json.dumps` writes for each value of an integer or float column:
-    Python ints for `%s`, or one `repr` per distinct bit pattern of a float
-    column (so -0.0 and 0.0 stay apart), `NaN`/`Infinity` as `json` spells them."""
-    if column.dtype.kind in "iu":
-        return column.tolist()
-    if column.dtype.kind != "f":
-        raise TypeError(f"a record column must hold integers or floats, not {column.dtype}")
-    bits, slot = distinct_positions(column.astype(np.float64, copy=False).view(np.int64))
-    values = bits.view(np.float64)
-    render = float.__repr__ if np.isfinite(values).all() else json.dumps
-    return np.array(list(map(render, values.tolist())), dtype=object)[slot].tolist()
 
 
 def _maybe_dump_state(args, state) -> None:
@@ -319,7 +383,7 @@ def cmd_factor(args) -> list[Check]:
     document = asdict(trace)
     _write_json(args, document, "factor_trace.json", [])
     if args.trace:
-        print(json.dumps(document, indent=2))
+        print(format_json(document))
     if pair is None:
         raise ShorSimError(f"no factors found for {args.n} within {args.max_attempts} attempts")
     print(f"{args.n} = {pair.f1} × {pair.f2}")

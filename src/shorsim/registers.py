@@ -21,6 +21,7 @@ amplitudes is built only when its `data` is read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,7 +340,9 @@ def max_abs_difference(
 
 # Rows are formatted in numpy, several ASCII bytes per uint32 word, into a
 # NUL-padded (rows, words) matrix that one `mat[mat != 0]` compresses. Python's
-# `%` formats only the values the kernel leaves undecided (`_float_words`).
+# `%` formats only the values the kernel leaves undecided (`_float_words`). The
+# JSON writer (`cli.format_json`) takes its floats' texts from `float_reprs`,
+# the float kernel's shortest mode.
 
 # Each integer 0..9999 as the word "dddd"; then with its trailing zeros NUL
 # (for fractions), its leading zeros NUL, and its leading zeros but a last one
@@ -403,12 +406,22 @@ def _veltkamp_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _POW10_HIGH, _POW10_LOW = _veltkamp_split(_POW10_HI)
 
 
-def _float_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write `'%.17g' % v` of each float64 v into the rows of `out` (7 words)
-    and return the rows it leaves undecided, for Python to format: ±0.0,
-    non-finite values, |v| outside [1e-24, 10), a scaled value outside
-    [10**16, 10**17) before or after rounding (log10 off by one next to a
-    power of ten), and a rounding decision within _TIE_BAND of a tie."""
+def _float_words(column: np.ndarray, out: np.ndarray, shortest: bool = False) -> np.ndarray:
+    """Write `'%.17g' % v` of each float64 v into the rows of `out` (7 words),
+    or with `shortest` `repr(v)`, and return the rows it leaves undecided, for
+    Python to format: ±0.0, non-finite values, |v| outside [1e-24, 10), a
+    scaled value outside [10**16, 10**17) before or after rounding (log10 off
+    by one next to a power of ten), and a rounding decision within _TIE_BAND
+    of a tie.
+
+    `repr` prints the fewest digits whose nearest decimal reads back as v
+    (Steele and White; Gay). For each digit count the kernel rounds the exact
+    scaled value and keeps the shortest rounding that lies strictly inside
+    v's rounding interval, of half-width `spacing(v) * 10**k / 2` in the
+    scaled units. Python also formats, in this mode, a rounding within
+    _TIE_BAND of the interval's edge or of a tie, a power of two (its
+    interval is asymmetric) and a whole number, which `repr` writes as `d.0`.
+    """
     magnitude = np.abs(column)
     decided = (magnitude >= _FLOAT_RANGE[0]) & (magnitude < _FLOAT_RANGE[1])
     magnitude = np.where(decided, magnitude, 1.0)
@@ -425,8 +438,14 @@ def _float_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:
     fraction = rest - carry
     digits = whole.astype(np.int64) + carry.astype(np.int64)
     decided &= (digits >= 10**16) & (digits < 10**17) & (np.abs(fraction - 0.5) >= _TIE_BAND)
-    # 17 significant digits, rounded; a round-up to 10**17 goes to Python.
-    digits += fraction > 0.5
+    if shortest:
+        digits, near = _shortest_digits(magnitude, k, digits, fraction)
+        mantissa = column.view(np.int64) & ((1 << 52) - 1)
+        decided &= ~near & (mantissa != 0) & ((exponent < 0) | (digits % 10**16 != 0))
+    else:
+        # 17 significant digits, rounded.
+        digits += fraction > 0.5
+    # A round-up to 10**17 goes to Python.
     decided &= digits < 10**17
     digits = np.where(decided, digits, 10**16)
 
@@ -448,6 +467,56 @@ def _float_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~decided)
 
 
+def _shortest_digits(
+    magnitude: np.ndarray, k: np.ndarray, digits: np.ndarray, fraction: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(the shortest rounding of each scaled value digits + fraction that lies
+    inside its rounding interval, as 17 digits with trailing zeros; whether
+    some decision was within _TIE_BAND of the interval's edge or of a tie).
+
+    A rounding to a multiple of 10**j inside the interval is a multiple of
+    every 10**i, i < j, and no farther from the value than theirs, so each
+    j looks only at the lanes that had one within reach at j - 1."""
+    half = np.spacing(magnitude) * _POW10_HI[k] / 2
+    best = digits + (fraction > 0.5)
+    near = np.zeros(digits.size, dtype=bool)
+    lanes = np.arange(digits.size)
+    unit = 1
+    while lanes.size and unit < 10**16:
+        unit *= 10
+        rest = digits % unit
+        down = rest + fraction
+        up = (unit - rest) - fraction
+        distance = np.minimum(down, up)
+        inside = distance < half
+        near[lanes] |= (np.abs(distance - half) < _TIE_BAND) | (
+            inside & (np.abs(down - up) < _TIE_BAND)
+        )
+        best[lanes[inside]] = np.where(down < up, digits - rest, digits + (unit - rest))[inside]
+        reach = np.flatnonzero(distance < half + _TIE_BAND)
+        lanes, digits, fraction, half = lanes[reach], digits[reach], fraction[reach], half[reach]
+    return best, near
+
+
+def float_reprs(column: np.ndarray) -> list[str]:
+    """`repr(v)` of each value of a float64 column: `_float_words` in its
+    shortest mode writes them, CSV_CHUNK_ROWS values at a time, and Python
+    only those it leaves undecided."""
+    texts = []
+    words = np.empty((min(column.size, CSV_CHUNK_ROWS), _FLOAT_WORDS + 1), dtype=np.uint32)
+    words[:, _FLOAT_WORDS:] = _tail_words("\n")
+    for start in range(0, column.size, CSV_CHUNK_ROWS):
+        values = column[start : start + CSV_CHUNK_ROWS]
+        chunk = words[: values.size]
+        undecided = _float_words(values, chunk[:, :_FLOAT_WORDS], shortest=True)
+        chars = chunk.view(np.uint8)
+        chunk_texts = chars[chars != 0].tobytes().decode("ascii").split("\n")
+        for row in undecided.tolist():
+            chunk_texts[row] = repr(values[row].item())
+        texts += chunk_texts[:-1]
+    return texts
+
+
 def _int_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write `'%d' % v` of each non-negative int64 v into the rows of `out`
     (enough words for the widest); return the negative rows, for Python."""
@@ -462,6 +531,16 @@ def _int_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.flatnonzero(negative)
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _gathered_words(table: np.ndarray, column: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write `table[v]`, the words of `'%d' % v` as one void item, into the
+    rows of `out` for each v of `column`; every row is decided."""
+    out.view(table.dtype)[:, 0] = table[column]
+    return _NO_ROWS
+
+
 def _tail_words(text: str) -> np.ndarray:
     chars = text.encode("ascii")
     return np.frombuffer(chars.ljust(-(-len(chars) // 4) * 4, b"\0"), dtype=np.uint32)
@@ -473,17 +552,27 @@ def write_rows(fh, columns, sep: str, end: str) -> None:
     joined by `sep` and ended by `end`. The bytes are those of
     `(sep.join(templates) + end) % row` for every row; numpy formats them,
     CSV_CHUNK_ROWS rows at a time, and Python formats only negative integers
-    and the floats `_float_words` leaves undecided."""
+    and the floats `_float_words` leaves undecided.
+
+    A non-negative integer column whose largest value is below its row count,
+    such as an outcome table's register values, is formatted once as
+    `arange(max + 1)`, and each chunk gathers the words of its values."""
     fields = []
     for column in map(np.asarray, columns):
         if column.dtype.kind == "f":
-            column = column.astype(np.float64, casting="safe")
+            column = column.astype(np.float64, casting="safe", copy=False)
             fields.append((column, _float_words, _FLOAT_WORDS, "%.17g"))
-        else:
-            column = column.astype(np.int64, casting="safe")
-            # Digits of the widest entry, sign included, in groups of four.
-            top = max(int(column.max(initial=0)), -10 * int(column.min(initial=0)))
-            fields.append((column, _int_words, -(-len(str(top)) // 4), "%d"))
+            continue
+        column = column.astype(np.int64, casting="safe", copy=False)
+        low, high = int(column.min(initial=0)), int(column.max(initial=0))
+        # Digits of the widest entry, sign included, in groups of four.
+        words = -(-len(str(max(high, -10 * low))) // 4)
+        kernel = _int_words
+        if low >= 0 and high < column.size:
+            table = np.empty((high + 1, words), dtype=np.uint32)
+            _int_words(np.arange(high + 1), table)
+            kernel = functools.partial(_gathered_words, table.view(f"V{4 * words}").ravel())
+        fields.append((column, kernel, words, "%d"))
     tails = [_tail_words(sep)] * (len(fields) - 1) + [_tail_words(end)]
     width = sum(words for _, _, words, _ in fields) + sum(tail.size for tail in tails)
     rows = len(fields[0][0])

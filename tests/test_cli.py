@@ -306,7 +306,11 @@ class TestFactorCommand:
             ["factor", "--n", "15", "--seed", "1", "--trace", "--output-dir", str(tmp_path)]
         )
         assert code == 0
-        assert '"attempts"' in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert '"attempts"' in out
+        # The printed trace and the file come from the same writer.
+        report = read_json(tmp_path / "factor_trace.json")["report"]
+        assert out.startswith(json.dumps(report, indent=2) + "\n")
 
 
 class TestEntanglementCommand:

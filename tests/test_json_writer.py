@@ -1,9 +1,10 @@
 """`cli.format_json` against the standard library.
 
 Every report file must be exactly `json.dump(document, fh, indent=2)`
-followed by a newline. The writer renders each `RecordTable` from its
-columns, as `json` would render its rows as dicts, and hands everything else
-to `json`; the synthetic documents below mix in values of every kind.
+followed by a newline. The writer renders strings, numbers, None, bools,
+lists, tuples and string-keyed dicts itself, and each `RecordTable` from its
+columns, as `json` would render its rows as dicts; it hands everything else
+to `json`. The synthetic documents below mix in values of every kind.
 """
 
 import json
@@ -12,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from shorsim import registers
 from shorsim.cli import RecordTable, format_json, main
+from shorsim.registers import CSV_CHUNK_ROWS
 
 
 def reference(value) -> str:
@@ -149,3 +152,82 @@ def test_record_table_equals_json_dump_of_its_rows(name, depth):
 def test_record_table_refuses_a_column_json_would_not_write_as_a_number():
     with pytest.raises(TypeError, match="integers or floats"):
         format_json(RecordTable(("ok",), (np.array([True]),)))
+
+
+def expanded(value):
+    """`value` with every record table replaced by its list of row dicts."""
+    if type(value) is RecordTable:
+        return rows_as_dicts(value)
+    if type(value) in (list, tuple):
+        return [expanded(item) for item in value]
+    if type(value) is dict:
+        return {key: expanded(item) for key, item in value.items()}
+    return value
+
+
+def test_document_of_record_tables_at_several_depths():
+    probabilities = RecordTable(
+        ("c", "probability"), (ints(0, 1, 2, 3), floats(0.1, 1 / 3, 2.0**-60, 0.30000000000000004))
+    )
+    document = {
+        "empty": RecordTable(("c", "probability"), (ints(), floats())),
+        "flags": (True, 1, False, 0, None),
+        "big": [10**40, -(10**25), 2**63],
+        "ключ ✓": {
+            "non_finite": RecordTable(
+                ("y", "p"), (ints(0, 1, 2, 3), floats(math.nan, math.inf, -math.inf, -0.0))
+            ),
+        },
+        "tables": [
+            RecordTable(("a", "é"), (ints(1, -2, 3), np.array([4, 5, 6], dtype=np.uint16))),
+            {"deeper": [probabilities, (probabilities, 2.5)]},
+        ],
+        "float32": RecordTable(("p",), (np.array([0.1, 0.5], dtype=np.float32),)),
+    }
+    assert format_json(document) + "\n" == reference(expanded(document))
+
+
+def counting_float_kernel(monkeypatch) -> list[int]:
+    """Patch the float kernel the writer calls; the list collects the size of
+    each call's column."""
+    calls = []
+    kernel = registers._float_words
+
+    def counting(column, out, shortest=False):
+        calls.append(column.size)
+        return kernel(column, out, shortest)
+
+    monkeypatch.setattr(registers, "_float_words", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_record_tables_of_a_document_share_one_kernel_call(monkeypatch, k):
+    calls = counting_float_kernel(monkeypatch)
+    tables = [
+        RecordTable((f"y{i}", "probability", "weight"),
+                    (ints(*range(i + 3)), np.arange(i + 3) / 7, np.arange(i + 3) / 3))
+        for i in range(k)
+    ]
+    document = {"marginals": {f"y{i}": table for i, table in enumerate(tables)},
+                "listed": [tables[0]]}
+    assert format_json(document) + "\n" == reference(expanded(document))
+    assert calls == [sum(2 * len(table.columns[0]) for table in [*tables, tables[0]])]
+
+
+def test_kernel_calls_are_chunked(monkeypatch):
+    calls = counting_float_kernel(monkeypatch)
+    rows = CSV_CHUNK_ROWS + 3
+    document = {
+        "c": RecordTable(("c", "probability"), (np.arange(rows), np.arange(rows) / rows)),
+        "y": RecordTable(("y", "probability"), (ints(0, 1, 2, 3, 4), floats(*[0.2] * 5))),
+    }
+    assert format_json(document) + "\n" == reference(expanded(document))
+    assert calls == [CSV_CHUNK_ROWS, 8]
+
+
+def test_document_without_float_columns_calls_no_kernel(monkeypatch):
+    calls = counting_float_kernel(monkeypatch)
+    document = {"a": [1, 2.5, "x"], "t": RecordTable(("c",), (ints(1, 2),))}
+    assert format_json(document) + "\n" == reference(expanded(document))
+    assert calls == []

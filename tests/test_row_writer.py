@@ -6,6 +6,11 @@ in numpy and hands Python only the values it cannot decide, so the cases
 below aim at both sides of each decision: the kernel's value range, the
 `%g` switch between fixed and exponent notation, exact decimal ties, the
 powers of ten where log10 may be off by one, and the chunk boundaries.
+
+`float_reprs`, the kernel's shortest mode that the JSON writer uses, must
+give `repr(v)` for every value; the cases below aim at the same decisions
+plus the shortest-digit search: powers of two, values with few significant
+digits, and whole numbers.
 """
 
 import io
@@ -17,16 +22,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import shorsim
-from shorsim.distributions import measurement_distribution
+from shorsim import registers
+from shorsim.distributions import marginal, measurement_distribution
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import (
     _FLOAT_WORDS,
     CSV_CHUNK_ROWS,
     ProblemInstance,
     _float_words,
+    float_reprs,
     write_rows,
 )
 
@@ -137,6 +144,51 @@ def test_integers_of_every_width():
     assert written(columns, " ", "\n") == reference(columns, " ", "\n")
 
 
+def gather_path_taken(monkeypatch, columns) -> bool:
+    """Write `columns` and check the bytes; whether an integer column took
+    the gathered path (`_gathered_words`) rather than `_int_words`."""
+    tables = []
+    gathered = registers._gathered_words
+
+    def recording(table, column, out):
+        tables.append(table)
+        return gathered(table, column, out)
+
+    monkeypatch.setattr(registers, "_gathered_words", recording)
+    assert written(columns, ",", "\n") == reference(columns, ",", "\n")
+    return bool(tables)
+
+
+@pytest.mark.parametrize(
+    "values, gathered",
+    [
+        (np.arange(100) % 7, True),
+        (np.arange(100)[::-1] - 1, False),  # holds -1
+        (np.r_[np.arange(99), 99], True),  # largest value one below the row count
+        (np.r_[np.arange(99), 100], False),  # equal to the row count
+        (np.r_[np.arange(99), 10**6], False),
+        (np.zeros(10, dtype=np.int64), True),
+        (np.array([0]), True),
+        (np.array([1]), False),
+        (np.arange(12000)[::-1] % 10001, True),  # one and two words
+        (np.arange(CSV_CHUNK_ROWS - 1)[::-1], True),
+        (np.arange(CSV_CHUNK_ROWS + 1) % 10007, True),
+        (np.r_[np.arange(CSV_CHUNK_ROWS - 1), CSV_CHUNK_ROWS], False),
+        (np.array([np.iinfo(np.int64).max, 0, 1]), False),
+        (np.array([np.iinfo(np.int64).min, 0, 1]), False),
+        (np.array([-5, -1, 0, 3]), False),
+    ],
+)
+def test_integer_column_paths(monkeypatch, values, gathered):
+    # Non-negative columns whose largest value is below their row count
+    # gather each row's words from one formatted arange; the rest take the
+    # per-chunk path. Both must give `%d`.
+    values = np.asarray(values, dtype=np.int64)
+    columns = [values, np.arange(values.size)[::-1], np.full(values.size, 0.125)]
+    assert gather_path_taken(monkeypatch, [values]) is gathered
+    assert written(columns, ",", "\r\n") == reference(columns, ",", "\r\n")
+
+
 def test_negative_integers():
     columns = [np.array([5, -1, -(2**63), 12, -9999], dtype=np.int64), np.full(5, -0.25)]
     assert written(columns, ",", "\r\n") == reference(columns, ",", "\r\n")
@@ -203,3 +255,70 @@ def test_cli_import_loads_neither_fractions_nor_decimal(tmp_path):
             or name == "numpy.ma" or name.startswith("numpy.ma.")
         ]
         assert forbidden == [], command
+
+
+def assert_reprs(values) -> float:
+    """`float_reprs` of `values` and of their negations equals `repr`; returns
+    the share the kernel's shortest mode leaves to Python."""
+    values = np.asarray(values, dtype=np.float64)
+    values = np.concatenate([values, -values])
+    assert float_reprs(values) == [repr(v) for v in values.tolist()]
+    out = np.empty((values.size, _FLOAT_WORDS), dtype=np.uint32)
+    return _float_words(values, out, shortest=True).size / values.size
+
+
+# Raw 64-bit patterns cover every exponent, specials included; the kernel
+# decides only 1e-24 <= |v| < 10, so half the patterns come from that band.
+raw_bits = st.integers(0, 2**64 - 1)
+band_bits = st.builds(
+    lambda exponent, mantissa: (exponent << 52) | mantissa,
+    st.integers(1023 - 80, 1023 + 3),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@seed(1409_7352)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(raw_bits | band_bits, min_size=1, max_size=64))
+def test_reprs_of_raw_bit_patterns(patterns):
+    assert_reprs(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_reprs_of_powers_of_two_and_ten():
+    assert_reprs(neighbours([2.0**e for e in range(-90, 6)]))
+    assert_reprs(neighbours([10.0**k for k in range(-24, 2)]))
+    assert_reprs(neighbours([float(f"1e{k}") for k in range(-24, 2)]))
+
+
+def test_reprs_of_few_significant_digits():
+    rng = np.random.default_rng(17)
+    values = []
+    for digits in range(1, 18):
+        mantissas = rng.integers(10 ** (digits - 1), 10**digits, 40)
+        exponents = rng.integers(-27, 3, 40) - digits
+        values += [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    assert_reprs(neighbours(values))
+
+
+def test_reprs_of_special_values():
+    tiny = np.finfo(np.float64).tiny
+    specials = [0.0, math.inf, math.nan, 5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny,
+                np.finfo(np.float64).max, 9.999999999999999e-05, 9.999999999999998,
+                1e-4, 1e-5, 0.1, 1 / 3, 2 / 3]
+    assert_reprs(specials + [float(d) for d in range(1, 10)])
+    # repr writes a whole number as "d.0", which the kernel leaves to Python.
+    assert assert_reprs([2.0, 7.0]) == 1.0
+
+
+def test_reprs_of_exact_decimal_ties():
+    assert_reprs(list(decimal_ties()))
+
+
+@pytest.mark.parametrize("n, x", [(33, 17), (55, 19), (77, 8), (99, 73)])
+def test_reprs_of_outcome_tables(n, x):
+    # Order 10 at q = 2^11 .. 2^14: the outcome probabilities and both
+    # marginals. The kernel must decide nearly all of them: a kernel that
+    # left every value to Python would still write the right texts.
+    dist = measurement_distribution(run_pipeline(ProblemInstance(n, x)))
+    for probs in (dist.probs, marginal(dist, (1,)).probs, marginal(dist, (2,)).probs):
+        assert assert_reprs(probs) <= 0.01
