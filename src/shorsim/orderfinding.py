@@ -93,9 +93,15 @@ class ColumnSampler:
         self.y_of_a = mod_pow_range(instance.x, self.q, instance.n)
 
     def _columns(self, ys: np.ndarray) -> np.ndarray:
-        """(q, len(ys)) probabilities P(c, ys[j]), one column per y as above."""
-        indicator = self.y_of_a[:, None] == ys
-        return np.abs(_kernels.dft_columns(indicator / np.sqrt(self.q) + 0j)) ** 2
+        """(q, len(ys)) probabilities P(c, ys[j]), one column per y (ys
+        ascending) as above: 1/sqrt(q) is scattered into one zeroed matrix at
+        (a, j) wherever y_of_a[a] = ys[j]."""
+        j = np.searchsorted(ys, self.y_of_a)
+        a = np.flatnonzero(ys[np.minimum(j, ys.size - 1)] == self.y_of_a)
+        cols = np.zeros((self.q, ys.size), dtype=complex)
+        cols[a, j[a]] = 1 / np.sqrt(self.q)
+        cols = _kernels.dft_columns(cols)  # frees the input before np.abs allocates
+        return np.abs(cols) ** 2
 
     def column(self, y: int) -> tuple[np.ndarray, np.ndarray]:
         """(c, P(c, y)) over the c of column y whose probability exceeds
