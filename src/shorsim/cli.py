@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from . import distributions, entanglement, orderfinding, pipeline
 from .checks import Check
 from .errors import ShorSimError, UnsuitableInputError
 from .numtheory import gcd, multiplicative_order
-from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, float_reprs
+from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, write_rows
 
 SCHEMA_VERSION = 2
 
@@ -181,28 +182,15 @@ def format_json(value) -> str:
     tuples and dicts with string keys itself, as `json`'s encoder does, and
     every record table from its columns; everything else (an empty container,
     a dict with a non-string key, a non-finite float, a numpy scalar, an
-    unknown type) goes to `json.dumps`.
-    The float columns of all the document's record tables are formatted
-    together, in one pass of the row kernel (`registers.float_reprs`)."""
-    tables, parts = [], []
-    _find_tables(value, tables)
-    _render(value, "", _record_cells(tables), parts)
+    unknown type) goes to `json.dumps`."""
+    parts = []
+    _render(value, "", parts)
     return "".join(parts)
 
 
-def _find_tables(value, tables: list) -> None:
-    """Append the record tables in `value` to `tables`, in document order."""
-    if type(value) is RecordTable:
-        tables.append(value)
-    elif type(value) in (list, tuple, dict):
-        for item in value.values() if type(value) is dict else value:
-            _find_tables(item, tables)
-
-
-def _render(value, pad: str, cells: dict, parts: list) -> None:
+def _render(value, pad: str, parts: list) -> None:
     """Append the text of `value`, as `json.dumps(value, indent=2)` writes it
-    `pad` deep, to `parts`; `cells` maps id(table) to the `%s` cells of each
-    record table's rows. Nothing is copied into an enclosing container's
+    `pad` deep, to `parts`. Nothing is copied into an enclosing container's
     text, so a large table is copied once, by the caller's join."""
     kind = type(value)
     if kind is str:
@@ -216,14 +204,14 @@ def _render(value, pad: str, cells: dict, parts: list) -> None:
     elif kind is bool:
         parts.append("true" if value else "false")
     elif kind is RecordTable:
-        parts.append(_format_records(value, pad, cells[id(value)]))
+        parts.append(_format_records(value, pad))
     elif (kind is list or kind is tuple) and value:
         inner = pad + "  "
         separator = "[\n" + inner
         for item in value:
             parts.append(separator)
             separator = ",\n" + inner
-            _render(item, inner, cells, parts)
+            _render(item, inner, parts)
         parts.append(f"\n{pad}]")
     elif kind is dict and value and all(type(key) is str for key in value):
         inner = pad + "  "
@@ -231,53 +219,26 @@ def _render(value, pad: str, cells: dict, parts: list) -> None:
         for key, item in value.items():
             parts.append(f"{separator}{encode_basestring_ascii(key)}: ")
             separator = ",\n" + inner
-            _render(item, inner, cells, parts)
+            _render(item, inner, parts)
         parts.append(f"\n{pad}}}")
     else:
         parts.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
 
 
-def _record_cells(tables: list) -> dict:
-    """id(table) -> the `%s` cells of the table's rows, row after row: an
-    integer column's Python ints, a float column's texts. The float columns
-    of all the tables go through `float_reprs` as one column."""
-    floats = []
-    for column in (column for table in tables for column in table.columns):
-        if column.dtype.kind not in "iuf":
-            raise TypeError(f"a record column must hold integers or floats, not {column.dtype}")
-        if column.dtype.kind == "f":
-            floats.append(column.astype(np.float64, copy=False))
-    values = np.concatenate(floats) if floats else np.empty(0)
-    texts = float_reprs(values)
-    # `json` spells the non-finite floats NaN, Infinity and -Infinity.
-    for row in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[row] = json.dumps(values[row].item())
-    cells, at = {}, 0
-    for table in tables:
-        width, rows = len(table.columns), len(table.columns[0])
-        row_cells = [None] * (rows * width)
-        for j, column in enumerate(table.columns):
-            if column.dtype.kind == "f":
-                row_cells[j::width] = texts[at : at + rows]
-                at += rows
-            else:
-                row_cells[j::width] = column.tolist()
-        cells[id(table)] = row_cells
-    return cells
-
-
-def _format_records(table: RecordTable, pad: str, cells: list) -> str:
-    """The table's rows as `json.dumps` lays them out, `pad` deep, every row
-    filled into one `%s` template from `cells`."""
-    rows = len(table.columns[0])
-    if rows == 0:
+def _format_records(table: RecordTable, pad: str) -> str:
+    """The table's rows as `json.dumps` lays them out, `pad` deep, written by
+    `registers.write_rows`: each column's tail ends its field and opens the
+    next key; the last column's tail closes one row and opens the next, and
+    the last row's copy of it is cut off."""
+    keys = [f"\n{pad}    {encode_basestring_ascii(key)}: " for key in table.keys]
+    tails = [f",{key}" for key in keys[1:]] + [f"\n{pad}  }},\n{pad}  {{{keys[0]}"]
+    fh = io.BytesIO()
+    write_rows(fh, table.columns, tails, json_floats=True)
+    if not fh.tell():
         return "[]"
-    fields = ",\n".join(
-        f"{pad}    {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in table.keys
-    )
-    template = f"{{\n{fields}\n{pad}  }}"
-    body = f",\n{pad}  ".join([template] * rows) % tuple(cells)
-    return f"[\n{pad}  {body}\n{pad}]"
+    fh.truncate(fh.tell() - len(tails[-1]))
+    rows = fh.getvalue().decode("ascii")
+    return f"[\n{pad}  {{{keys[0]}{rows}\n{pad}  }}\n{pad}]"
 
 
 def _maybe_dump_state(args, state) -> None:
@@ -404,7 +365,7 @@ def cmd_entanglement(args) -> list[Check]:
         entanglement.schmidt_spectrum(before, cut_after=cut) for cut in range(2, args.ell + 1)
     ]
     cuts = [
-        {**spectrum.to_json_dict(), "entropy_bits": entanglement.von_neumann_entropy(spectrum)}
+        {**asdict(spectrum), "entropy_bits": entanglement.von_neumann_entropy(spectrum)}
         for spectrum in spectra
     ]
     correlations = []

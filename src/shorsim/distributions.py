@@ -110,7 +110,8 @@ class OutcomeDistribution:
         floats), written by `write_rows`."""
         with open(path, "wb") as fh:
             fh.write((",".join(self.column_names() + ["probability"]) + "\r\n").encode())
-            write_rows(fh, [*self.registers(), self.probs], ",", "\r\n")
+            tails = [","] * len(self.positions) + ["\r\n"]
+            write_rows(fh, [*self.registers(), self.probs], tails)
 
 
 class _EntriesView(Mapping):

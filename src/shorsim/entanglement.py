@@ -39,9 +39,6 @@ class SchmidtSpectrum:
     def rank(self) -> int:
         return len(self.eigenvalues)
 
-    def to_json_dict(self) -> dict:
-        return {"cut_after": self.cut_after, "eigenvalues": list(self.eigenvalues)}
-
 
 def schmidt_spectrum(state: StateVector, cut_after: int) -> SchmidtSpectrum:
     """Eigenvalues of the reduced state across the cut after register `cut_after`.

@@ -22,6 +22,7 @@ amplitudes is built only when its `data` is read.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,7 +287,7 @@ class StateVector:
         index, amps = self.nonzero_arrays()
         with open(path, "wb") as fh:
             fh.write(f"{layout.s} {layout.L} {layout.ell} {self.backend}\n".encode())
-            write_rows(fh, [index, amps.real, amps.imag], " ", "\n")
+            write_rows(fh, [index, amps.real, amps.imag], [" ", " ", "\n"])
 
     @classmethod
     def load(cls, path, qubit_cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
@@ -338,11 +339,11 @@ def max_abs_difference(
     return float(np.abs(difference).max(initial=0.0))
 
 
-# Rows are formatted in numpy, several ASCII bytes per uint32 word, into a
-# NUL-padded (rows, words) matrix that one `mat[mat != 0]` compresses. Python's
-# `%` formats only the values the kernel leaves undecided (`_float_words`). The
-# JSON writer (`cli.format_json`) takes its floats' texts from `float_reprs`,
-# the float kernel's shortest mode.
+# One writer, `write_rows`, writes CSV rows, snapshot rows and JSON record
+# rows. It formats them in numpy, several ASCII bytes per uint32 word, into a
+# NUL-padded (rows, words) matrix that one `mat[mat != 0]` compresses; Python
+# formats only the values the kernels leave undecided. JSON rows take their
+# floats from the float kernel's shortest mode (`repr`'s digits).
 
 # Each integer 0..9999 as the word "dddd"; then with its trailing zeros NUL
 # (for fractions), its leading zeros NUL, and its leading zeros but a last one
@@ -439,9 +440,11 @@ def _float_words(column: np.ndarray, out: np.ndarray, shortest: bool = False) ->
     digits = whole.astype(np.int64) + carry.astype(np.int64)
     decided &= (digits >= 10**16) & (digits < 10**17) & (np.abs(fraction - 0.5) >= _TIE_BAND)
     if shortest:
-        digits, near = _shortest_digits(magnitude, k, digits, fraction)
+        # Powers of two and whole numbers go to Python before the digit search.
         mantissa = column.view(np.int64) & ((1 << 52) - 1)
-        decided &= ~near & (mantissa != 0) & ((exponent < 0) | (digits % 10**16 != 0))
+        decided &= (mantissa != 0) & (magnitude != np.floor(magnitude))
+        digits, near = _shortest_digits(magnitude, k, digits, fraction, np.flatnonzero(decided))
+        decided &= ~near
     else:
         # 17 significant digits, rounded.
         digits += fraction > 0.5
@@ -468,19 +471,25 @@ def _float_words(column: np.ndarray, out: np.ndarray, shortest: bool = False) ->
 
 
 def _shortest_digits(
-    magnitude: np.ndarray, k: np.ndarray, digits: np.ndarray, fraction: np.ndarray
+    magnitude: np.ndarray,
+    k: np.ndarray,
+    digits: np.ndarray,
+    fraction: np.ndarray,
+    lanes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(the shortest rounding of each scaled value digits + fraction that lies
     inside its rounding interval, as 17 digits with trailing zeros; whether
-    some decision was within _TIE_BAND of the interval's edge or of a tie).
+    some decision was within _TIE_BAND of the interval's edge or of a tie),
+    searched for the positions `lanes` only; the others keep the 17-digit
+    rounding.
 
     A rounding to a multiple of 10**j inside the interval is a multiple of
     every 10**i, i < j, and no farther from the value than theirs, so each
     j looks only at the lanes that had one within reach at j - 1."""
-    half = np.spacing(magnitude) * _POW10_HI[k] / 2
     best = digits + (fraction > 0.5)
     near = np.zeros(digits.size, dtype=bool)
-    lanes = np.arange(digits.size)
+    half = np.spacing(magnitude[lanes]) * _POW10_HI[k[lanes]] / 2
+    digits, fraction = digits[lanes], fraction[lanes]
     unit = 1
     while lanes.size and unit < 10**16:
         unit *= 10
@@ -496,25 +505,6 @@ def _shortest_digits(
         reach = np.flatnonzero(distance < half + _TIE_BAND)
         lanes, digits, fraction, half = lanes[reach], digits[reach], fraction[reach], half[reach]
     return best, near
-
-
-def float_reprs(column: np.ndarray) -> list[str]:
-    """`repr(v)` of each value of a float64 column: `_float_words` in its
-    shortest mode writes them, CSV_CHUNK_ROWS values at a time, and Python
-    only those it leaves undecided."""
-    texts = []
-    words = np.empty((min(column.size, CSV_CHUNK_ROWS), _FLOAT_WORDS + 1), dtype=np.uint32)
-    words[:, _FLOAT_WORDS:] = _tail_words("\n")
-    for start in range(0, column.size, CSV_CHUNK_ROWS):
-        values = column[start : start + CSV_CHUNK_ROWS]
-        chunk = words[: values.size]
-        undecided = _float_words(values, chunk[:, :_FLOAT_WORDS], shortest=True)
-        chars = chunk.view(np.uint8)
-        chunk_texts = chars[chars != 0].tobytes().decode("ascii").split("\n")
-        for row in undecided.tolist():
-            chunk_texts[row] = repr(values[row].item())
-        texts += chunk_texts[:-1]
-    return texts
 
 
 def _int_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -546,22 +536,32 @@ def _tail_words(text: str) -> np.ndarray:
     return np.frombuffer(chars.ljust(-(-len(chars) // 4) * 4, b"\0"), dtype=np.uint32)
 
 
-def write_rows(fh, columns, sep: str, end: str) -> None:
+def write_rows(fh, columns, tails, json_floats: bool = False) -> None:
     """Write one row per position of `columns` to the binary file `fh`: each
     entry as `'%d'` for an integer column or `'%.17g'` for a float column,
-    joined by `sep` and ended by `end`. The bytes are those of
-    `(sep.join(templates) + end) % row` for every row; numpy formats them,
-    CSV_CHUNK_ROWS rows at a time, and Python formats only negative integers
-    and the floats `_float_words` leaves undecided.
+    followed by its column's ASCII text in `tails`. With `json_floats`, a float
+    entry is written as `json.dumps` writes it instead: `repr`'s digits, and
+    `NaN`, `Infinity` or `-Infinity`. numpy formats the rows, CSV_CHUNK_ROWS
+    at a time, and Python formats only negative integers and the floats
+    `_float_words` leaves undecided. Columns of unequal length raise
+    ValueError, and a column not safely castable to int64 or float64
+    TypeError, before anything is written.
 
     A non-negative integer column whose largest value is below its row count,
     such as an outcome table's register values, is formatted once as
     `arange(max + 1)`, and each chunk gathers the words of its values."""
+    columns = [np.asarray(column) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("the columns of a row table must have one length")
     fields = []
-    for column in map(np.asarray, columns):
+    for column in columns:
+        if column.dtype.kind not in "iuf":
+            raise TypeError(f"a column must hold integers or floats, not {column.dtype}")
         if column.dtype.kind == "f":
             column = column.astype(np.float64, casting="safe", copy=False)
-            fields.append((column, _float_words, _FLOAT_WORDS, "%.17g"))
+            kernel = functools.partial(_float_words, shortest=json_floats)
+            fallback = json.dumps if json_floats else "%.17g".__mod__
+            fields.append((column, kernel, _FLOAT_WORDS, fallback))
             continue
         column = column.astype(np.int64, casting="safe", copy=False)
         low, high = int(column.min(initial=0)), int(column.max(initial=0))
@@ -572,8 +572,8 @@ def write_rows(fh, columns, sep: str, end: str) -> None:
             table = np.empty((high + 1, words), dtype=np.uint32)
             _int_words(np.arange(high + 1), table)
             kernel = functools.partial(_gathered_words, table.view(f"V{4 * words}").ravel())
-        fields.append((column, kernel, words, "%d"))
-    tails = [_tail_words(sep)] * (len(fields) - 1) + [_tail_words(end)]
+        fields.append((column, kernel, words, "%d".__mod__))
+    tails = [_tail_words(tail) for tail in tails]
     width = sum(words for _, _, words, _ in fields) + sum(tail.size for tail in tails)
     rows = len(fields[0][0])
     mat = np.empty((min(rows, CSV_CHUNK_ROWS), width), dtype=np.uint32)
@@ -584,11 +584,11 @@ def write_rows(fh, columns, sep: str, end: str) -> None:
         at += words + tail.size
     for start in range(0, rows, CSV_CHUNK_ROWS):
         chunk = mat[: min(CSV_CHUNK_ROWS, rows - start)]
-        for (column, kernel, _, template), (lo, hi) in zip(fields, spans):
+        for (column, kernel, _, fallback), (lo, hi) in zip(fields, spans):
             values = column[start : start + chunk.shape[0]]
             field = chunk[:, lo:hi]
             for row in kernel(values, field).tolist():
-                text = np.frombuffer((template % values[row].item()).encode(), dtype=np.uint8)
+                text = np.frombuffer(fallback(values[row].item()).encode(), dtype=np.uint8)
                 chars = field[row].view(np.uint8)
                 chars[:] = 0
                 chars[: text.size] = text

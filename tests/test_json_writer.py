@@ -154,6 +154,19 @@ def test_record_table_refuses_a_column_json_would_not_write_as_a_number():
         format_json(RecordTable(("ok",), (np.array([True]),)))
 
 
+def test_record_table_refuses_a_uint64_column():
+    # int64 cannot hold every uint64 value, so the writer refuses the column.
+    with pytest.raises(TypeError):
+        format_json(RecordTable(("c",), (np.array([1, 2], dtype=np.uint64),)))
+
+
+@pytest.mark.parametrize("lengths", [(2, 1), (0, 1), (1, 0)])
+def test_record_table_refuses_columns_of_unequal_length(lengths):
+    table = RecordTable(("c", "p"), (np.arange(lengths[0]), np.full(lengths[1], 0.5)))
+    with pytest.raises(ValueError, match="one length"):
+        format_json({"t": table})
+
+
 def expanded(value):
     """`value` with every record table replaced by its list of row dicts."""
     if type(value) is RecordTable:
@@ -202,7 +215,9 @@ def counting_float_kernel(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("k", [1, 2, 6])
-def test_record_tables_of_a_document_share_one_kernel_call(monkeypatch, k):
+def test_each_record_table_makes_its_own_kernel_calls(monkeypatch, k):
+    # Every record table goes through `write_rows` alone: one kernel call per
+    # float column, in document order, none shared with another table.
     calls = counting_float_kernel(monkeypatch)
     tables = [
         RecordTable((f"y{i}", "probability", "weight"),
@@ -212,7 +227,7 @@ def test_record_tables_of_a_document_share_one_kernel_call(monkeypatch, k):
     document = {"marginals": {f"y{i}": table for i, table in enumerate(tables)},
                 "listed": [tables[0]]}
     assert format_json(document) + "\n" == reference(expanded(document))
-    assert calls == [sum(2 * len(table.columns[0]) for table in [*tables, tables[0]])]
+    assert calls == [len(table.columns[0]) for table in [*tables, tables[0]] for _ in range(2)]
 
 
 def test_kernel_calls_are_chunked(monkeypatch):
@@ -223,7 +238,7 @@ def test_kernel_calls_are_chunked(monkeypatch):
         "y": RecordTable(("y", "probability"), (ints(0, 1, 2, 3, 4), floats(*[0.2] * 5))),
     }
     assert format_json(document) + "\n" == reference(expanded(document))
-    assert calls == [CSV_CHUNK_ROWS, 8]
+    assert calls == [CSV_CHUNK_ROWS, 3, 5]
 
 
 def test_document_without_float_columns_calls_no_kernel(monkeypatch):

@@ -1,23 +1,27 @@
 """`registers.write_rows` against Python's `%` formatting.
 
 Every row must be exactly `(sep.join(templates) + end) % row`, with `'%d'`
-for an integer column and `'%.17g'` for a float column. The writer formats
-in numpy and hands Python only the values it cannot decide, so the cases
-below aim at both sides of each decision: the kernel's value range, the
-`%g` switch between fixed and exponent notation, exact decimal ties, the
-powers of ten where log10 may be off by one, and the chunk boundaries.
+for an integer column and `'%.17g'` for a float column, and in general each
+entry followed by its column's tail. The writer formats in numpy and hands
+Python only the values it cannot decide, so the cases below aim at both
+sides of each decision: the kernel's value range, the `%g` switch between
+fixed and exponent notation, exact decimal ties, the powers of ten where
+log10 may be off by one, and the chunk boundaries.
 
-`float_reprs`, the kernel's shortest mode that the JSON writer uses, must
-give `repr(v)` for every value; the cases below aim at the same decisions
-plus the shortest-digit search: powers of two, values with few significant
-digits, and whole numbers.
+With `json_floats`, the kernel's shortest mode that JSON record rows use,
+each float must be `json.dumps(v)`: `repr(v)`, but `NaN` and `Infinity` for
+the non-finite values. The cases below aim at the same decisions plus the
+shortest-digit search: powers of two, values with few significant digits,
+and whole numbers.
 """
 
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +37,6 @@ from shorsim.registers import (
     CSV_CHUNK_ROWS,
     ProblemInstance,
     _float_words,
-    float_reprs,
     write_rows,
 )
 
@@ -44,9 +47,9 @@ def reference(columns, sep, end) -> bytes:
     return "".join(row % values for values in zip(*(c.tolist() for c in columns))).encode()
 
 
-def written(columns, sep, end) -> bytes:
+def written(columns, sep, end, json_floats=False) -> bytes:
     fh = io.BytesIO()
-    write_rows(fh, columns, sep, end)
+    write_rows(fh, columns, [sep] * (len(columns) - 1) + [end], json_floats)
     return fh.getvalue()
 
 
@@ -142,6 +145,52 @@ def test_integers_of_every_width():
     values = [0, 1, 9, 10, 9999, 10000, 12345678, 10**17, 2**63 - 1]
     columns = [np.array(values, dtype=np.int64), np.array(values[::-1], dtype=np.int64)]
     assert written(columns, " ", "\n") == reference(columns, " ", "\n")
+
+
+@pytest.mark.parametrize("json_floats", [False, True])
+@pytest.mark.parametrize("rows", [1, 7, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1])
+def test_per_column_tails(rows, json_floats):
+    # Each entry is followed by its own column's tail, of any length: quotes,
+    # `%` (no template sees it) and escaped non-ASCII keys, as JSON rows have.
+    rng = np.random.default_rng(rows)
+    columns = [
+        np.arange(rows, dtype=np.int64) - 3,
+        rng.random(rows) ** 8,
+        rng.integers(0, 2**40, rows),
+        np.where(np.arange(rows) % 5 == 0, math.nan, rng.standard_normal(rows)),
+    ]
+    tails = [
+        ', "100%": ',
+        f",\n      {encode_basestring_ascii('ключ-é ✓')}: ",
+        ' %d%%s "q" ',
+        '\n  },\n  {"c": ',
+    ]
+    float_text = json.dumps if json_floats else "%.17g".__mod__
+    expected = "".join(
+        "".join(
+            (float_text(value) if type(value) is float else "%d" % value) + tail
+            for value, tail in zip(row, tails)
+        )
+        for row in zip(*(column.tolist() for column in columns))
+    )
+    fh = io.BytesIO()
+    write_rows(fh, columns, tails, json_floats)
+    assert fh.getvalue() == expected.encode()
+
+
+def test_columns_of_unequal_length_are_refused_before_writing():
+    fh = io.BytesIO()
+    with pytest.raises(ValueError, match="one length"):
+        write_rows(fh, [np.arange(3), np.full(2, 0.5)], [",", "\n"])
+    assert fh.getvalue() == b""
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint64])
+def test_columns_not_safely_cast_to_int64_or_float64_are_refused(dtype):
+    fh = io.BytesIO()
+    with pytest.raises(TypeError):
+        write_rows(fh, [np.arange(3), np.ones(3, dtype=dtype)], [",", "\n"])
+    assert fh.getvalue() == b""
 
 
 def gather_path_taken(monkeypatch, columns) -> bool:
@@ -257,12 +306,18 @@ def test_cli_import_loads_neither_fractions_nor_decimal(tmp_path):
         assert forbidden == [], command
 
 
+# json.dumps spells the non-finite floats apart from repr.
+JSON_SPELLINGS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
 def assert_reprs(values) -> float:
-    """`float_reprs` of `values` and of their negations equals `repr`; returns
-    the share the kernel's shortest mode leaves to Python."""
+    """`write_rows` with `json_floats` writes `repr` of `values` and of their
+    negations, in json's spellings; returns the share the kernel's shortest
+    mode leaves to Python."""
     values = np.asarray(values, dtype=np.float64)
     values = np.concatenate([values, -values])
-    assert float_reprs(values) == [repr(v) for v in values.tolist()]
+    lines = written([values], "", "\n", json_floats=True).decode().split("\n")[:-1]
+    assert [JSON_SPELLINGS.get(line, line) for line in lines] == [repr(v) for v in values.tolist()]
     out = np.empty((values.size, _FLOAT_WORDS), dtype=np.uint32)
     return _float_words(values, out, shortest=True).size / values.size
 
