@@ -98,9 +98,6 @@ class OutcomeDistribution:
         """Correctly rounded sum of `probs`, whatever their order."""
         return exact_sum(self.probs)
 
-    def probability(self, outcome) -> float:
-        return self.entries.get(tuple(outcome), 0.0)
-
     def column_names(self) -> list[str]:
         return ["c" if p == 1 else f"y{p - 1}" for p in self.positions]
 

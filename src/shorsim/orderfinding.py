@@ -23,7 +23,7 @@ from .distributions import (
     require_unit_norm,
     sequential_sum,
 )
-from .errors import CapacityError, UnsuitableInputError
+from .errors import UnsuitableInputError
 from .numtheory import (
     FactorPair,
     euler_phi,
@@ -36,7 +36,7 @@ from .numtheory import (
     prime_factors,
     recoverable_controls,
 )
-from .registers import DEFAULT_QUBIT_CAP, SPARSE, ProblemInstance, choose_modulus_power
+from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, RegisterLayout, choose_modulus_power
 
 
 def sample_outcomes(
@@ -69,13 +69,8 @@ def _draws_per_block(block_ends: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.diff(below, prepend=0)
 
 
-def _require_qubit_cap(s: int, qubit_cap: int) -> None:
-    """Refuse order finding whose length-2^s arrays exceed 2^qubit_cap entries."""
-    if s > qubit_cap:
-        raise CapacityError(
-            f"order finding needs length-2^{s} arrays, cap is 2^{qubit_cap} "
-            f"(raise the cap explicitly to allow this)"
-        )
+# How order finding words a refused qubit cap: its arrays have q = 2**s entries.
+_SAMPLER_NEEDS = "order finding needs length-2^{qubits} arrays"
 
 
 class ColumnSampler:
@@ -87,8 +82,8 @@ class ColumnSampler:
     arrays, as s qubits, before any is allocated."""
 
     def __init__(self, instance: ProblemInstance, qubit_cap: int = DEFAULT_QUBIT_CAP):
-        _require_qubit_cap(instance.s, qubit_cap)
         self.layout = instance.layout(qubit_cap=qubit_cap)
+        self.layout.check_capacity(qubits=instance.s, needs=_SAMPLER_NEEDS)
         self.q = instance.q
         self.y_of_a = mod_pow_range(instance.x, self.q, instance.n)
 
@@ -114,7 +109,7 @@ class ColumnSampler:
         """(q, m) probabilities of all m columns, y ascending, the cells the
         outcome table omits at 0.0. Refused before allocation where a sparse
         state is; its norm is checked as `measurement_distribution` checks one."""
-        self.layout.check_capacity(SPARSE)
+        self.layout.check_capacity()
         probs = self._columns(np.flatnonzero(np.bincount(self.y_of_a)))
         require_unit_norm(probs)
         probs[probs <= PROBABILITY_FLOOR] = 0.0
@@ -310,7 +305,9 @@ def factor(
     _require_budgets(max_attempts=max_attempts, samples_per_attempt=samples_per_attempt,
                      multiplier_bound=multiplier_bound)
     screen_factoring_input(n)
-    _require_qubit_cap(choose_modulus_power(n)[1], qubit_cap)
+    s = choose_modulus_power(n)[1]
+    layout = RegisterLayout(s=s, L=(n - 1).bit_length(), ell=1, qubit_cap=qubit_cap)
+    layout.check_capacity(qubits=s, needs=_SAMPLER_NEEDS)
     rng = np.random.default_rng(seed)
     attempts: list[FactorAttempt] = []
     pair = None

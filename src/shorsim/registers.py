@@ -11,12 +11,12 @@ touches a contiguous stride pattern.
 
 Storage is decided here and nowhere else: `StateVector.nonzero_arrays` reads
 a state as (ascending packed indices, amplitudes) and `StateVector.from_arrays`
-writes one, for either backend. Every circuit stage goes through these two
-calls. Both backends store exactly that read-only ascending pair, so handing a
-state from one stage to the next converts nothing; they differ only in what
+writes one. Every circuit stage goes through these two calls. Every state
+stores exactly that read-only ascending pair, so handing a state from one
+stage to the next converts nothing. The backend decides only what
 `from_arrays` drops: exact zeros for dense storage, amplitudes at or below
-SPARSE_AMPLITUDE_FLOOR for sparse. A dense state's flat array of 2**(s + ell*L)
-amplitudes is built only when its `data` is read.
+SPARSE_AMPLITUDE_FLOOR for sparse. No state holds a flat array of
+2**(s + ell*L) amplitudes, so one capacity rule serves both backends.
 """
 
 from __future__ import annotations
@@ -136,19 +136,22 @@ class RegisterLayout:
     def dim(self) -> int:
         return 1 << self.total_qubits
 
-    def check_capacity(self, backend: str) -> None:
-        """Refuse a state that could hold more than 2**qubit_cap amplitudes:
-        2**(s + ell*L) in the flat array a dense state's `data` builds, at
-        most 2**(s + L) in sparse storage."""
-        if backend == DENSE:
-            qubits = self.total_qubits
-        elif backend == SPARSE:
+    def check_capacity(
+        self,
+        backend: str = SPARSE,
+        qubits: int | None = None,
+        needs: str = "{backend} state needs up to 2^{qubits} amplitudes",
+    ) -> None:
+        """Refuse, before it is made, an allocation of 2**qubits entries above
+        2**qubit_cap; `needs` words the error. By default qubits is s + L, the
+        most entries a pipeline state on this layout holds on either backend:
+        each control value pairs with at most r <= 2**L function-register
+        contents (x^k repeated in every register), whatever ell is."""
+        if qubits is None:
             qubits = self.s + self.L
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
         if qubits > self.qubit_cap:
             raise CapacityError(
-                f"{backend} state needs up to 2^{qubits} amplitudes, cap is 2^{self.qubit_cap} "
+                f"{needs.format(backend=backend, qubits=qubits)}, cap is 2^{self.qubit_cap} "
                 f"(raise the cap explicitly to allow this)"
             )
 
@@ -167,46 +170,35 @@ class RegisterLayout:
         return index
 
 
+def _require_backend(backend: str) -> None:
+    if backend not in (DENSE, SPARSE):
+        raise ValueError(f"unknown backend {backend!r}")
+
+
 class StateVector:
-    """Complex amplitudes over the full register space, dense or sparse.
+    """Complex amplitudes over the full register space, stored by their support.
 
-    Both backends hold the read-only pair (ascending int64 packed indices,
-    complex128 amplitudes), which `nonzero_arrays` returns as it is: a dense
-    state keeps every nonzero amplitude, a sparse state those above
-    SPARSE_AMPLITUDE_FLOOR. In a pipeline state each control value pairs with
-    at most r <= 2**L function-register contents (x^k repeated in every
-    register), so a state holds at most q * 2**L entries whatever ell is.
-
+    Every state holds the read-only pair (ascending int64 packed indices,
+    complex128 amplitudes), which `nonzero_arrays` returns as it is. The
+    backend decides only what `from_arrays` keeps: every nonzero amplitude
+    for dense storage, those above SPARSE_AMPLITUDE_FLOOR for sparse.
     Callers outside this module read a state with `nonzero_arrays` and build
-    one with `from_arrays`, so they never see which storage it uses; a dense
-    state is built by `from_arrays` alone. The constructor also takes a dict
-    from packed index to amplitude for a sparse state, and `data` turns a
-    sparse pair into such a dict, for code that edits entries in place.
+    one with `from_arrays`. The constructor also takes a dict from packed
+    index to amplitude, and `data` turns the pair into such a dict, for code
+    that edits entries in place.
     """
 
     def __init__(self, layout: RegisterLayout, backend: str, data):
-        if backend not in (DENSE, SPARSE):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == DENSE and not isinstance(data, tuple):
-            raise TypeError("a dense state is built by StateVector.from_arrays")
+        _require_backend(backend)
         self.layout = layout
         self.backend = backend
         self._data = data
-        self._flat = None
 
     @property
-    def data(self):
-        """A dense state's read-only flat array of layout.dim amplitudes, or a
-        sparse state's entries as a dict from packed index to amplitude. Each
-        is made on first access and kept; the dict is from then on the sparse
-        state's storage, so edits to it stick."""
-        if self.backend == DENSE:
-            if self._flat is None:
-                index, amps = self._data
-                self._flat = np.zeros(self.layout.dim, dtype=np.complex128)
-                self._flat[index] = amps
-                self._flat.flags.writeable = False
-            return self._flat
+    def data(self) -> dict:
+        """The entries as a dict from packed index to amplitude, made on first
+        access and kept: from then on it is the state's storage, so edits to
+        it stick."""
         if isinstance(self._data, tuple):
             index, amps = self._data
             self._data = dict(zip(index.tolist(), amps.tolist()))
@@ -227,8 +219,7 @@ class StateVector:
 
         Dense storage keeps the nonzero amplitudes, sparse storage those with
         magnitude above SPARSE_AMPLITUDE_FLOOR; both keep their indices in
-        ascending order. The dense capacity check counts all s + ell*L
-        qubits: it bounds the flat array `data` builds.
+        ascending order.
         """
         layout.check_capacity(backend)
         index = np.asarray(index, dtype=np.int64)
@@ -251,8 +242,8 @@ class StateVector:
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(packed indices, amplitudes) of the stored nonzero entries, the
-        indices ascending on both backends: the stored read-only pair, without
-        a copy, unless a sparse state's entries were opened as a dict."""
+        indices ascending: the stored read-only pair, without a copy, unless
+        the entries were opened as a dict."""
         if isinstance(self._data, tuple):
             return self._data
         count = len(self._data)
@@ -270,7 +261,6 @@ class StateVector:
     def densify(self) -> "StateVector":
         """Dense state with identical amplitudes; a dense state's copy shares
         its read-only pair."""
-        self.layout.check_capacity(DENSE)
         if self.backend == DENSE:
             return StateVector(self.layout, DENSE, self._data)
         return StateVector.from_arrays(self.layout, DENSE, *self.nonzero_arrays())
@@ -291,16 +281,19 @@ class StateVector:
 
     @classmethod
     def load(cls, path, qubit_cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        """Read a `dump` snapshot, which is outside input: an index outside the layout, a
-        repeated index, a non-finite amplitude or a norm off 1 raises ValueError, and
-        a state larger than `qubit_cap` allows raises CapacityError."""
+        """Read a `dump` snapshot, which is outside input: an unknown backend, an index
+        outside the layout, a repeated index, a non-finite amplitude or a norm off 1
+        raises ValueError, and a state larger than `qubit_cap` allows raises
+        CapacityError."""
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 4:
                 raise ValueError(f"malformed snapshot header: {header}")
             s, L, ell = (int(v) for v in header[:3])
             layout = RegisterLayout(s=s, L=L, ell=ell, qubit_cap=qubit_cap)
-            # The header alone decides the capacity: refuse before reading the body.
+            # The header alone decides the backend and the capacity: refuse
+            # before reading the body.
+            _require_backend(header[3])
             layout.check_capacity(header[3])
             indices, amps = [], []
             for line in fh:

@@ -12,6 +12,8 @@ import time
 import numpy as np
 import pytest
 
+import oracles
+from oracles import as_dict, scatter
 from shorsim.distributions import (
     analytic_joint_probability,
     measurement_distribution,
@@ -46,13 +48,6 @@ def coprime_bases(n):
     return [x for x in range(2, n) if math.gcd(x, n) == 1]
 
 
-def tv_distance(dist_a, dist_b):
-    outcomes = set(dist_a.entries) | set(dist_b.entries)
-    return 0.5 * sum(
-        abs(dist_a.probability(o) - dist_b.probability(o)) for o in outcomes
-    )
-
-
 def test_01_analytic_matches_simulation_everywhere():
     started = time.perf_counter()
     worst = 0.0
@@ -61,11 +56,12 @@ def test_01_analytic_matches_simulation_everywhere():
             inst = ProblemInstance.create(n, x)
             r = multiplicative_order(x, n)
             dist = measurement_distribution(run_pipeline(inst, ell=1))
+            probabilities = as_dict(dist)
             for c in range(inst.q):
                 for k in range(r):
                     y = mod_pow(x, k, n)
                     diff = abs(
-                        dist.probability((c, y))
+                        probabilities.get((c, y), 0.0)
                         - analytic_joint_probability(inst, r, c, k)
                     )
                     worst = max(worst, diff)
@@ -83,7 +79,7 @@ def test_02_exact_distribution_for_15_7():
     inst = ProblemInstance.create(15, 7)
     state = run_pipeline(inst, ell=1, backend=DENSE)
     layout = state.layout
-    probabilities = np.abs(state.data) ** 2
+    probabilities = np.abs(scatter(state)) ** 2
     expected = {
         (c, y) for c in (0, 64, 128, 192) for y in (1, 7, 4, 13)
     }
@@ -162,7 +158,7 @@ def test_05_gate_level_transform_cross_check():
         state = StateVector.from_arrays(layout, DENSE, np.arange(layout.dim), data)
         direct = apply_qft_register1_direct(state)
         gates = apply_qft_register1_gates(state)
-        worst = max(worst, float(np.max(np.abs(direct.data - gates.data))))
+        worst = max(worst, float(np.max(np.abs(scatter(direct) - scatter(gates)))))
     ok = worst <= 1e-10
     report(
         5,
@@ -188,13 +184,14 @@ def test_06_backend_equivalence():
     worst = 0.0
     for n, x, ell in ACCEPTANCE_INSTANCES:
         inst = ProblemInstance.create(n, x)
-        dense = measurement_distribution(run_pipeline(inst, ell=ell, backend=DENSE))
-        sparse = measurement_distribution(run_pipeline(inst, ell=ell, backend=SPARSE))
-        worst = max(worst, tv_distance(dense, sparse))
+        expected = np.abs(oracles.final_state(n, x, ell)) ** 2
+        for backend in (DENSE, SPARSE):
+            dist = measurement_distribution(run_pipeline(inst, ell=ell, backend=backend))
+            worst = max(worst, oracles.total_variation(expected, dist))
     ok = worst <= 1e-12
     report(
         6,
-        "dense and sparse backends agree on every acceptance instance",
+        "dense and sparse backends agree with the full-space oracle on every acceptance instance",
         ok,
         f"max total-variation distance {worst:.3e}",
     )

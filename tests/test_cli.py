@@ -147,6 +147,18 @@ class TestDistributionCommand:
         )
         assert not any(tmp_path.iterdir())
 
+    def test_dense_run_beyond_s_plus_ell_L_qubits(self, tmp_path):
+        # 11 + 3*6 = 29 qubits as a flat vector, above the default cap of 26;
+        # both backends hold at most q * 2^L entries and take the same s + L rule.
+        written = {}
+        for backend in ("dense", "sparse"):
+            out = tmp_path / backend
+            code = main(["distribution", "--n", "35", "--x", "2", "--ell", "3",
+                         "--backend", backend, "--output-dir", str(out)])
+            assert code == 0
+            written[backend] = (out / "distribution.csv").read_bytes()
+        assert written["dense"] == written["sparse"]
+
     def test_negative_top_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["distribution", "--n", "15", "--x", "7", "--top", "-1",

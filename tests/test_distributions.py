@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import as_dict
 from shorsim import distributions
 from shorsim.distributions import (
     OutcomeDistribution,
@@ -43,9 +44,10 @@ def dist_21_2():
 
 class TestMeasurementDistribution:
     def test_known_probabilities(self, dist_15_7):
-        assert dist_15_7.probability((64, 1)) == pytest.approx(1 / 16, abs=1e-12)
+        table = as_dict(dist_15_7)
+        assert table[(64, 1)] == pytest.approx(1 / 16, abs=1e-12)
         # alternating geometric sum cancels exactly
-        assert dist_15_7.probability((32, 1)) <= 1e-20
+        assert table.get((32, 1), 0.0) <= 1e-20
         assert dist_15_7.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_probabilities_are_valid(self, dist_21_2):
@@ -79,7 +81,7 @@ FACTORABLE_N = [n for n in range(9, 151, 2) if len(prime_factors(n)) > 1]
 DENSE_QUBIT_LIMIT = 20
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_simulation_matches_closed_form_over_many_inputs(data):
     n = data.draw(st.sampled_from(FACTORABLE_N), label="n")
@@ -189,12 +191,13 @@ class TestAnalyticJointProbability:
     def test_matches_simulation_everywhere(self, inst, dist_15_7, dist_21_2):
         dist = dist_15_7 if inst is INST_15_7 else dist_21_2
         r = multiplicative_order(inst.x, inst.n)
+        table = as_dict(dist)
         worst = 0.0
         for c in range(inst.q):
             for k in range(r):
                 y = mod_pow(inst.x, k, inst.n)
                 diff = abs(
-                    dist.probability((c, y))
+                    table.get((c, y), 0.0)
                     - analytic_joint_probability(inst, r, c, k)
                 )
                 worst = max(worst, diff)
@@ -214,7 +217,7 @@ class TestAnalyticJointProbability:
 class TestMarginalConditional:
     def test_control_marginal(self, dist_15_7):
         m = marginal(dist_15_7, (1,))
-        assert m.probability((64,)) == pytest.approx(1 / 4, abs=1e-12)
+        assert as_dict(m)[(64,)] == pytest.approx(1 / 4, abs=1e-12)
 
     def test_keep_everything_is_identity(self, dist_15_7):
         m = marginal(dist_15_7, (1, 2))
@@ -224,7 +227,7 @@ class TestMarginalConditional:
         m = marginal(dist_15_7, (2,))
         for k in range(4):
             y = mod_pow(7, k, 15)
-            assert m.probability((y,)) == pytest.approx(1 / 4, abs=1e-12)
+            assert as_dict(m)[(y,)] == pytest.approx(1 / 4, abs=1e-12)
 
     def test_empty_keep_rejected(self, dist_15_7):
         with pytest.raises(RangeError):
@@ -232,9 +235,9 @@ class TestMarginalConditional:
 
     def test_perfect_correlation_under_conditioning(self, dist_15_7_ell2):
         cond = conditional(dist_15_7_ell2, {2: 1})
-        second = marginal(cond, (3,))
-        assert second.probability((1,)) == pytest.approx(1.0, abs=1e-12)
-        assert second.probability((7,)) == 0.0
+        second = as_dict(marginal(cond, (3,)))
+        assert second[(1,)] == pytest.approx(1.0, abs=1e-12)
+        assert second.get((7,), 0.0) == 0.0
 
     def test_full_outcome_conditioning_is_point_mass(self, dist_15_7):
         cond = conditional(dist_15_7, {1: 64, 2: 1})
@@ -246,12 +249,11 @@ class TestMarginalConditional:
 
     def test_chain_rule(self, dist_21_2):
         # P(A | B) * P(B) = P(A and B), within accumulation tolerance
-        given_mass = marginal(dist_21_2, (2,)).probability((1,))
+        given_mass = as_dict(marginal(dist_21_2, (2,)))[(1,)]
         cond = conditional(dist_21_2, {2: 1})
+        joint = as_dict(dist_21_2)
         for outcome, p_cond in cond.entries.items():
-            assert p_cond * given_mass == pytest.approx(
-                dist_21_2.probability(outcome), abs=1e-14
-            )
+            assert p_cond * given_mass == pytest.approx(joint.get(outcome, 0.0), abs=1e-14)
 
 
 class TestSignedResidue:
@@ -346,12 +348,13 @@ class TestUniformSupportWhenOrderDivides:
         dist = measurement_distribution(run_pipeline(inst, ell=1))
         report = shor_bound_report(inst)
         good = [row.c for row in report.rows]
-        control = marginal(dist, (1,))
+        control = as_dict(marginal(dist, (1,)))
+        table = as_dict(dist)
         for c in good:
-            assert control.probability((c,)) == pytest.approx(1 / r, abs=1e-12)
+            assert control.get((c,), 0.0) == pytest.approx(1 / r, abs=1e-12)
             for k in range(r):
                 y = mod_pow(x, k, 15)
-                assert dist.probability((c, y)) == pytest.approx(
+                assert table.get((c, y), 0.0) == pytest.approx(
                     1 / r**2, abs=1e-12
                 )
         assert len(dist.entries) == r * r

@@ -80,7 +80,7 @@ def test_outputs_match_golden_bytes(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("distribution_")))
 def test_dense_distribution_matches_the_sparse_golden(name, tmp_path):
-    # No golden holds a dense run: the dense oracle must write the sparse
+    # No golden holds a dense run: dense storage must write the sparse
     # golden's outcome table and report, whatever else it records.
     written = run_case([*CASES[name], "--backend", "dense"], tmp_path)
     golden = GOLDEN / name

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
+from oracles import as_dict, scatter
 from shorsim import _kernels, numtheory, pipeline
 from shorsim.distributions import marginal, measurement_distribution
 from shorsim.errors import CapacityError, StageOrderError
@@ -154,7 +156,7 @@ class TestGateTransform:
     def test_matches_direct_on_pipeline(self, inst, ell):
         direct = run_pipeline(inst, ell=ell, backend=DENSE, qft="direct")
         gates = run_pipeline(inst, ell=ell, backend=DENSE, qft="gates")
-        assert np.max(np.abs(direct.data - gates.data)) <= 1e-10
+        assert np.max(np.abs(scatter(direct) - scatter(gates))) <= 1e-10
 
     def test_sparse_input_round_trips(self):
         direct = run_pipeline(INST_15_7, ell=1, backend=SPARSE, qft="direct")
@@ -174,7 +176,7 @@ class TestGateColumnRoute:
     @staticmethod
     def full_matrix_reference(state):
         layout = state.layout
-        mat = state.densify().data.reshape(layout.q, layout.right_dim).copy()
+        mat = scatter(state).reshape(layout.q, layout.right_dim)
         return _kernels.qft_gates(mat, layout.s).ravel()
 
     @pytest.mark.parametrize(
@@ -188,7 +190,7 @@ class TestGateColumnRoute:
         if backend == SPARSE:
             # Sparse storage keeps only amplitudes above the floor.
             expected[np.abs(expected) <= SPARSE_AMPLITUDE_FLOOR] = 0
-        assert np.array_equal(apply_qft_register1_gates(state).densify().data, expected)
+        assert np.array_equal(scatter(apply_qft_register1_gates(state)), expected)
 
     @pytest.mark.parametrize("s", range(1, 9))
     def test_every_column_occupied(self, s):
@@ -199,24 +201,32 @@ class TestGateColumnRoute:
         index = np.arange(layout.dim, dtype=np.int64)
         state = StateVector.from_arrays(layout, DENSE, index, amps)
         expected = self.full_matrix_reference(state)
-        assert np.array_equal(apply_qft_register1_gates(state).densify().data, expected)
+        assert np.array_equal(scatter(apply_qft_register1_gates(state)), expected)
 
 
 class TestBackendsAgreeAtEveryStage:
+    """Each stage on each backend against the full-space oracle."""
+
     @pytest.mark.parametrize(
         "inst, ell",
         [(INST_15_7, 1), (INST_15_7, 2), (INST_15_7, 3), (INST_21_2, 1), (INST_21_2, 2)],
     )
     def test_sparse_state_equals_dense_state(self, inst, ell):
+        expected = oracles.initial_state(inst.n, ell)
         sparse = init_uniform(inst, ell=ell, backend=SPARSE)
         dense = init_uniform(inst, ell=ell, backend=DENSE)
-        assert np.array_equal(sparse.densify().data, dense.data)
+        assert np.array_equal(scatter(sparse), expected.ravel())
+        assert np.array_equal(scatter(dense), expected.ravel())
+        expected = oracles.fanout(expected, inst.n, inst.x)
         sparse = apply_modexp_fanout(sparse, inst)
         dense = apply_modexp_fanout(dense, inst)
-        assert np.array_equal(sparse.densify().data, dense.data)
+        assert np.array_equal(scatter(sparse), expected.ravel())
+        assert np.array_equal(scatter(dense), expected.ravel())
+        expected = oracles.transform(expected)
         sparse = apply_qft_register1_direct(sparse)
         dense = apply_qft_register1_direct(dense)
-        assert np.max(np.abs(sparse.densify().data - dense.data)) <= 1e-15
+        assert np.max(np.abs(scatter(sparse) - expected.ravel())) <= 1e-15
+        assert np.max(np.abs(scatter(dense) - expected.ravel())) <= 1e-15
         assert np.all(np.abs(sparse.nonzero_arrays()[1]) > SPARSE_AMPLITUDE_FLOOR)
 
 
@@ -234,12 +244,10 @@ class TestTransformLocality:
         before = apply_modexp_fanout(init_uniform(INST_15_7, ell=ell), INST_15_7)
         after = apply_qft_register1_direct(before)
         positions = tuple(range(2, ell + 2))
-        m_before = marginal(measurement_distribution(before), positions)
-        m_after = marginal(measurement_distribution(after), positions)
-        outcomes = set(m_before.entries) | set(m_after.entries)
-        worst = max(
-            abs(m_before.probability(o) - m_after.probability(o)) for o in outcomes
-        )
+        m_before = as_dict(marginal(measurement_distribution(before), positions))
+        m_after = as_dict(marginal(measurement_distribution(after), positions))
+        outcomes = m_before.keys() | m_after.keys()
+        worst = max(abs(m_before.get(o, 0.0) - m_after.get(o, 0.0)) for o in outcomes)
         assert worst <= 1e-12
 
 
@@ -250,10 +258,9 @@ class TestFullPipeline:
         assert all(p == pytest.approx(1 / 16, abs=1e-12) for p in dist.entries.values())
 
     def test_control_marginal_independent_of_ell(self):
-        m1 = marginal(measurement_distribution(run_pipeline(INST_15_7, ell=1)), (1,))
-        m2 = marginal(measurement_distribution(run_pipeline(INST_15_7, ell=2)), (1,))
-        outcomes = set(m1.entries) | set(m2.entries)
-        worst = max(abs(m1.probability(o) - m2.probability(o)) for o in outcomes)
+        m1 = as_dict(marginal(measurement_distribution(run_pipeline(INST_15_7, ell=1)), (1,)))
+        m2 = as_dict(marginal(measurement_distribution(run_pipeline(INST_15_7, ell=2)), (1,)))
+        worst = max(abs(m1.get(o, 0.0) - m2.get(o, 0.0)) for o in m1.keys() | m2.keys())
         assert worst <= 1e-12
 
     def test_distribution_normalized(self):
@@ -262,13 +269,10 @@ class TestFullPipeline:
 
     @pytest.mark.parametrize("inst", [INST_15_7, INST_21_2])
     def test_backend_equivalence(self, inst):
-        dense = measurement_distribution(run_pipeline(inst, ell=1, backend=DENSE))
-        sparse = measurement_distribution(run_pipeline(inst, ell=1, backend=SPARSE))
-        outcomes = set(dense.entries) | set(sparse.entries)
-        tv = 0.5 * sum(
-            abs(dense.probability(o) - sparse.probability(o)) for o in outcomes
-        )
-        assert tv <= 1e-12
+        expected = np.abs(oracles.final_state(inst.n, inst.x)) ** 2
+        for backend in (DENSE, SPARSE):
+            dist = measurement_distribution(run_pipeline(inst, ell=1, backend=backend))
+            assert oracles.total_variation(expected, dist) <= 1e-12
 
 
 class TestLinearity:

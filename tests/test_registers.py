@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shorsim
+from oracles import scatter
 
 from shorsim.distributions import analytic_joint_probability, measurement_distribution
 from shorsim.errors import CapacityError, NotCoprimeError, RangeError
@@ -123,10 +124,15 @@ class TestPacking:
 
 class TestCapacity:
     def test_layout_cap(self):
-        layout = RegisterLayout(s=20, L=4, ell=2)  # 28 qubits > default 26
-        with pytest.raises(CapacityError):
-            StateVector.zeros(layout, DENSE)
-        sparse = StateVector(layout, SPARSE, {0: 1.0 + 0j})
+        # One rule on both backends, s + L qubits whatever ell is: 20 + 2*4 =
+        # 28 qubits as a flat vector, above the default 26, is within it.
+        layout = RegisterLayout(s=20, L=4, ell=2)
+        assert StateVector.zeros(layout, DENSE).nonzero_count() == 0
+        assert StateVector(layout, SPARSE, {0: 1.0 + 0j}).densify().nonzero_count() == 1
+        over = RegisterLayout(s=20, L=7, ell=1)  # s + L = 27 > default 26
+        with pytest.raises(CapacityError, match=r"dense state needs up to 2\^27 amplitudes"):
+            StateVector.zeros(over, DENSE)
+        sparse = StateVector(over, SPARSE, {0: 1.0 + 0j})
         with pytest.raises(CapacityError):
             sparse.densify()
 
@@ -172,7 +178,7 @@ class TestStateVector:
         dense = sparse.densify()
         expected = np.zeros(8, dtype=np.complex128)
         expected[0] = 1.0
-        assert np.array_equal(dense.data, expected)
+        assert np.array_equal(scatter(dense), expected)
 
     def test_densify_sparsify_round_trip(self):
         rng = np.random.default_rng(3)
@@ -181,7 +187,7 @@ class TestStateVector:
         amplitudes /= np.linalg.norm(amplitudes)
         dense = StateVector.from_arrays(layout, DENSE, np.arange(layout.dim), amplitudes)
         back = dense.sparsify().densify()
-        assert np.max(np.abs(back.data - dense.data)) <= 1e-15
+        assert np.max(np.abs(scatter(back) - scatter(dense))) <= 1e-15
 
     def test_from_arrays(self):
         layout = RegisterLayout(s=2, L=1, ell=1)
@@ -261,40 +267,37 @@ class TestStateVector:
     def test_pre_transform_support_counts(self):
         inst = ProblemInstance.create(15, 7)
         state = apply_modexp_fanout(init_uniform(inst, ell=2, backend=DENSE), inst)
-        assert state.data.size == 65536
+        assert scatter(state).size == 65536
         assert state.nonzero_count() == 256
         magnitudes = set(np.abs(state.nonzero_arrays()[1]).tolist())
         assert all(abs(m - 1 / 16) <= 1e-15 for m in magnitudes)
 
-    def test_a_dense_state_comes_only_from_from_arrays(self):
+    def test_the_constructor_takes_a_dict_on_both_backends(self):
         layout = RegisterLayout(s=2, L=1, ell=1)
-        with pytest.raises(TypeError, match="from_arrays"):
-            StateVector(layout, DENSE, np.zeros(layout.dim, dtype=np.complex128))
+        for backend in (DENSE, SPARSE):
+            state = StateVector(layout, backend, {5: 0.6 + 0j, 1: 0.8j})
+            assert [a.tolist() for a in state.nonzero_arrays()] == [[1, 5], [0.8j, 0.6 + 0j]]
+        with pytest.raises(ValueError, match="unknown backend"):
+            StateVector(layout, "foo", {})
 
     def test_densify_of_a_dense_state_shares_its_pair(self):
         inst = ProblemInstance.create(15, 7)
         dense = run_pipeline(inst, ell=1, backend=DENSE)
         copy = dense.densify()
-        # The copy holds the same read-only (index, amps) arrays, not copies of
-        # them; each state builds its own `.data` from them.
+        # The copy holds the same read-only (index, amps) arrays, not copies of them.
         for mine, theirs in zip(copy.nonzero_arrays(), dense.nonzero_arrays()):
             assert mine is theirs
-        assert copy.data is not dense.data and np.array_equal(copy.data, dense.data)
-        with pytest.raises(ValueError, match="read-only"):
-            copy.data[0] = 1
 
-    def test_dense_data_is_the_scatter_of_its_pair_built_once(self):
+    def test_dense_data_is_the_dict_of_its_pair_built_once(self):
         inst = ProblemInstance.create(21, 2)
         state = run_pipeline(inst, ell=2, backend=DENSE)
         index, amps = state.nonzero_arrays()
-        expected = np.zeros(state.layout.dim, dtype=np.complex128)
-        expected[index] = amps
-        flat = state.data
-        assert flat.shape == (state.layout.dim,)
-        assert flat.tobytes() == expected.tobytes()
-        assert state.data is flat
-        with pytest.raises(ValueError, match="read-only"):
-            flat[0] = 1
+        view = state.data
+        assert view == dict(zip(index.tolist(), amps.tolist()))
+        assert state.data is view
+        # The dict is from then on the storage: an edit sticks.
+        view[int(index[0])] = 0.5
+        assert _amplitude(state, int(index[0])) == 0.5
 
     def test_dense_pipeline_never_allocates_the_flat_array(self):
         # n = 35, ell = 2 spans 2**(11 + 2*6) amplitudes, 134 MB as a flat
@@ -328,14 +331,16 @@ def test_dense_support_is_the_scan_of_its_array(data):
         complex(data.draw(_DENSE_AMPLITUDE_PARTS), data.draw(_DENSE_AMPLITUDE_PARTS))
         for _ in index
     ]
-    state = StateVector.from_arrays(layout, DENSE, np.array(index, dtype=np.int64), amps)
+    index = np.array(index, dtype=np.int64)
+    state = StateVector.from_arrays(layout, DENSE, index, amps)
+    array = np.zeros(layout.dim, dtype=np.complex128)
+    array[index] = amps
     support, values = state.nonzero_arrays()
-    scanned = np.flatnonzero(state.data != 0)
+    scanned = np.flatnonzero(array != 0)
     assert support.dtype == np.int64 and np.array_equal(support, scanned)
-    assert values.tobytes() == state.data[scanned].tobytes()
+    assert values.tobytes() == array[scanned].tobytes()
     assert state.nonzero_count() == scanned.size
-    with pytest.raises(ValueError, match="read-only"):
-        state.data[0] = 1
+    assert not support.flags.writeable and not values.flags.writeable
 
 
 class TestSnapshots:
@@ -444,11 +449,11 @@ class TestMaxAbsDifference:
 
 
 def test_only_registers_touches_state_storage():
-    # The storage format (the ascending (index, amps) pair, with the dense
-    # flat array or the sparse dict view that `data` builds on demand) and
-    # the choice between the backends are known to registers.py alone: every
-    # other module goes through nonzero_arrays / from_arrays, passes a backend
-    # on without comparing it, and never converts a state to the other storage.
+    # The storage format (the ascending (index, amps) pair, and the dict view
+    # that `data` builds on demand) and the choice between the backends are
+    # known to registers.py alone: every other module goes through
+    # nonzero_arrays / from_arrays, passes a backend on without comparing it,
+    # and never converts a state to the other storage.
     storage_attrs = {"data", "densify", "sparsify", "control_matrix"}
     offenders = []
     for path in sorted(Path(shorsim.__file__).parent.glob("*.py")):
