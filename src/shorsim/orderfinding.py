@@ -170,14 +170,32 @@ class RunTrace:
     attempts: tuple[OrderAttempt, ...]
 
 
-def _find_order_with_rng(
+def _require_budgets(**budgets: int) -> None:
+    """Reject a budget below 1, under which gcd shortcuts alone could drive a run."""
+    for name, value in budgets.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def find_order(
     instance: ProblemInstance,
-    sampler: ColumnSampler,
-    max_samples: int,
-    multiplier_bound: int,
-    rng,
-    seed: int | None,
+    max_samples: int = 32,
+    multiplier_bound: int = 1,
+    seed: int | np.random.Generator = 0,
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[int | None, RunTrace]:
+    """Sample measurement outcomes (y, then c, from `ColumnSampler`) until one
+    recovers a verified order.
+
+    The samples come from one generator: a new one seeded by `seed`, or
+    `seed` itself when it is a Generator, whose trace then records no seed.
+    A verified candidate is reduced to the smallest verified divisor, so the
+    returned order always equals the true multiplicative order. `qubit_cap`
+    bounds the sampler's length-q arrays (see `ColumnSampler`).
+    """
+    _require_budgets(max_samples=max_samples, multiplier_bound=multiplier_bound)
+    sampler = ColumnSampler(instance, qubit_cap)
+    rng = np.random.default_rng(seed)
     attempts = []
     order = None
     for attempt in range(1, max_samples + 1):
@@ -202,13 +220,13 @@ def _find_order_with_rng(
         if reduced is not None:
             order = reduced
             break
-    trace = RunTrace(
+    return order, RunTrace(
         n=instance.n,
         x=instance.x,
         q=instance.q,
         s=instance.s,
         ell=1,
-        seed=seed,
+        seed=None if isinstance(seed, np.random.Generator) else seed,
         multiplier_bound=multiplier_bound,
         max_samples=max_samples,
         order=order,
@@ -220,34 +238,6 @@ def _find_order_with_rng(
         ),
         attempts=tuple(attempts),
     )
-    return order, trace
-
-
-def _require_budgets(**budgets: int) -> None:
-    """Reject a budget below 1, under which gcd shortcuts alone could drive a run."""
-    for name, value in budgets.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def find_order(
-    instance: ProblemInstance,
-    max_samples: int = 32,
-    multiplier_bound: int = 1,
-    seed: int = 0,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> tuple[int | None, RunTrace]:
-    """Sample measurement outcomes (y, then c, from `ColumnSampler`) until one
-    recovers a verified order.
-
-    A verified candidate is reduced to the smallest verified divisor, so the
-    returned order always equals the true multiplicative order. `qubit_cap`
-    bounds the sampler's length-q arrays (see `ColumnSampler`).
-    """
-    _require_budgets(max_samples=max_samples, multiplier_bound=multiplier_bound)
-    sampler = ColumnSampler(instance, qubit_cap)
-    rng = np.random.default_rng(seed)
-    return _find_order_with_rng(instance, sampler, max_samples, multiplier_bound, rng, seed)
 
 
 @dataclass(frozen=True)
@@ -295,12 +285,12 @@ def factor(
     """Factor an odd composite non-prime-power n by repeated order finding.
 
     Each attempt draws x from the run's generator (before any sampling), takes
-    the gcd shortcut when x shares a factor with n, and otherwise runs order
-    finding followed by the gcd(x^(r/2) -+ 1, n) split. Attempts with an odd
-    order or x^(r/2) = -1 (mod n) are retried with a fresh x. Each attempt
-    samples through its own `ColumnSampler`. `qubit_cap` bounds the sampler's
-    length-q arrays, counted as s qubits, and is checked before the first
-    attempt, so a run is refused whatever its seed.
+    the gcd shortcut when x shares a factor with n, and otherwise runs
+    `find_order` on that generator, followed by the gcd(x^(r/2) -+ 1, n)
+    split. Attempts with an odd order or x^(r/2) = -1 (mod n) are retried
+    with a fresh x. `qubit_cap` bounds the sampler's length-q arrays, counted
+    as s qubits, and is checked before the first attempt, so a run is
+    refused whatever its seed.
     """
     _require_budgets(max_attempts=max_attempts, samples_per_attempt=samples_per_attempt,
                      multiplier_bound=multiplier_bound)
@@ -321,10 +311,7 @@ def factor(
             )
             break
         instance = ProblemInstance(n, x)
-        order, trace = _find_order_with_rng(
-            instance, ColumnSampler(instance, qubit_cap), samples_per_attempt,
-            multiplier_bound, rng, None,
-        )
+        order, trace = find_order(instance, samples_per_attempt, multiplier_bound, rng, qubit_cap)
         if order is None:
             attempts.append(FactorAttempt(attempt, x, None, "no order recovered", None, trace))
             continue

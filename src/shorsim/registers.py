@@ -22,6 +22,7 @@ SPARSE_AMPLITUDE_FLOOR for sparse. No state holds a flat array of
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -215,13 +216,17 @@ class StateVector:
     ) -> "StateVector":
         """State holding amps[k] at the packed index index[k]; a repeated
         index, an index outside [0, layout.dim) or a non-finite amplitude
-        raises ValueError.
+        raises ValueError, and more than 2**layout.qubit_cap entries
+        CapacityError, before anything is copied.
 
         Dense storage keeps the nonzero amplitudes, sparse storage those with
         magnitude above SPARSE_AMPLITUDE_FLOOR; both keep their indices in
         ascending order.
         """
         layout.check_capacity(backend)
+        # A pipeline state fits by the rule above; a state from outside input
+        # may hold more entries.
+        layout.check_capacity(backend, qubits=(len(index) - 1).bit_length())
         index = np.asarray(index, dtype=np.int64)
         amps = np.asarray(amps, dtype=np.complex128)
         # Every stage writes ascending indices; a snapshot may not.
@@ -291,12 +296,13 @@ class StateVector:
                 raise ValueError(f"malformed snapshot header: {header}")
             s, L, ell = (int(v) for v in header[:3])
             layout = RegisterLayout(s=s, L=L, ell=ell, qubit_cap=qubit_cap)
-            # The header alone decides the backend and the capacity: refuse
-            # before reading the body.
+            # The header alone decides the backend and the layout's capacity:
+            # refuse before reading the body.
             _require_backend(header[3])
             layout.check_capacity(header[3])
             indices, amps = [], []
-            for line in fh:
+            # One line past the cap is enough for from_arrays to refuse the state.
+            for line in itertools.islice(fh, (1 << qubit_cap) + 1):
                 index_str, re_str, im_str = line.split()
                 indices.append(int(index_str))
                 amps.append(complex(float(re_str), float(im_str)))
@@ -304,7 +310,8 @@ class StateVector:
         if bad:
             raise ValueError(f"snapshot index {bad[0]} outside [0, {layout.dim})")
         amps = np.array(amps, dtype=np.complex128)
-        # from_arrays refuses a repeated index and a non-finite amplitude.
+        # from_arrays refuses too many entries, a repeated index and a
+        # non-finite amplitude.
         state = cls.from_arrays(layout, header[3], np.array(indices, dtype=np.int64), amps)
         norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > NORM_TOLERANCE:
@@ -408,13 +415,19 @@ def _float_words(column: np.ndarray, out: np.ndarray, shortest: bool = False) ->
     by one next to a power of ten), and a rounding decision within _TIE_BAND
     of a tie.
 
-    `repr` prints the fewest digits whose nearest decimal reads back as v
-    (Steele and White; Gay). For each digit count the kernel rounds the exact
-    scaled value and keeps the shortest rounding that lies strictly inside
-    v's rounding interval, of half-width `spacing(v) * 10**k / 2` in the
-    scaled units. Python also formats, in this mode, a rounding within
-    _TIE_BAND of the interval's edge or of a tie, a power of two (its
-    interval is asymmetric) and a whole number, which `repr` writes as `d.0`.
+    `repr` prints the fewest digits whose nearest double is v (Steele and
+    White; Gay), the nearest such decimal to v among those. v's ulp is less
+    than 2.3e-16 * v, so decimals of 15 significant digits lie more than
+    one ulp apart and at most one lies inside v's rounding interval: the
+    15-digit rounding, where a shorter `repr` is that rounding without its
+    trailing zeros. `repr` is therefore the 15-digit rounding where it lies
+    inside the interval, else the 16-digit rounding where it does, else the
+    17-digit one, which always does. The kernel tests the 15- and 16-digit
+    roundings (multiples of 100 and 10 in the scaled units) against the
+    interval's half-width `spacing(v) * 10**k / 2`. Python also formats, in
+    this mode, a rounding within _TIE_BAND of the interval's edge or of a
+    tie, a power of two (its interval is asymmetric) and a whole number,
+    which `repr` writes as `d.0`.
     """
     magnitude = np.abs(column)
     decided = (magnitude >= _FLOAT_RANGE[0]) & (magnitude < _FLOAT_RANGE[1])
@@ -432,15 +445,26 @@ def _float_words(column: np.ndarray, out: np.ndarray, shortest: bool = False) ->
     fraction = rest - carry
     digits = whole.astype(np.int64) + carry.astype(np.int64)
     decided &= (digits >= 10**16) & (digits < 10**17) & (np.abs(fraction - 0.5) >= _TIE_BAND)
+    # 17 significant digits, rounded.
+    rounded = digits + (fraction > 0.5)
     if shortest:
-        # Powers of two and whole numbers go to Python before the digit search.
+        # Powers of two and whole numbers go to Python.
         mantissa = column.view(np.int64) & ((1 << 52) - 1)
         decided &= (mantissa != 0) & (magnitude != np.floor(magnitude))
-        digits, near = _shortest_digits(magnitude, k, digits, fraction, np.flatnonzero(decided))
-        decided &= ~near
-    else:
-        # 17 significant digits, rounded.
-        digits += fraction > 0.5
+        half = np.spacing(magnitude) * _POW10_HI[k] / 2
+        # The 16-digit rounding, then the 15-digit one, replaces the
+        # 17-digit one where it lies inside the interval.
+        for unit in (10, 100):
+            rest = digits % unit
+            down, up = rest + fraction, (unit - rest) - fraction
+            distance = np.minimum(down, up)
+            inside = distance < half
+            decided &= (np.abs(distance - half) >= _TIE_BAND) & ~(
+                inside & (np.abs(down - up) < _TIE_BAND)
+            )
+            nearest = np.where(down < up, digits - rest, digits - rest + unit)
+            rounded = np.where(inside, nearest, rounded)
+    digits = rounded
     # A round-up to 10**17 goes to Python.
     decided &= digits < 10**17
     digits = np.where(decided, digits, 10**16)
@@ -461,43 +485,6 @@ def _float_words(column: np.ndarray, out: np.ndarray, shortest: bool = False) ->
         nothing_after &= group == 0
     out[:, 6] = _EXPONENT_WORDS[np.where(exponent < -4, -exponent, 0)]
     return np.flatnonzero(~decided)
-
-
-def _shortest_digits(
-    magnitude: np.ndarray,
-    k: np.ndarray,
-    digits: np.ndarray,
-    fraction: np.ndarray,
-    lanes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(the shortest rounding of each scaled value digits + fraction that lies
-    inside its rounding interval, as 17 digits with trailing zeros; whether
-    some decision was within _TIE_BAND of the interval's edge or of a tie),
-    searched for the positions `lanes` only; the others keep the 17-digit
-    rounding.
-
-    A rounding to a multiple of 10**j inside the interval is a multiple of
-    every 10**i, i < j, and no farther from the value than theirs, so each
-    j looks only at the lanes that had one within reach at j - 1."""
-    best = digits + (fraction > 0.5)
-    near = np.zeros(digits.size, dtype=bool)
-    half = np.spacing(magnitude[lanes]) * _POW10_HI[k[lanes]] / 2
-    digits, fraction = digits[lanes], fraction[lanes]
-    unit = 1
-    while lanes.size and unit < 10**16:
-        unit *= 10
-        rest = digits % unit
-        down = rest + fraction
-        up = (unit - rest) - fraction
-        distance = np.minimum(down, up)
-        inside = distance < half
-        near[lanes] |= (np.abs(distance - half) < _TIE_BAND) | (
-            inside & (np.abs(down - up) < _TIE_BAND)
-        )
-        best[lanes[inside]] = np.where(down < up, digits - rest, digits + (unit - rest))[inside]
-        reach = np.flatnonzero(distance < half + _TIE_BAND)
-        lanes, digits, fraction, half = lanes[reach], digits[reach], fraction[reach], half[reach]
-    return best, near
 
 
 def _int_words(column: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -134,6 +134,29 @@ class TestFindOrder:
         _, t2 = find_order(INST_15_7, max_samples=16, multiplier_bound=2, seed=21)
         assert json.dumps(asdict(t1)) == json.dumps(asdict(t2))
 
+    def test_a_generator_seed_draws_its_stream_and_records_no_seed(self):
+        # An int seeds a new generator; a Generator is drawn from as it is,
+        # so the driver's attempts share its stream, and the trace records
+        # no seed for it.
+        order, seeded = find_order(INST_15_7, max_samples=16, multiplier_bound=2, seed=21)
+        rng = np.random.default_rng(21)
+        order_rng, drawn = find_order(INST_15_7, max_samples=16, multiplier_bound=2, seed=rng)
+        assert seeded.seed == 21 and drawn.seed is None
+        assert order_rng == order
+        assert drawn.attempts == seeded.attempts
+        assert rng.random() != np.random.default_rng(21).random()
+
+    def test_factor_attempts_are_find_order_on_the_run_generator(self):
+        # Replay factor(35, seed=1) from its generator: each attempt's x draw,
+        # then find_order on the same stream.
+        _, trace = factor(35, seed=1, samples_per_attempt=4, multiplier_bound=2)
+        rng = np.random.default_rng(1)
+        for attempt in trace.attempts:
+            assert int(rng.integers(2, 34, endpoint=True)) == attempt.x
+            if attempt.order_trace is not None:
+                _, replayed = find_order(ProblemInstance(35, attempt.x), 4, 2, rng)
+                assert replayed == attempt.order_trace
+
 
 class TestFactor:
     @pytest.mark.parametrize("n,expected", [(15, (3, 5)), (21, (3, 7)), (35, (5, 7))])

@@ -136,6 +136,23 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             sparse.densify()
 
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    def test_more_entries_than_the_cap_are_refused_before_copying(self, backend):
+        # s + L = 3 qubits fit a cap of 2**3; nine entries do not.
+        layout = RegisterLayout(s=2, L=1, ell=3, qubit_cap=3)
+
+        class Uncopyable:
+            def __len__(self):
+                return 9
+
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("from_arrays copied the entries")
+
+        with pytest.raises(CapacityError):
+            StateVector.from_arrays(layout, backend, Uncopyable(), Uncopyable())
+        state = StateVector.from_arrays(layout, backend, np.arange(8), np.full(8, 8**-0.5))
+        assert state.nonzero_count() == 8
+
     def test_cap_override(self):
         layout = RegisterLayout(s=20, L=4, ell=2, qubit_cap=28)
         assert layout.total_qubits == 28
@@ -410,6 +427,20 @@ class TestSnapshots:
         path.write_text("30 4 1 dense\nzero 1 0\n")
         with pytest.raises(CapacityError):
             StateVector.load(path)
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    def test_more_lines_than_the_cap_are_refused(self, tmp_path, backend):
+        # s + L = 3 qubits fit a cap of 2**3, but 32 unit-norm entries do not;
+        # the lines after the ninth are never parsed.
+        path = tmp_path / "state.txt"
+        lines = [f"{i} {32 ** -0.5!r} 0" for i in range(32)]
+        path.write_text("\n".join([f"2 1 3 {backend}", *lines]) + "\n")
+        with pytest.raises(CapacityError):
+            StateVector.load(path, qubit_cap=3)
+        assert StateVector.load(path, qubit_cap=5).nonzero_count() == 32
+        path.write_text("\n".join([f"2 1 3 {backend}", *lines[:9], "zero 1 0"]) + "\n")
+        with pytest.raises(CapacityError):
+            StateVector.load(path, qubit_cap=3)
 
     def test_valid_hand_written_snapshot_loads(self, tmp_path):
         state = self._load(tmp_path, SPARSE, ["1 0.6 0", "6 0 0.8"])

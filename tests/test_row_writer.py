@@ -11,14 +11,18 @@ log10 may be off by one, and the chunk boundaries.
 With `json_floats`, the kernel's shortest mode that JSON record rows use,
 each float must be `json.dumps(v)`: `repr(v)`, but `NaN` and `Infinity` for
 the non-finite values. The cases below aim at the same decisions plus the
-shortest-digit search: powers of two, values with few significant digits,
-and whole numbers.
+mode's choice among the 15-, 16- and 17-digit roundings: powers of two,
+values with few significant digits, binary fractions k/q, values where
+several 16-digit decimals read back as the double, values that need all 17
+digits, and whole numbers.
 """
 
 import io
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from json.encoder import encode_basestring_ascii
@@ -360,13 +364,60 @@ def test_reprs_of_special_values():
     specials = [0.0, math.inf, math.nan, 5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny,
                 np.finfo(np.float64).max, 9.999999999999999e-05, 9.999999999999998,
                 1e-4, 1e-5, 0.1, 1 / 3, 2 / 3]
-    assert_reprs(specials + [float(d) for d in range(1, 10)])
+    # 0.1's 17-digit rounding is 0.10000000000000001, and 43/256 = 0.16796875
+    # is exact in 8 digits: both are their 15-digit rounding.
+    short = neighbours([0.1, 43 / 256]).tolist()
+    assert_reprs(specials + short + [float(d) for d in range(1, 10)])
     # repr writes a whole number as "d.0", which the kernel leaves to Python.
     assert assert_reprs([2.0, 7.0]) == 1.0
 
 
 def test_reprs_of_exact_decimal_ties():
     assert_reprs(list(decimal_ties()))
+
+
+@pytest.mark.parametrize("bits", range(8, 16))
+def test_reprs_of_binary_fractions(bits):
+    # k/q with q = 2^bits, the probabilities of the y-marginal of small runs.
+    q = 1 << bits
+    assert_reprs(np.arange(1, q) / q)
+
+
+def test_reprs_where_several_16_digit_decimals_read_back():
+    # In [8, 10) an ulp (2^-49) exceeds the 16-digit step (1e-15), so two
+    # 16-digit decimals may read back as v; repr takes the nearer.
+    rng = np.random.default_rng(23)
+    values = [
+        v for v in rng.uniform(8, 10, 4000).tolist()
+        if float("%.15g" % v) != v
+        and sum(float(f"{m}e-15") == v for m in range(int(v * 1e15) - 2, int(v * 1e15) + 3)) > 1
+    ]
+    assert len(values) > 100
+    assert_reprs(neighbours(values))
+
+
+def test_reprs_that_need_17_digits():
+    rng = np.random.default_rng(29)
+    values = 10.0 ** rng.uniform(-24, 1, 4000)
+    values = [v for v in values.tolist() if float("%.16g" % v) != v]
+    assert len(values) > 100
+    assert_reprs(values)
+
+
+def test_repr_is_the_first_of_three_roundings_that_reads_back():
+    # The premise of the shortest mode, with the standard library only: a
+    # double's repr is its 15-digit rounding if that reads back as it, else
+    # its 16-digit rounding if that does, else its 17-digit rounding.
+    rng = random.Random(31)
+    checked = 0
+    while checked < 20000:
+        pattern = (rng.randrange(1023 - 80, 1023 + 4) << 52) | rng.getrandbits(52)
+        (v,) = struct.unpack("<d", struct.pack("<Q", pattern))
+        if not 1e-24 <= v < 10:
+            continue
+        texts = ["%.15g" % v, "%.16g" % v, "%.17g" % v]
+        assert repr(v) == next(text for text in texts if float(text) == v)
+        checked += 1
 
 
 @pytest.mark.parametrize("n, x", [(33, 17), (55, 19), (77, 8), (99, 73)])
