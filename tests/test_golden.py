@@ -15,8 +15,10 @@ the envelope's `checks` list: the verdict fields left the `report` (`bound`'s
 `joint_probabilities_match`, `registers_perfectly_correlated`, `tolerance`
 and `verdict`; the locality `tolerance` and `passed`), and so did the inner
 `schema_version`. Every other value kept its bytes, and no CSV or state file
-changed. Any change in a float's last bit, a row order, the JSON layout or a
-recorded flag fails here.
+changed. The `distribution_*_ell2_gates` cases run the gate-level transform
+(`--qft gates`), so their snapshots pin every amplitude bit of that circuit.
+Any change in a float's last bit, a row order, the JSON layout or a recorded
+flag fails here.
 
 Regenerate (only when an output change is intended) with
 
@@ -42,6 +44,11 @@ CASES = {
                                            "--dump-state"]
         for n, x in ((15, 7), (21, 2))
         for ell in (1, 2)
+    },
+    **{
+        f"distribution_{n}_{x}_ell2_gates": ["distribution", "--n", n, "--x", x, "--ell", 2,
+                                             "--dump-state", "--qft", "gates"]
+        for n, x in ((15, 7), (21, 2))
     },
     **{
         f"audit_{n}_{x}_ell2": ["audit", "--n", n, "--x", x, "--ell", 2, "--dump-state"]
