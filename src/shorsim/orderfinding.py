@@ -262,12 +262,16 @@ class FactorTrace:
     attempts: tuple[FactorAttempt, ...]
 
 
-def screen_factoring_input(n: int) -> None:
-    """Reject n the order-finding reduction cannot handle, naming the reason."""
+def screen_factoring_input(n: int, qubit_cap: int = DEFAULT_QUBIT_CAP) -> None:
+    """Reject n the order-finding reduction cannot handle, naming the reason. The
+    sampler's cap is checked before the O(sqrt(n)) trial division for primes."""
     if n < 3:
         raise UnsuitableInputError(n, "must be at least 3")
     if n % 2 == 0:
         raise UnsuitableInputError(n, "even")
+    s = choose_modulus_power(n)[1]
+    layout = RegisterLayout(s=s, L=(n - 1).bit_length(), ell=1, qubit_cap=qubit_cap)
+    layout.check_capacity(qubits=s, needs=_SAMPLER_NEEDS)
     factors = prime_factors(n)
     if len(factors) == 1:
         p, k = factors[0]
@@ -289,15 +293,12 @@ def factor(
     `find_order` on that generator, followed by the gcd(x^(r/2) -+ 1, n)
     split. Attempts with an odd order or x^(r/2) = -1 (mod n) are retried
     with a fresh x. `qubit_cap` bounds the sampler's length-q arrays, counted
-    as s qubits, and is checked before the first attempt, so a run is
-    refused whatever its seed.
+    as s qubits, and is checked before the trial division that screens out
+    primes and before the first attempt, so a run is refused whatever its seed.
     """
     _require_budgets(max_attempts=max_attempts, samples_per_attempt=samples_per_attempt,
                      multiplier_bound=multiplier_bound)
-    screen_factoring_input(n)
-    s = choose_modulus_power(n)[1]
-    layout = RegisterLayout(s=s, L=(n - 1).bit_length(), ell=1, qubit_cap=qubit_cap)
-    layout.check_capacity(qubits=s, needs=_SAMPLER_NEEDS)
+    screen_factoring_input(n, qubit_cap)
     rng = np.random.default_rng(seed)
     attempts: list[FactorAttempt] = []
     pair = None

@@ -22,7 +22,7 @@ from shorsim.orderfinding import (
     success_rate_estimate,
 )
 from shorsim.pipeline import run_pipeline
-from shorsim.registers import ProblemInstance
+from shorsim.registers import DEFAULT_QUBIT_CAP, ProblemInstance
 
 INST_15_7 = ProblemInstance.create(15, 7)
 
@@ -180,6 +180,18 @@ class TestFactor:
         with pytest.raises(UnsuitableInputError, match="prime"):
             factor(17)
         screen_factoring_input(15)  # no error
+
+    @pytest.mark.parametrize("n, qubit_cap", [(400000000000063, DEFAULT_QUBIT_CAP), (10007, 10)])
+    def test_cap_is_checked_before_trial_division(self, monkeypatch, n, qubit_cap):
+        # 400000000000063 is a prime that trial division takes seconds to
+        # find, and its layout exceeds the 63-bit packed index; 10007 is a
+        # prime whose 2^27-entry sampler exceeds a cap of 2^10.
+        def no_trial_division(m):
+            raise AssertionError(f"trial division of {m}")
+
+        monkeypatch.setattr(orderfinding, "prime_factors", no_trial_division)
+        with pytest.raises(CapacityError):
+            factor(n, qubit_cap=qubit_cap)
 
     def test_screening_reasons_match_brute_force(self):
         for n in range(3, 400, 2):
