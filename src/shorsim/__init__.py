@@ -47,7 +47,6 @@ from .distributions import (
     measurement_distribution,
     multi_register_audit,
     shor_bound_report,
-    signed_residue,
 )
 from .entanglement import (
     SchmidtSpectrum,

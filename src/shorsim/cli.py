@@ -27,7 +27,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -140,7 +140,7 @@ def _make_instance(args) -> ProblemInstance:
     return ProblemInstance(args.n, args.x)
 
 
-def _write_json(args, payload: dict, filename: str, checks: list[Check]) -> Path:
+def _write_json(args, payload, filename: str, checks: list[Check]) -> Path:
     """Write the report envelope; its `config` is every flag the command parsed."""
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -149,7 +149,7 @@ def _write_json(args, payload: dict, filename: str, checks: list[Check]) -> Path
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "config": vars(args),
-        "checks": [asdict(c) for c in checks],
+        "checks": checks,
         "report": payload,
     }
     with open(path, "w") as fh:
@@ -176,13 +176,14 @@ class RecordTable(NamedTuple):
 
 def format_json(value) -> str:
     """Byte-identical to `json.dumps(value, indent=2)`, where each `RecordTable`
-    stands for its list of row dicts.
+    stands for its list of row dicts and each dataclass for its `asdict`.
 
     Renders strings, ints, finite floats, None, bools, non-empty lists,
-    tuples and dicts with string keys itself, as `json`'s encoder does, and
-    every record table from its columns; everything else (an empty container,
-    a dict with a non-string key, a non-finite float, a numpy scalar, an
-    unknown type) goes to `json.dumps`."""
+    tuples and dicts with string keys itself, as `json`'s encoder does,
+    every record table from its columns, and every dataclass as the dict of
+    its fields in order; everything else (an empty container, a dict with a
+    non-string key, a non-finite float, a numpy scalar, an unknown type)
+    goes to `json.dumps`."""
     parts = []
     _render(value, "", parts)
     return "".join(parts)
@@ -221,6 +222,8 @@ def _render(value, pad: str, parts: list) -> None:
             separator = ",\n" + inner
             _render(item, inner, parts)
         parts.append(f"\n{pad}}}")
+    elif is_dataclass(kind):
+        _render({f.name: getattr(value, f.name) for f in fields(value)}, pad, parts)
     else:
         parts.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
 
@@ -309,7 +312,7 @@ def cmd_audit(args) -> list[Check]:
         instance, single, distributions.measurement_distribution(state)
     )
     _maybe_dump_state(args, state)
-    _write_json(args, asdict(report), "audit.json", report.checks)
+    _write_json(args, report, "audit.json", report.checks)
     print(
         f"audit n={report.n} x={report.x} ell={report.ell}: "
         f"equal-outcome discrepancy {report.equal_outcome_discrepancy:.3e}, "
@@ -321,7 +324,7 @@ def cmd_audit(args) -> list[Check]:
 def cmd_bound(args) -> list[Check]:
     instance = _make_instance(args)
     report = distributions.shor_bound_report(instance)
-    _write_json(args, asdict(report), "bound.json", report.checks)
+    _write_json(args, report, "bound.json", report.checks)
     print(
         f"bound n={report.n} x={report.x} r={report.r}: {report.good_c_count} good c, "
         f"{report.coprime_good_c_count} with gcd(d, r) = 1, "
@@ -341,10 +344,9 @@ def cmd_factor(args) -> list[Check]:
         multiplier_bound=args.multiplier_bound,
         qubit_cap=args.qubit_cap,
     )
-    document = asdict(trace)
-    _write_json(args, document, "factor_trace.json", [])
+    _write_json(args, trace, "factor_trace.json", [])
     if args.trace:
-        print(format_json(document))
+        print(format_json(trace))
     if pair is None:
         raise ShorSimError(f"no factors found for {args.n} within {args.max_attempts} attempts")
     print(f"{args.n} = {pair.f1} × {pair.f2}")
@@ -370,7 +372,8 @@ def cmd_entanglement(args) -> list[Check]:
     ]
     correlations = []
     if args.ell >= 2:
-        dist = distributions.measurement_distribution(after)
+        table = distributions.measurement_distribution(after)
+        dist = distributions.marginal(table, range(2, args.ell + 2))
         for i in range(2, args.ell + 1):
             for j in range(i + 1, args.ell + 2):
                 correlations.append(
@@ -378,7 +381,7 @@ def cmd_entanglement(args) -> list[Check]:
                 )
     payload = {
         "entanglement": {
-            "locality": asdict(locality),
+            "locality": locality,
             "pre_transform_cuts": cuts,
             "correlations": correlations,
         }

@@ -226,15 +226,6 @@ def conditional(dist: OutcomeDistribution, given: dict[int, int]) -> OutcomeDist
     return OutcomeDistribution(dist.layout, dist.positions, dist.index[matching], probs / mass)
 
 
-def signed_residue(v: int | np.ndarray, q: int) -> int | np.ndarray:
-    """Representative of v mod q in the half-open symmetric range (-q/2, q/2],
-    for an int or elementwise for an int64 array."""
-    if q < 2:
-        raise ValueError(f"modulus must be >= 2, got {q}")
-    m = v % q
-    return m - q * (2 * m > q)
-
-
 def analytic_joint_probability(instance: ProblemInstance, r: int, c: int, k: int) -> float:
     """Closed-form probability of observing control value c with function
     registers holding x^k, for a base of multiplicative order r.
@@ -268,7 +259,7 @@ def analytic_joint_probability(instance: ProblemInstance, r: int, c: int, k: int
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One good control value c: |signed_residue(r*c, q)| <= r/2."""
+    """One good control value c = round(d*q/r), with residue = r*c - d*q."""
 
     c: int
     d: int
@@ -310,31 +301,34 @@ class BoundReport:
 def shor_bound_report(instance: ProblemInstance) -> BoundReport:
     """Enumerate the good control values and check the probability floor.
 
-    A control value c is good when |signed_residue(r*c, q)| <= r/2; each such
-    c rounds r*c/q to a unique d in [0, r). The row records d, gcd(d, r) and
-    the analytic probability for every k; the aggregate sums the mass of rows
-    with gcd(d, r) = 1 (the ones order recovery can use) over all k.
+    c is good when |r*c - d*q| <= r/2 for an integer d: each d in [0, r) has
+    one, c = round(d*q/r) (a tie needs 2^(s+1) | r < q), and d = r gives c = q.
+    The row records d, gcd(d, r) and the analytic probability for every k,
+    which reads k only through the term count: ceil(q/r) for k < q mod r,
+    else floor(q/r), so k = 0 and k = r - 1 give all r values. The aggregate
+    sums the mass of rows with gcd(d, r) = 1 (the ones order recovery can
+    use) over all k.
     """
     n, x, q = instance.n, instance.x, instance.q
     r = multiplicative_order(x, n)
     phi_r = euler_phi(r)
     floor_bound = 1.0 / (3.0 * r * r)
     sine_bound = 4.0 / (math.pi**2 * r * r)
-    # Every c at once: r*c < n*q fits in int64.
-    residues = signed_residue(r * np.arange(q, dtype=np.int64), q)
-    good = np.flatnonzero(2 * np.abs(residues) <= r)
+    rho = q % r
     rows = []
     success_mass = 0.0
-    for c, residue in zip(good.tolist(), residues[good].tolist()):
-        d = (2 * r * c + q) // (2 * q)
+    for d in range(r):
+        c = (2 * d * q + r) // (2 * r)
         g = math.gcd(d, r)
-        probs = tuple(analytic_joint_probability(instance, r, c, k) for k in range(r))
+        first = analytic_joint_probability(instance, r, c, 0)
+        last = analytic_joint_probability(instance, r, c, r - 1)
+        probs = (first,) * rho + (last,) * (r - rho)
         p_min = min(probs)
         rows.append(
             BoundRow(
                 c=c,
                 d=d,
-                residue=residue,
+                residue=r * c - d * q,
                 gcd_d_r=g,
                 probabilities=probs,
                 p_min=p_min,

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -16,7 +17,6 @@ from shorsim.distributions import (
     measurement_distribution,
     multi_register_audit,
     shor_bound_report,
-    signed_residue,
 )
 from shorsim.errors import ConditioningError, NormalizationError, RangeError
 from shorsim.numtheory import euler_phi, mod_pow, multiplicative_order, prime_factors
@@ -89,14 +89,23 @@ def test_simulation_matches_closed_form_over_many_inputs(data):
     ell = data.draw(st.sampled_from([1, 2]), label="ell")
     inst = ProblemInstance.create(n, x)
     r = multiplicative_order(x, n)
-    exponent = {mod_pow(x, k, n): k for k in range(r)}
     dist = measurement_distribution(run_pipeline(inst, ell=ell))
 
-    sparse_table = dict(zip(dist.outcome_tuples(), dist.probs.tolist()))
-    for (c, *ys), p in sparse_table.items():
-        assert ys == [ys[0]] * ell
-        assert abs(p - analytic_joint_probability(inst, r, c, exponent[ys[0]])) <= 1e-12
-    assert abs(math.fsum(sparse_table.values()) - 1.0) <= 1e-12
+    c, *ys = dist.registers()
+    assert all(np.array_equal(y, ys[0]) for y in ys[1:])
+    exponent = np.full(n, -1)
+    exponent[[mod_pow(x, k, n) for k in range(r)]] = np.arange(r)
+    k = exponent[ys[0]]
+    assert (k >= 0).all()
+    # The closed form, memoized per (c, term count): k < q mod r has one more
+    # term than the rest, and k = 0 and k = r - 1 stand for the two counts.
+    key = c * r + np.where(k < inst.q % r, 0, r - 1)
+    keys, row_key = np.unique(key, return_inverse=True)
+    closed_form = np.array(
+        [analytic_joint_probability(inst, r, kk // r, kk % r) for kk in keys.tolist()]
+    )
+    assert np.abs(dist.probs - closed_form[row_key]).max() <= 1e-12
+    assert abs(math.fsum(dist.probs.tolist()) - 1.0) <= 1e-12
 
     if inst.s + ell * inst.function_register_width <= DENSE_QUBIT_LIMIT:
         # One ascending order on both backends: the same arrays, bit for bit.
@@ -256,27 +265,6 @@ class TestMarginalConditional:
             assert p_cond * given_mass == pytest.approx(joint.get(outcome, 0.0), abs=1e-14)
 
 
-class TestSignedResidue:
-    def test_examples(self):
-        assert signed_residue(256, 256) == 0
-        assert signed_residue(252, 256) == -4
-        assert signed_residue(128, 256) == 128  # boundary maps to +q/2
-
-    def test_range_and_congruence(self):
-        q = 64
-        for v in range(-3 * q, 3 * q):
-            m = signed_residue(v, q)
-            assert -q / 2 < m <= q / 2
-            assert (v - m) % q == 0
-
-    @pytest.mark.parametrize("r, q", [(4, 256), (6, 512), (10, 2048), (7, 8)])
-    def test_array_equals_scalar(self, r, q):
-        c = np.arange(q, dtype=np.int64)
-        residues = signed_residue(r * c, q)
-        assert residues.dtype == np.int64
-        assert residues.tolist() == [signed_residue(r * v, q) for v in range(q)]
-
-
 class TestBoundReport:
     def test_n15_rows(self):
         report = shor_bound_report(INST_15_7)
@@ -324,14 +312,38 @@ class TestBoundReport:
     def test_good_c_equal_scalar_residue_scan(self, n, x):
         inst = ProblemInstance.create(n, x)
         r = multiplicative_order(x, n)
-        expected = [
-            (c, signed_residue(r * c, inst.q))
-            for c in range(inst.q)
-            if 2 * abs(signed_residue(r * c, inst.q)) <= r
-        ]
+        expected = []
+        for c in range(inst.q):
+            v = (r * c) % inst.q
+            residue = v - inst.q if 2 * v > inst.q else v
+            if 2 * abs(residue) <= r:
+                expected.append((c, residue))
         rows = shor_bound_report(inst).rows
         assert [(row.c, row.residue) for row in rows] == expected
         assert all(type(row.c) is int and type(row.residue) is int for row in rows)
+
+    @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (35, 2), (55, 3)])
+    def test_closed_form_reads_k_only_through_its_term_count(self, n, x):
+        # k < q mod r has ceil(q/r) terms, every other k floor(q/r): the
+        # report evaluates each row at k = 0 and k = r - 1 alone.
+        inst = ProblemInstance.create(n, x)
+        r = multiplicative_order(x, n)
+        classes = [0 if k < inst.q % r else r - 1 for k in range(r)]
+        for c in range(inst.q):
+            got = [analytic_joint_probability(inst, r, c, k) for k in range(r)]
+            want = [analytic_joint_probability(inst, r, c, k) for k in classes]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_report_allocates_no_length_q_array(self):
+        inst = ProblemInstance(4095, 2)  # q = 2^24, r = 12
+        tracemalloc.start()
+        try:
+            report = shor_bound_report(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.good_c_count == 12
+        assert peak < 1 << 20
 
     def test_json_round_trip_fields(self):
         doc = asdict(shor_bound_report(INST_15_7))

@@ -204,6 +204,18 @@ class TestCorrelation:
         worst = max(abs(first.get(o, 0.0) - second.get(o, 0.0)) for o in outcomes)
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("n, x, ell", [(15, 7, 3), (21, 2, 3), (33, 5, 4)])
+    def test_function_register_table_gives_the_full_tables_reports(self, n, x, ell):
+        # `entanglement` hands every pair the marginal over the function
+        # registers; each of its sums runs in the full table's order.
+        full = measurement_distribution(run_pipeline(ProblemInstance.create(n, x), ell=ell))
+        functions = marginal(full, range(2, ell + 2))
+        for i in range(2, ell + 1):
+            for j in range(i + 1, ell + 2):
+                assert repr(register_correlation(functions, i, j)) == repr(
+                    register_correlation(full, i, j)
+                )
+
     def test_rejects_bad_positions(self, dist_ell2):
         with pytest.raises(RangeError):
             register_correlation(dist_ell2, 2, 2)

@@ -7,14 +7,30 @@ columns, as `json` would render its rows as dicts; it hands everything else
 to `json`. The synthetic documents below mix in values of every kind.
 """
 
+import functools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from shorsim import registers
+from shorsim import (
+    ProblemInstance,
+    check,
+    factor,
+    measurement_distribution,
+    multi_register_audit,
+    qft_locality_check,
+    register_correlation,
+    registers,
+    run_pipeline,
+    schmidt_spectrum,
+    shor_bound_report,
+    success_rate_estimate,
+)
 from shorsim.cli import RecordTable, format_json, main
+from shorsim.pipeline import pre_measurement_states
 from shorsim.registers import CSV_CHUNK_ROWS
 
 
@@ -42,6 +58,33 @@ def test_report_files_equal_json_dump(argv, tmp_path):
     text = path.read_text()
     document = json.loads(text)
     assert format_json(document) + "\n" == reference(document) == text
+
+
+@functools.cache
+def report_of_each_type():
+    inst = ProblemInstance(21, 2)
+    single = measurement_distribution(run_pipeline(inst, ell=1))
+    multi = measurement_distribution(run_pipeline(inst, ell=3))
+    before, after = pre_measurement_states(inst, ell=2)
+    return {
+        "check": check("floor", 0.25, ">", 0.1),
+        "audit": multi_register_audit(inst, single, multi),
+        "bound": shor_bound_report(inst),
+        "factor_trace": factor(35, seed=1)[1],
+        "locality": qft_locality_check(inst, before, after),
+        "schmidt": schmidt_spectrum(before, cut_after=2),
+        "correlation": register_correlation(multi, 2, 4),
+        "success_rate": success_rate_estimate(inst, trials=50),
+    }
+
+
+@pytest.mark.parametrize("name", list(report_of_each_type()))
+def test_dataclass_renders_as_its_asdict(name):
+    report = report_of_each_type()[name]
+    assert format_json(report) == format_json(asdict(report)) == reference(asdict(report))[:-1]
+    assert format_json([report, {"nested": report}]) == format_json(
+        [asdict(report), {"nested": asdict(report)}]
+    )
 
 
 SYNTHETIC = {
