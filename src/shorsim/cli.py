@@ -271,6 +271,9 @@ def cmd_distribution(args) -> list[Check]:
     dist = distributions.measurement_distribution(state)
     total = dist.total()
     _maybe_dump_state(args, state)
+    # The table shares the state's index; dropping the state frees its
+    # amplitudes before the reports allocate.
+    del state
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,10 +311,11 @@ def cmd_audit(args) -> list[Check]:
         pipeline.run_pipeline(instance, ell=1, **circuit)
     )
     state = pipeline.run_pipeline(instance, ell=args.ell, **circuit)
-    report = distributions.multi_register_audit(
-        instance, single, distributions.measurement_distribution(state)
-    )
+    multi = distributions.measurement_distribution(state)
     _maybe_dump_state(args, state)
+    # Freed before the audit allocates its register columns.
+    del state
+    report = distributions.multi_register_audit(instance, single, multi)
     _write_json(args, report, "audit.json", report.checks)
     print(
         f"audit n={report.n} x={report.x} ell={report.ell}: "

@@ -180,13 +180,20 @@ def require_unit_norm(probs: np.ndarray) -> None:
 
 def measurement_distribution(state: StateVector) -> OutcomeDistribution:
     """Squared-magnitude probabilities of every outcome, ascending like the
-    state; entries below PROBABILITY_FLOOR are omitted."""
+    state; entries at or below PROBABILITY_FLOOR are omitted.
+
+    The magnitudes are squared in place, the same bits as `np.abs(amps) ** 2`
+    without its second array. Where the floor omits nothing, the table's
+    `index` is the state's read-only index array itself, not a copy."""
     index, amps = state.nonzero_arrays()
-    probs = np.abs(amps) ** 2
+    probs = np.abs(amps)
+    np.square(probs, out=probs)
     require_unit_norm(probs)
     kept = probs > PROBABILITY_FLOOR
+    if not kept.all():
+        index, probs = index[kept], probs[kept]
     positions = tuple(range(1, state.layout.ell + 2))
-    return OutcomeDistribution(state.layout, positions, index[kept], probs[kept])
+    return OutcomeDistribution(state.layout, positions, index, probs)
 
 
 def marginal(dist: OutcomeDistribution, keep) -> OutcomeDistribution:

@@ -90,13 +90,16 @@ class ColumnSampler:
     def _columns(self, ys: np.ndarray) -> np.ndarray:
         """(q, len(ys)) probabilities P(c, ys[j]), one column per y (ys
         ascending) as above: 1/sqrt(q) is scattered into one zeroed matrix at
-        (a, j) wherever y_of_a[a] = ys[j]."""
+        (a, j) wherever y_of_a[a] = ys[j]. The transform's input is freed
+        before `np.abs` allocates, and the magnitudes are squared in place,
+        the same bits as `np.abs(cols) ** 2`."""
         j = np.searchsorted(ys, self.y_of_a)
         a = np.flatnonzero(ys[np.minimum(j, ys.size - 1)] == self.y_of_a)
         cols = np.zeros((self.q, ys.size), dtype=complex)
         cols[a, j[a]] = 1 / np.sqrt(self.q)
-        cols = _kernels.dft_columns(cols)  # frees the input before np.abs allocates
-        return np.abs(cols) ** 2
+        cols = _kernels.dft_columns(cols)
+        probs = np.abs(cols)
+        return np.square(probs, out=probs)
 
     def column(self, y: int) -> tuple[np.ndarray, np.ndarray]:
         """(c, P(c, y)) over the c of column y whose probability exceeds

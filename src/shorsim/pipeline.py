@@ -90,6 +90,9 @@ def _transform_columns(state: StateVector, kernel) -> StateVector:
     (a column with no amplitude stays zero under the transform), let `kernel`
     transform each column along axis 0, and scatter the result, which is
     ascending in the packed index because c is most significant and Y ascends.
+
+    Rebinding `cols` to the kernel's output frees the input matrix before the
+    packed indices and the state are built, whichever kernel runs.
     """
     layout = state.layout
     q, right = layout.q, layout.right_dim
@@ -98,9 +101,9 @@ def _transform_columns(state: StateVector, kernel) -> StateVector:
     ykeys, col_of = distinct_positions(ykey)
     cols = np.zeros((q, ykeys.size), dtype=np.complex128)
     cols[a, col_of] = amps
+    cols = kernel(cols)
     out_index = np.arange(q, dtype=np.int64)[:, None] * right + ykeys
-    out = kernel(cols)
-    return StateVector.from_arrays(layout, state.backend, out_index.ravel(), out.ravel())
+    return StateVector.from_arrays(layout, state.backend, out_index.ravel(), cols.ravel())
 
 
 def apply_qft_register1_direct(state: StateVector) -> StateVector:

@@ -15,8 +15,11 @@ writes one. Every circuit stage goes through these two calls. Every state
 stores exactly that read-only ascending pair, so handing a state from one
 stage to the next converts nothing. The backend decides only what
 `from_arrays` drops: exact zeros for dense storage, amplitudes at or below
-SPARSE_AMPLITUDE_FLOOR for sparse. No state holds a flat array of
-2**(s + ell*L) amplitudes, so one capacity rule serves both backends.
+SPARSE_AMPLITUDE_FLOOR for sparse. Where it drops nothing from an ascending
+pair, the state takes the caller's arrays themselves, read-only from then
+on, so a stage's output is stored without a copy. No state holds a flat
+array of 2**(s + ell*L) amplitudes, so one capacity rule serves both
+backends.
 """
 
 from __future__ import annotations
@@ -222,6 +225,12 @@ class StateVector:
         Dense storage keeps the nonzero amplitudes, sparse storage those with
         magnitude above SPARSE_AMPLITUDE_FLOOR; both keep their indices in
         ascending order.
+
+        Ownership: where the indices already ascend and the backend drops no
+        entry, the state keeps the arrays it was handed (each one already of
+        its dtype) and marks them read-only, so the caller writes to them no
+        more. Where it sorts or drops, it holds copies, and the caller's
+        arrays stay as they were.
         """
         layout.check_capacity(backend)
         # A pipeline state fits by the rule above; a state from outside input
@@ -240,7 +249,8 @@ class StateVector:
         if not np.all(np.isfinite(amps)):
             raise ValueError("state holds a non-finite amplitude")
         kept = amps != 0 if backend == DENSE else np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
-        index, amps = index[kept], amps[kept]
+        if not kept.all():
+            index, amps = index[kept], amps[kept]
         index.flags.writeable = False
         amps.flags.writeable = False
         return cls(layout, backend, (index, amps))

@@ -1,6 +1,5 @@
 import csv
 import math
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import as_dict
+from tracing import traced_peak
 from shorsim import distributions
 from shorsim.distributions import (
     OutcomeDistribution,
@@ -72,6 +72,18 @@ class TestMeasurementDistribution:
         amps[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             StateVector.from_arrays(state.layout, backend, index, amps)
+
+    @pytest.mark.parametrize("n, x", [(35, 2), (99, 73)])
+    def test_squares_in_place_and_shares_the_state_index(self, n, x):
+        # One float64 array, half the amplitude bytes: no second array for the
+        # square and, where the floor omits nothing, no copied index or probs.
+        state = run_pipeline(ProblemInstance(n, x), qft="gates")
+        index, amps = state.nonzero_arrays()
+        dist, peak = traced_peak(lambda: measurement_distribution(state))
+        assert peak < 0.8 * amps.nbytes
+        assert dist.index.size == index.size
+        assert np.shares_memory(dist.index, index)
+        assert dist.probs.tobytes() == (np.abs(amps) ** 2).tobytes()
 
 
 # Odd composites that are not prime powers: the inputs order finding factors.
@@ -336,12 +348,7 @@ class TestBoundReport:
 
     def test_report_allocates_no_length_q_array(self):
         inst = ProblemInstance(4095, 2)  # q = 2^24, r = 12
-        tracemalloc.start()
-        try:
-            report = shor_bound_report(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: shor_bound_report(inst))
         assert report.good_c_count == 12
         assert peak < 1 << 20
 

@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import oracles
 from oracles import as_dict, scatter
+from tracing import traced_peak
 from shorsim import _kernels, numtheory, pipeline
 from shorsim.distributions import marginal, measurement_distribution
 from shorsim.errors import CapacityError, StageOrderError
@@ -55,13 +54,12 @@ class TestInitUniform:
     def test_capacity_refused_before_allocating(self):
         # q = 2^25: the q-entry index and amplitude arrays alone take 768 MB.
         inst = ProblemInstance.create(5001, 2)
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(CapacityError, match=r"sparse state needs up to 2\^38"):
                 init_uniform(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 8 << 20
 
 
@@ -167,6 +165,18 @@ class TestGateTransform:
         )
         worst = max(abs(amplitude(direct, i) - amplitude(gates, i)) for i in indices)
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("n, x", [(35, 2), (99, 73)])
+    def test_input_matrix_freed_before_the_state_is_built(self, n, x):
+        # The (q, m) input, the kernel's output, the packed indices and the
+        # state's copy (the sparse floor drops a few cells here) used to be
+        # alive at once, about 4.2 times the output's amplitude bytes; with
+        # the input freed first the peak is about 3.2 times. The gate kernel,
+        # because numpy's FFT allocates its own buffers differently by version.
+        inst = ProblemInstance(n, x)
+        fanned = apply_modexp_fanout(init_uniform(inst), inst)
+        out, peak = traced_peak(lambda: apply_qft_register1_gates(fanned))
+        assert peak < 3.5 * out.nonzero_arrays()[1].nbytes
 
 
 class TestGateColumnRoute:

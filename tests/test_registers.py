@@ -1,5 +1,4 @@
 import ast
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import shorsim
 from oracles import scatter
+from tracing import traced_peak
 
 from shorsim.distributions import analytic_joint_probability, measurement_distribution
 from shorsim.errors import CapacityError, NotCoprimeError, RangeError
@@ -226,6 +226,44 @@ class TestStateVector:
                 StateVector.from_arrays(layout, backend, [3, 3], [0.6, 0.8])
 
     @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    def test_from_arrays_keeps_what_it_drops_nothing_from(self, backend):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        index = np.array([1, 3, 5], dtype=np.int64)
+        amps = np.array([0.6, 0.8j, 1e-3], dtype=np.complex128)
+        state = StateVector.from_arrays(layout, backend, index, amps)
+        held_index, held_amps = state.nonzero_arrays()
+        assert held_index is index and held_amps is amps
+        assert not index.flags.writeable and not amps.flags.writeable
+
+    @pytest.mark.parametrize(
+        "backend, dropped", [(DENSE, 0.0), (SPARSE, 0.0), (SPARSE, 1e-16)]
+    )
+    def test_from_arrays_copies_where_it_drops(self, backend, dropped):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        index = np.array([1, 3, 5], dtype=np.int64)
+        amps = np.array([0.6, dropped, 0.8j], dtype=np.complex128)
+        state = StateVector.from_arrays(layout, backend, index, amps)
+        held_index, held_amps = state.nonzero_arrays()
+        assert held_index.tolist() == [1, 5] and held_amps.tolist() == [0.6, 0.8j]
+        assert not np.shares_memory(held_index, index)
+        assert not np.shares_memory(held_amps, amps)
+        assert index.tolist() == [1, 3, 5] and amps.tolist() == [0.6, dropped, 0.8j]
+        assert index.flags.writeable and amps.flags.writeable
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    def test_from_arrays_sorts_a_copy(self, backend):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        index = np.array([5, 1, 3], dtype=np.int64)
+        amps = np.array([0.6, 0.8j, 1e-3], dtype=np.complex128)
+        state = StateVector.from_arrays(layout, backend, index, amps)
+        held_index, held_amps = state.nonzero_arrays()
+        assert held_index.tolist() == [1, 3, 5] and held_amps.tolist() == [0.8j, 1e-3, 0.6]
+        assert not np.shares_memory(held_index, index)
+        assert not np.shares_memory(held_amps, amps)
+        assert index.tolist() == [5, 1, 3] and amps.tolist() == [0.6, 0.8j, 1e-3]
+        assert index.flags.writeable and amps.flags.writeable
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
     @pytest.mark.parametrize("index", [[-1], [0, -1], [8], [3, 8], [1 << 40]])
     def test_from_arrays_refuses_an_index_outside_the_layout(self, backend, index):
         # 2**(2 + 1) = 8 amplitudes: -1 would wrap to the last one in a flat
@@ -320,12 +358,9 @@ class TestStateVector:
         # n = 35, ell = 2 spans 2**(11 + 2*6) amplitudes, 134 MB as a flat
         # complex128 array; its support holds at most 2048 * 12 of them. numpy
         # reports its buffers to tracemalloc.
-        tracemalloc.start()
-        try:
-            run_pipeline(ProblemInstance(35, 3), ell=2, backend=DENSE, qft="gates")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: run_pipeline(ProblemInstance(35, 3), ell=2, backend=DENSE, qft="gates")
+        )
         assert peak < 16 * 2**20
 
 
