@@ -152,8 +152,9 @@ def _write_json(args, payload, filename: str, checks: list[Check]) -> Path:
         "checks": checks,
         "report": payload,
     }
-    with open(path, "w") as fh:
-        fh.writelines((format_json(document), "\n"))
+    with open(path, "wb") as fh:
+        _write_document(document, fh)
+        fh.write(b"\n")
     return path
 
 
@@ -176,7 +177,8 @@ class RecordTable(NamedTuple):
 
 def format_json(value) -> str:
     """Byte-identical to `json.dumps(value, indent=2)`, where each `RecordTable`
-    stands for its list of row dicts and each dataclass for its `asdict`.
+    stands for its list of row dicts and each dataclass for its `asdict`: the
+    text `_write_document` writes.
 
     Renders strings, ints, finite floats, None, bools, non-empty lists,
     tuples and dicts with string keys itself, as `json`'s encoder does,
@@ -184,15 +186,32 @@ def format_json(value) -> str:
     its fields in order; everything else (an empty container, a dict with a
     non-string key, a non-finite float, a numpy scalar, an unknown type)
     goes to `json.dumps`."""
+    fh = io.BytesIO()
+    _write_document(value, fh)
+    return fh.getvalue().decode("ascii")
+
+
+def _write_document(value, fh) -> None:
+    """Write `format_json(value)` as ASCII bytes to the seekable binary file
+    `fh`: each run of consecutive text pieces joined and written once, and
+    each record table's rows written by `registers.write_rows` straight into
+    the file, so no table's text is held in memory."""
     parts = []
     _render(value, "", parts)
-    return "".join(parts)
+    text = []
+    for part in parts:
+        if type(part) is str:
+            text.append(part)
+            continue
+        fh.write("".join(text).encode("ascii"))
+        text = [_write_records(fh, *part)]
+    fh.write("".join(text).encode("ascii"))
 
 
 def _render(value, pad: str, parts: list) -> None:
     """Append the text of `value`, as `json.dumps(value, indent=2)` writes it
-    `pad` deep, to `parts`. Nothing is copied into an enclosing container's
-    text, so a large table is copied once, by the caller's join."""
+    `pad` deep, to `parts`: strings, and for each record table its opening
+    text and then the pair (table, pad), whose rows `_write_document` writes."""
     kind = type(value)
     if kind is str:
         parts.append(encode_basestring_ascii(value))
@@ -205,7 +224,8 @@ def _render(value, pad: str, parts: list) -> None:
     elif kind is bool:
         parts.append("true" if value else "false")
     elif kind is RecordTable:
-        parts.append(_format_records(value, pad))
+        parts.append(_records_opening(value, pad))
+        parts.append((value, pad))
     elif (kind is list or kind is tuple) and value:
         inner = pad + "  "
         separator = "[\n" + inner
@@ -228,20 +248,32 @@ def _render(value, pad: str, parts: list) -> None:
         parts.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
 
 
-def _format_records(table: RecordTable, pad: str) -> str:
-    """The table's rows as `json.dumps` lays them out, `pad` deep, written by
-    `registers.write_rows`: each column's tail ends its field and opens the
-    next key; the last column's tail closes one row and opens the next, and
-    the last row's copy of it is cut off."""
-    keys = [f"\n{pad}    {encode_basestring_ascii(key)}: " for key in table.keys]
+def _record_key(key: str, pad: str) -> str:
+    return f"\n{pad}    {encode_basestring_ascii(key)}: "
+
+
+def _records_opening(table: RecordTable, pad: str) -> str:
+    return f"[\n{pad}  {{{_record_key(table.keys[0], pad)}"
+
+
+def _write_records(fh, table: RecordTable, pad: str) -> str:
+    """Write the table's rows as `json.dumps` lays them out, `pad` deep, to
+    `fh`, which already ends with the table's opening text; return the text
+    that closes the table. `registers.write_rows` writes the rows: each
+    column's tail ends its field and opens the next key; the last column's
+    tail closes one row and opens the next, and the last row's copy of it is
+    cut off. A table of no rows cuts the opening text too and is `[]`."""
+    keys = [_record_key(key, pad) for key in table.keys]
     tails = [f",{key}" for key in keys[1:]] + [f"\n{pad}  }},\n{pad}  {{{keys[0]}"]
-    fh = io.BytesIO()
+    start = fh.tell()
     write_rows(fh, table.columns, tails, json_floats=True)
-    if not fh.tell():
+    if fh.tell() == start:
+        fh.seek(start - len(_records_opening(table, pad)))
+        fh.truncate()
         return "[]"
-    fh.truncate(fh.tell() - len(tails[-1]))
-    rows = fh.getvalue().decode("ascii")
-    return f"[\n{pad}  {{{keys[0]}{rows}\n{pad}  }}\n{pad}]"
+    fh.seek(-len(tails[-1]), io.SEEK_CUR)
+    fh.truncate()
+    return f"\n{pad}  }}\n{pad}]"
 
 
 def _maybe_dump_state(args, state) -> None:

@@ -32,7 +32,7 @@ from .registers import (
     StateVector,
     distinct_positions,
     max_abs_difference,
-    write_rows,
+    write_row_blocks,
 )
 
 # Below this, a probability is reported as exactly zero: it separates
@@ -104,11 +104,19 @@ class OutcomeDistribution:
     def write_csv(self, path) -> None:
         """One row per outcome, ascending: `c,y1,...,probability` as the bytes of
         `'%d,...,%d,%.17g\\r\\n' % row` (what `csv.writer` gives for `.17g`
-        floats), written by `write_rows`."""
+        floats), written by `write_row_blocks`. Each block's register values
+        are unpacked from its slice of `index`, so no full-length register
+        column exists."""
+        fields = [(0, (1 << width) - 1) for width in self.widths()] + [None]
+        tails = [","] * len(self.positions) + ["\r\n"]
+
+        def block(start, stop):
+            rows = slice(start, stop)
+            return [*self.registers(rows), self.probs[rows]]
+
         with open(path, "wb") as fh:
             fh.write((",".join(self.column_names() + ["probability"]) + "\r\n").encode())
-            tails = [","] * len(self.positions) + ["\r\n"]
-            write_rows(fh, [*self.registers(), self.probs], tails)
+            write_row_blocks(fh, fields, tails, self.index.size, block)
 
 
 class _EntriesView(Mapping):

@@ -4,8 +4,9 @@ Fourier transform on the control register, and the composed pipeline.
 Every stage reads its input with `StateVector.nonzero_arrays`, splits each
 packed index into the control value and the function-register content with
 `divmod(index, right_dim)`, and writes its output with
-`StateVector.from_arrays`, so one code path serves both backends. Every stage
-writes its packed indices in ascending order, the one order of every state.
+`StateVector.from_arrays` (the transforms with `StateVector.from_columns`),
+so one code path serves both backends. Every stage writes its packed indices
+in ascending order, the one order of every state.
 
 The fan-out is applied as a basis-state permutation on the support using
 classical modular exponentiation, which is the mathematically defined map of
@@ -13,10 +14,10 @@ the stage; no reversible gate synthesis is attempted. The Fourier transform
 uses the exp(+2*pi*i*a*c/q) convention throughout.
 
 Both transforms gather the occupied function-register columns into one
-matrix, apply a kernel and scatter the result back; they differ only in the
-kernel: the defining sum as one batched FFT (default), or the gate-level
-circuit of Hadamard stages, conditional phase rotations and a bit-order
-reversal, kept as an independent cross-check oracle.
+matrix, apply a kernel and store the result as the state; they differ only
+in the kernel: the defining sum as one batched FFT (default), or the
+gate-level circuit of Hadamard stages, conditional phase rotations and a
+bit-order reversal, kept as an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -88,22 +89,24 @@ def apply_modexp_fanout(state: StateVector, instance: ProblemInstance) -> StateV
 def _transform_columns(state: StateVector, kernel) -> StateVector:
     """Gather the m occupied function-register contents Y into a (q, m) matrix
     (a column with no amplitude stays zero under the transform), let `kernel`
-    transform each column along axis 0, and scatter the result, which is
+    transform each column along axis 0, and hand the result to
+    `StateVector.from_columns`, which turns it into the state in place:
     ascending in the packed index because c is most significant and Y ascends.
 
-    Rebinding `cols` to the kernel's output frees the input matrix before the
-    packed indices and the state are built, whichever kernel runs.
+    The gather temporaries go before the kernel runs, and rebinding `cols` to
+    the kernel's output frees the input matrix before the state is built,
+    whichever kernel runs, so one full-size matrix is alive at a time outside
+    the kernel.
     """
     layout = state.layout
-    q, right = layout.q, layout.right_dim
     index, amps = state.nonzero_arrays()
-    a, ykey = np.divmod(index, right)
+    a, ykey = np.divmod(index, layout.right_dim)
     ykeys, col_of = distinct_positions(ykey)
-    cols = np.zeros((q, ykeys.size), dtype=np.complex128)
+    cols = np.zeros((layout.q, ykeys.size), dtype=np.complex128)
     cols[a, col_of] = amps
+    del a, ykey, col_of
     cols = kernel(cols)
-    out_index = np.arange(q, dtype=np.int64)[:, None] * right + ykeys
-    return StateVector.from_arrays(layout, state.backend, out_index.ravel(), cols.ravel())
+    return StateVector.from_columns(layout, state.backend, ykeys, cols)
 
 
 def apply_qft_register1_direct(state: StateVector) -> StateVector:

@@ -11,15 +11,17 @@ touches a contiguous stride pattern.
 
 Storage is decided here and nowhere else: `StateVector.nonzero_arrays` reads
 a state as (ascending packed indices, amplitudes) and `StateVector.from_arrays`
-writes one. Every circuit stage goes through these two calls. Every state
-stores exactly that read-only ascending pair, so handing a state from one
-stage to the next converts nothing. The backend decides only what
-`from_arrays` drops: exact zeros for dense storage, amplitudes at or below
-SPARSE_AMPLITUDE_FLOOR for sparse. Where it drops nothing from an ascending
-pair, the state takes the caller's arrays themselves, read-only from then
-on, so a stage's output is stored without a copy. No state holds a flat
-array of 2**(s + ell*L) amplitudes, so one capacity rule serves both
-backends.
+writes one; `StateVector.from_columns` writes one from a transform's (q, m)
+matrix, which it consumes. Every circuit stage goes through these three
+calls. Every state stores exactly that read-only ascending pair, so handing
+a state from one stage to the next converts nothing. The backend decides
+only what the two writers drop, by one rule (`_stored`): exact zeros for
+dense storage, amplitudes at or below SPARSE_AMPLITUDE_FLOOR for sparse.
+Where `from_arrays` drops nothing from an ascending pair, the state takes
+the caller's arrays themselves, read-only from then on, so a stage's output
+is stored without a copy; `from_columns` compacts the kept cells within the
+matrix's own buffer and shrinks it to them. No state holds a flat array of
+2**(s + ell*L) amplitudes, so one capacity rule serves both backends.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ DEFAULT_QUBIT_CAP = 26
 INDEX_BITS = 63
 SPARSE_AMPLITUDE_FLOOR = 1e-15
 NORM_TOLERANCE = 1e-12
-CSV_CHUNK_ROWS = 1 << 14
+CSV_CHUNK_ROWS = 1 << 13
+# Cells per row block when `from_columns` compacts a transformed matrix.
+COMPACT_CELLS = 1 << 14
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -179,17 +183,46 @@ def _require_backend(backend: str) -> None:
         raise ValueError(f"unknown backend {backend!r}")
 
 
+def _stored(backend: str, amps: np.ndarray) -> np.ndarray:
+    """Mask of the amplitudes a `backend` state keeps: the nonzero ones for
+    dense storage, those above SPARSE_AMPLITUDE_FLOOR for sparse. A
+    non-finite amplitude raises ValueError."""
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("state holds a non-finite amplitude")
+    return amps != 0 if backend == DENSE else np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
+
+
+def _owned_buffer(cols: np.ndarray) -> np.ndarray:
+    """The writable C-contiguous complex128 array that owns `cols`' buffer,
+    where `cols` is that array or a view of all of it in the same order;
+    else a C-contiguous complex128 copy of `cols`."""
+    owner = cols
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if (
+        owner.flags.owndata
+        and owner.flags.writeable
+        and owner.flags.c_contiguous
+        and cols.flags.c_contiguous
+        and owner.dtype == np.complex128 == cols.dtype
+        and owner.size == cols.size
+        and owner.__array_interface__["data"][0] == cols.__array_interface__["data"][0]
+    ):
+        return owner
+    return np.array(cols, dtype=np.complex128, order="C")
+
+
 class StateVector:
     """Complex amplitudes over the full register space, stored by their support.
 
     Every state holds the read-only pair (ascending int64 packed indices,
     complex128 amplitudes), which `nonzero_arrays` returns as it is. The
-    backend decides only what `from_arrays` keeps: every nonzero amplitude
+    backend decides only what the writers keep: every nonzero amplitude
     for dense storage, those above SPARSE_AMPLITUDE_FLOOR for sparse.
     Callers outside this module read a state with `nonzero_arrays` and build
-    one with `from_arrays`. The constructor also takes a dict from packed
-    index to amplitude, and `data` turns the pair into such a dict, for code
-    that edits entries in place.
+    one with `from_arrays`, or with `from_columns` from a (q, m) matrix. The
+    constructor also takes a dict from packed index to amplitude, and `data`
+    turns the pair into such a dict, for code that edits entries in place.
     """
 
     def __init__(self, layout: RegisterLayout, backend: str, data):
@@ -246,14 +279,69 @@ class StateVector:
                 raise ValueError("state repeats an index")
         if index.size and not 0 <= index[0] <= index[-1] < layout.dim:
             raise ValueError(f"state index outside [0, {layout.dim})")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("state holds a non-finite amplitude")
-        kept = amps != 0 if backend == DENSE else np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
+        kept = _stored(backend, amps)
         if not kept.all():
             index, amps = index[kept], amps[kept]
         index.flags.writeable = False
         amps.flags.writeable = False
         return cls(layout, backend, (index, amps))
+
+    @classmethod
+    def from_columns(
+        cls, layout: RegisterLayout, backend: str, ykeys: np.ndarray, cols: np.ndarray
+    ) -> "StateVector":
+        """State holding cols[c, j] at the packed index c * right_dim + ykeys[j]:
+        bit for bit the state `from_arrays` builds from those indices and
+        `cols.ravel()`, without a second full-size array. `ykeys` must ascend
+        within [0, right_dim) and `cols` have layout.q rows and one column per
+        key, else ValueError; a non-finite amplitude raises ValueError, and
+        more than 2**layout.qubit_cap cells CapacityError.
+
+        Ownership: the state consumes `cols`. One block of rows at a time
+        (about COMPACT_CELLS cells), it applies the backend's floor, moves the
+        kept cells to the front of the buffer that holds them and writes their
+        packed indices; then it shrinks that buffer and the indices to the
+        kept cells, so the state holds no dropped tail. The caller reads and
+        writes `cols` no more. Where `cols` is not the C-contiguous complex128
+        array that owns its buffer, or a view of all of it in the same order,
+        it is copied first.
+        """
+        ykeys = np.asarray(ykeys, dtype=np.int64)
+        q, m, right = layout.q, ykeys.size, layout.right_dim
+        if cols.shape != (q, m):
+            raise ValueError(f"expected a ({q}, {m}) column matrix, got shape {cols.shape}")
+        if np.any(ykeys[1:] <= ykeys[:-1]) or (m and not 0 <= ykeys[0] <= ykeys[-1] < right):
+            raise ValueError(f"column keys must ascend within [0, {right})")
+        layout.check_capacity(backend)
+        layout.check_capacity(backend, qubits=(cols.size - 1).bit_length())
+        owner = _owned_buffer(cols)
+        flat = owner.reshape(-1)
+        index = np.empty(flat.size, dtype=np.int64)
+        rows = max(1, COMPACT_CELLS // max(m, 1))
+        kept = 0
+        for start in range(0, q, rows):
+            stop = min(start + rows, q)
+            block = flat[start * m : stop * m]
+            keep = _stored(backend, block)
+            packed = np.arange(start, stop, dtype=np.int64)[:, None] * right
+            if keep.all():
+                np.add(packed, ykeys, out=index[kept : kept + block.size].reshape(stop - start, m))
+                if kept < start * m:
+                    flat[kept : kept + block.size] = block
+                kept += block.size
+            else:
+                count = int(np.count_nonzero(keep))
+                index[kept : kept + count] = (packed + ykeys).ravel()[keep]
+                flat[kept : kept + count] = block[keep]
+                kept += count
+        # Resized without a reference check: no view of the old buffers is
+        # read again, and the caller's `cols` is consumed.
+        del flat, block
+        index.resize(kept, refcheck=False)
+        owner.resize(kept, refcheck=False)
+        index.flags.writeable = False
+        owner.flags.writeable = False
+        return cls(layout, backend, (index, owner))
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(packed indices, amplitudes) of the stored nonzero entries, the
@@ -349,11 +437,12 @@ def max_abs_difference(
     return float(np.abs(difference).max(initial=0.0))
 
 
-# One writer, `write_rows`, writes CSV rows, snapshot rows and JSON record
-# rows. It formats them in numpy, several ASCII bytes per uint32 word, into a
-# NUL-padded (rows, words) matrix that one `mat[mat != 0]` compresses; Python
-# formats only the values the kernels leave undecided. JSON rows take their
-# floats from the float kernel's shortest mode (`repr`'s digits).
+# One writer, `write_row_blocks` (`write_rows` hands it whole columns), writes
+# CSV rows, snapshot rows and JSON record rows. It formats them in numpy,
+# several ASCII bytes per uint32 word, into a NUL-padded (rows, words) matrix
+# that one `mat[mat != 0]` compresses; Python formats only the values the
+# kernels leave undecided. JSON rows take their floats from the float
+# kernel's shortest mode (`repr`'s digits).
 
 # Each integer 0..9999 as the word "dddd"; then with its trailing zeros NUL
 # (for fractions), its leading zeros NUL, and its leading zeros but a last one
@@ -531,15 +620,12 @@ def write_rows(fh, columns, tails, json_floats: bool = False) -> None:
     entry as `'%d'` for an integer column or `'%.17g'` for a float column,
     followed by its column's ASCII text in `tails`. With `json_floats`, a float
     entry is written as `json.dumps` writes it instead: `repr`'s digits, and
-    `NaN`, `Infinity` or `-Infinity`. numpy formats the rows, CSV_CHUNK_ROWS
-    at a time, and Python formats only negative integers and the floats
-    `_float_words` leaves undecided. Columns of unequal length raise
+    `NaN`, `Infinity` or `-Infinity`. Columns of unequal length raise
     ValueError, and a column not safely castable to int64 or float64
-    TypeError, before anything is written.
-
-    A non-negative integer column whose largest value is below its row count,
-    such as an outcome table's register values, is formatted once as
-    `arange(max + 1)`, and each chunk gathers the words of its values."""
+    TypeError, before anything is written. `write_row_blocks` formats the
+    rows, CSV_CHUNK_ROWS at a time, and its note on the gathered integer
+    path applies: here an integer column's bounds are its least and largest
+    values."""
     columns = [np.asarray(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
         raise ValueError("the columns of a row table must have one length")
@@ -547,35 +633,63 @@ def write_rows(fh, columns, tails, json_floats: bool = False) -> None:
     for column in columns:
         if column.dtype.kind not in "iuf":
             raise TypeError(f"a column must hold integers or floats, not {column.dtype}")
+        target = np.float64 if column.dtype.kind == "f" else np.int64
+        if not np.can_cast(column.dtype, target, casting="safe"):
+            raise TypeError(f"a {column.dtype} column does not cast safely to {np.dtype(target)}")
         if column.dtype.kind == "f":
-            column = column.astype(np.float64, casting="safe", copy=False)
+            fields.append(None)
+        else:
+            fields.append((int(column.min(initial=0)), int(column.max(initial=0))))
+    write_row_blocks(
+        fh, fields, tails, len(columns[0]),
+        lambda start, stop: [column[start:stop] for column in columns], json_floats,
+    )
+
+
+def write_row_blocks(fh, fields, tails, rows: int, block, json_floats: bool = False) -> None:
+    """Write `rows` rows to the binary file `fh`, CSV_CHUNK_ROWS at a time, as
+    `write_rows` does; `block(start, stop)` returns the columns' values at rows
+    start..stop-1, so no full-length column need exist. `fields` describes the
+    columns: None for a float column, (low, high) for an integer column whose
+    values all lie in [low, high]. Each field's kernel, its width in words and
+    the text between fields are prepared once, and one word matrix of a
+    chunk's rows is reused for every chunk; Python formats only negative
+    integers and the floats `_float_words` leaves undecided.
+
+    An integer field with 0 <= low and high below the row count, such as an
+    outcome table's register values, is formatted once as `arange(high + 1)`,
+    and each chunk gathers the words of its values."""
+    prepared = []
+    for bounds in fields:
+        if bounds is None:
             kernel = functools.partial(_float_words, shortest=json_floats)
             fallback = json.dumps if json_floats else "%.17g".__mod__
-            fields.append((column, kernel, _FLOAT_WORDS, fallback))
+            prepared.append((np.float64, kernel, _FLOAT_WORDS, fallback))
             continue
-        column = column.astype(np.int64, casting="safe", copy=False)
-        low, high = int(column.min(initial=0)), int(column.max(initial=0))
+        low, high = bounds
         # Digits of the widest entry, sign included, in groups of four.
         words = -(-len(str(max(high, -10 * low))) // 4)
         kernel = _int_words
-        if low >= 0 and high < column.size:
+        if low >= 0 and high < rows:
             table = np.empty((high + 1, words), dtype=np.uint32)
             _int_words(np.arange(high + 1), table)
             kernel = functools.partial(_gathered_words, table.view(f"V{4 * words}").ravel())
-        fields.append((column, kernel, words, "%d".__mod__))
+        prepared.append((np.int64, kernel, words, "%d".__mod__))
     tails = [_tail_words(tail) for tail in tails]
-    width = sum(words for _, _, words, _ in fields) + sum(tail.size for tail in tails)
-    rows = len(fields[0][0])
+    width = sum(words for _, _, words, _ in prepared) + sum(tail.size for tail in tails)
     mat = np.empty((min(rows, CSV_CHUNK_ROWS), width), dtype=np.uint32)
     spans, at = [], 0
-    for (_, _, words, _), tail in zip(fields, tails):
+    for (_, _, words, _), tail in zip(prepared, tails):
         spans.append((at, at + words))
         mat[:, at + words : at + words + tail.size] = tail
         at += words + tail.size
     for start in range(0, rows, CSV_CHUNK_ROWS):
-        chunk = mat[: min(CSV_CHUNK_ROWS, rows - start)]
-        for (column, kernel, _, fallback), (lo, hi) in zip(fields, spans):
-            values = column[start : start + chunk.shape[0]]
+        stop = min(start + CSV_CHUNK_ROWS, rows)
+        chunk = mat[: stop - start]
+        for values, (dtype, kernel, _, fallback), (lo, hi) in zip(
+            block(start, stop), prepared, spans
+        ):
+            values = values.astype(dtype, copy=False)
             field = chunk[:, lo:hi]
             for row in kernel(values, field).tolist():
                 text = np.frombuffer(fallback(values[row].item()).encode(), dtype=np.uint8)

@@ -452,3 +452,12 @@ class TestCsvExport:
         assert len(parsed) == len(dist_21_2.entries)
         for outcome, prob in dist_21_2.entries.items():
             assert parsed[outcome] == prob  # %.17g round-trips doubles exactly
+
+    def test_register_columns_are_written_by_blocks(self, tmp_path):
+        # Each block unpacks its own register values, so no full-length c or
+        # y column is made: about 1.7 times the probabilities' bytes, all of
+        # it the per-file tables and per-block temporaries (5.0 with both
+        # columns).
+        dist = measurement_distribution(run_pipeline(ProblemInstance(99, 73)))
+        _, peak = traced_peak(lambda: dist.write_csv(tmp_path / "dist.csv"))
+        assert peak < 2.5 * dist.probs.nbytes

@@ -7,6 +7,7 @@ columns, as `json` would render its rows as dicts; it hands everything else
 to `json`. The synthetic documents below mix in values of every kind.
 """
 
+import argparse
 import functools
 import json
 import math
@@ -18,6 +19,7 @@ import pytest
 from shorsim import (
     ProblemInstance,
     check,
+    cli,
     factor,
     measurement_distribution,
     multi_register_audit,
@@ -32,6 +34,7 @@ from shorsim import (
 from shorsim.cli import RecordTable, format_json, main
 from shorsim.pipeline import pre_measurement_states
 from shorsim.registers import CSV_CHUNK_ROWS
+from tracing import traced_peak
 
 
 def reference(value) -> str:
@@ -289,3 +292,72 @@ def test_document_without_float_columns_calls_no_kernel(monkeypatch):
     document = {"a": [1, 2.5, "x"], "t": RecordTable(("c",), (ints(1, 2),))}
     assert format_json(document) + "\n" == reference(expanded(document))
     assert calls == []
+
+
+def table_of(rows: int) -> RecordTable:
+    return RecordTable(("c", "probability"), (np.arange(rows), np.arange(rows) / 7))
+
+
+# Documents for the streamed writer: each record table's rows go straight
+# into the file, and the last row's tail, or a table's whole opening text
+# where it has no rows, is cut with seek and truncate.
+STREAMED = {
+    "no_table": {"a": [1, 2.5, "x"], "b": {"c": None, "d": []}},
+    "empty_table": {"t": table_of(0)},
+    "one_row": {"t": table_of(1)},
+    "chunk_rows_minus_one": {"t": table_of(CSV_CHUNK_ROWS - 1)},
+    "chunk_rows_plus_one": {"t": table_of(CSV_CHUNK_ROWS + 1), "after": 3},
+    "nested_pads": {
+        "a": [{"b": table_of(2)}, (table_of(0), [table_of(3), {"c": table_of(0)}], 4.5)],
+        "d": {"e": {"f": table_of(1)}},
+    },
+    "tables_back_to_back": [table_of(0), table_of(2), table_of(0), table_of(1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_report_file_equals_format_json(tmp_path, name):
+    payload = STREAMED[name]
+    args = argparse.Namespace(command="distribution", n=15, output_dir=str(tmp_path))
+    path = cli._write_json(args, payload, "report.json", [])
+    document = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "command": "distribution",
+        "config": vars(args),
+        "checks": [],
+        "report": payload,
+    }
+    text = format_json(document) + "\n"
+    assert path.read_bytes() == text.encode() == reference(expanded(document)).encode()
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_document_alone_equals_format_json(tmp_path, name):
+    # At the top level, a table's cut text is the end of the file.
+    document = STREAMED[name]
+    values = list(document.values()) if type(document) is dict else list(document)
+    for document in [document, *values]:
+        path = tmp_path / "document.json"
+        with open(path, "wb") as fh:
+            cli._write_document(document, fh)
+        assert path.read_bytes() == format_json(document).encode()
+        assert format_json(document) + "\n" == reference(expanded(document))
+
+
+def test_distribution_report_is_streamed_into_its_file(monkeypatch, tmp_path):
+    # The q-row c marginal goes into the file one chunk of rows at a time,
+    # not as a string joined with the rest of the document: about twice the
+    # file's size at the peak, most of it the chunk's word matrix (3.8 times
+    # while the table's text was held and copied).
+    peaks = []
+    write_json = cli._write_json
+
+    def traced(*args):
+        path, peak = traced_peak(lambda: write_json(*args))
+        peaks.append(peak / path.stat().st_size)
+        return path
+
+    monkeypatch.setattr(cli, "_write_json", traced)
+    argv = ["distribution", "--n", "99", "--x", "73", "--format", "json"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert len(peaks) == 1 and peaks[0] < 2.5

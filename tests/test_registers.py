@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import shorsim
 from oracles import scatter
+from shorsim import registers
 from tracing import traced_peak
 
 from shorsim.distributions import analytic_joint_probability, measurement_distribution
@@ -393,6 +394,103 @@ def test_dense_support_is_the_scan_of_its_array(data):
     assert values.tobytes() == array[scanned].tobytes()
     assert state.nonzero_count() == scanned.size
     assert not support.flags.writeable and not values.flags.writeable
+
+
+def _column_matrix(case: str) -> np.ndarray:
+    """An (8, 3) matrix for a (s=3, L=2) layout: random amplitudes with the
+    cells of `case` replaced."""
+    rng = np.random.default_rng(7)
+    cols = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    flat = cols.reshape(-1)
+    if case == "some_dropped":
+        # Dropped on both backends, then below the sparse floor only.
+        flat[[0, 4, 5, 11, 23]] = [0.0, -0.0, complex(0.0, -0.0), 0.0, 0.0]
+        flat[[1, 12, 13]] = [1e-16, 1e-300j, SPARSE_AMPLITUDE_FLOOR]
+    elif case == "all_but_one_dropped":
+        kept = flat[14]
+        flat[:] = 0.0
+        flat[14] = kept
+    elif case == "exact_zeros":
+        # Dense keeps every nonzero cell, subnormals too, and drops exact zeros.
+        flat[::2] = [0.0, -0.0, complex(-0.0, 0.0), 5e-324, 0.0, -5e-324j] * 2
+    return cols
+
+
+class TestFromColumns:
+    """`from_columns` consumes a (q, m) matrix and builds, bit for bit, the
+    state `from_arrays` builds from its packed indices and flattened cells."""
+
+    LAYOUT = RegisterLayout(s=3, L=2, ell=1)
+    YKEYS = np.array([0, 2, 3], dtype=np.int64)
+
+    def expected(self, backend, cols):
+        index = np.arange(self.LAYOUT.q)[:, None] * self.LAYOUT.right_dim + self.YKEYS
+        return StateVector.from_arrays(self.LAYOUT, backend, index.ravel(), cols.ravel().copy())
+
+    # Row blocks of one row (3 cells), of two rows, and of the whole matrix.
+    @pytest.mark.parametrize("cells", [1, 6, registers.COMPACT_CELLS])
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize(
+        "case", ["nothing_dropped", "some_dropped", "all_but_one_dropped", "exact_zeros"]
+    )
+    def test_equals_from_arrays(self, monkeypatch, case, backend, cells):
+        monkeypatch.setattr(registers, "COMPACT_CELLS", cells)
+        cols = _column_matrix(case)
+        expected = self.expected(backend, cols)
+        state = StateVector.from_columns(self.LAYOUT, backend, self.YKEYS, cols)
+        assert state.backend == backend
+        for held, wanted in zip(state.nonzero_arrays(), expected.nonzero_arrays()):
+            assert held.dtype == wanted.dtype and held.tobytes() == wanted.tobytes()
+            assert not held.flags.writeable
+            # No dropped tail: each array owns a buffer of its entries alone.
+            assert held.base is None and held.flags.owndata
+        if case == "nothing_dropped":
+            assert state.nonzero_count() == cols.size
+
+    def test_consumes_the_buffer_that_owns_the_matrix(self):
+        # The gate kernel returns a reshaped view of the array it copies into.
+        buffer = _column_matrix("some_dropped").reshape(-1).copy()
+        state = StateVector.from_columns(self.LAYOUT, SPARSE, self.YKEYS, buffer.reshape(8, 3))
+        assert state.nonzero_arrays()[1] is buffer
+        assert buffer.shape == (state.nonzero_count(),)
+
+    @pytest.mark.parametrize("layout", ["fortran", "read_only", "part_of_a_wider_matrix"])
+    def test_copies_a_matrix_it_cannot_own(self, layout):
+        matrix = _column_matrix("some_dropped")
+        if layout == "fortran":
+            cols = np.asfortranarray(matrix)
+        elif layout == "read_only":
+            cols = matrix.copy()
+            cols.flags.writeable = False
+        else:
+            cols = np.concatenate([matrix, matrix], axis=1)[:, :3]
+        before = cols.copy()
+        state = StateVector.from_columns(self.LAYOUT, SPARSE, self.YKEYS, cols)
+        assert np.array_equal(cols, before)
+        expected = self.expected(SPARSE, matrix)
+        for held, wanted in zip(state.nonzero_arrays(), expected.nonzero_arrays()):
+            assert held.tobytes() == wanted.tobytes()
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize("cell", [0, 13, 23])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_refuses_a_non_finite_amplitude(self, monkeypatch, backend, cell, bad):
+        monkeypatch.setattr(registers, "COMPACT_CELLS", 6)
+        cols = _column_matrix("some_dropped")
+        cols.reshape(-1)[cell] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector.from_columns(self.LAYOUT, backend, self.YKEYS, cols)
+
+    @pytest.mark.parametrize(
+        "ykeys, shape",
+        [([0, 2, 3], (8, 2)), ([0, 2, 3], (4, 3)), ([0, 3, 2], (8, 3)), ([0, 2, 4], (8, 3)),
+         ([-1, 2, 3], (8, 3)), ([2, 2, 3], (8, 3))],
+    )
+    def test_refuses_a_matrix_that_does_not_fit_the_keys(self, ykeys, shape):
+        with pytest.raises(ValueError, match="column"):
+            StateVector.from_columns(
+                self.LAYOUT, SPARSE, np.array(ykeys), np.ones(shape, dtype=np.complex128)
+            )
 
 
 class TestSnapshots:

@@ -133,7 +133,11 @@ def test_notation_switches():
     )
 
 
-@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+# Around the end of the first chunk and of the second.
+CHUNK_EDGES = [k * CSV_CHUNK_ROWS + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("rows", [0, 1, *CHUNK_EDGES])
 def test_chunk_boundaries(rows):
     rng = np.random.default_rng(rows)
     columns = [
@@ -152,7 +156,7 @@ def test_integers_of_every_width():
 
 
 @pytest.mark.parametrize("json_floats", [False, True])
-@pytest.mark.parametrize("rows", [1, 7, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, 7, *(edge for edge in CHUNK_EDGES if edge % CSV_CHUNK_ROWS)])
 def test_per_column_tails(rows, json_floats):
     # Each entry is followed by its own column's tail, of any length: quotes,
     # `%` (no template sees it) and escaped non-ASCII keys, as JSON rows have.
