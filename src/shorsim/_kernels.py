@@ -4,7 +4,8 @@ its independent oracle. Both act along axis 0 of a (q, m) matrix.
 
 `dft_columns` evaluates the defining sum
 out[c, j] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * cols[a, j]
-for every column in one batched radix-2 FFT (O(q log q) per column).
+for every column in one batched radix-2 FFT (O(q log q) per column), written
+into its input on numpy >= 2.0, so a transform holds one (q, m) buffer.
 `qft_gates` applies the same unitary as a circuit of Hadamard stages,
 conditional phase rotations and a bit-order reversal, sharing no code with
 the FFT.
@@ -14,13 +15,21 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy 2.0 gave its FFTs an `out` argument; older numpy allocates the output.
+_FFT_TAKES_OUT = int(np.__version__.split(".", 1)[0]) >= 2
+
 
 def dft_columns(cols: np.ndarray) -> np.ndarray:
-    """Length-q transform of each column of a (q, m) matrix.
+    """Length-q transform of each column of a (q, m) complex128 matrix.
 
     numpy's inverse FFT carries the exp(+2*pi*i*a*c/q) sign, and "ortho"
-    scaling gives the 1/sqrt(q) factor of the defining sum.
+    scaling gives the 1/sqrt(q) factor of the defining sum. On numpy >= 2.0
+    the result is written into `cols`, which it consumes, as `qft_gates`
+    does; on older numpy it is a new array (possibly a view of one in
+    another order) and `cols` is left as it was. The bits are the same.
     """
+    if _FFT_TAKES_OUT:
+        return np.fft.ifft(cols, axis=0, norm="ortho", out=cols)
     return np.fft.ifft(cols, axis=0, norm="ortho")
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, registers
 from .checks import Check, check
 from .distributions import (
     PROBABILITY_FLOOR,
@@ -90,16 +90,30 @@ class ColumnSampler:
     def _columns(self, ys: np.ndarray) -> np.ndarray:
         """(q, len(ys)) probabilities P(c, ys[j]), one column per y (ys
         ascending) as above: 1/sqrt(q) is scattered into one zeroed matrix at
-        (a, j) wherever y_of_a[a] = ys[j]. The transform's input is freed
-        before `np.abs` allocates, and the magnitudes are squared in place,
-        the same bits as `np.abs(cols) ** 2`."""
+        (a, j) wherever y_of_a[a] = ys[j], which `dft_columns` transforms.
+
+        The probabilities take the transform's buffer: one block of
+        COMPACT_CELLS cells at a time, `np.abs` then `np.square` (the bits of
+        `np.abs(cols) ** 2`) write over amplitudes already read, at the
+        front; then the buffer shrinks to them. An output `_owned_buffer`
+        cannot own (numpy < 2.0's may be a view) is copied first."""
         j = np.searchsorted(ys, self.y_of_a)
         a = np.flatnonzero(ys[np.minimum(j, ys.size - 1)] == self.y_of_a)
         cols = np.zeros((self.q, ys.size), dtype=complex)
         cols[a, j[a]] = 1 / np.sqrt(self.q)
         cols = _kernels.dft_columns(cols)
-        probs = np.abs(cols)
-        return np.square(probs, out=probs)
+        owner = registers._owned_buffer(cols)
+        del cols
+        amps = owner.reshape(-1)
+        floats = amps.view(np.float64)
+        for start in range(0, amps.size, registers.COMPACT_CELLS):
+            block = np.abs(amps[start : start + registers.COMPACT_CELLS])
+            np.square(block, out=floats[start : start + block.size])
+        # q is even, so the floats fill whole cells. Resized without a
+        # reference check: the views above are not read again.
+        del amps, floats
+        owner.resize(self.q * ys.size // 2, refcheck=False)
+        return owner.view(np.float64).reshape(self.q, ys.size)
 
     def column(self, y: int) -> tuple[np.ndarray, np.ndarray]:
         """(c, P(c, y)) over the c of column y whose probability exceeds

@@ -93,10 +93,10 @@ def _transform_columns(state: StateVector, kernel) -> StateVector:
     `StateVector.from_columns`, which turns it into the state in place:
     ascending in the packed index because c is most significant and Y ascends.
 
-    The gather temporaries go before the kernel runs, and rebinding `cols` to
-    the kernel's output frees the input matrix before the state is built,
-    whichever kernel runs, so one full-size matrix is alive at a time outside
-    the kernel.
+    The gather temporaries go before the kernel runs. Both kernels write into
+    the matrix they are handed (the FFT from numpy 2.0), so one full-size
+    matrix is alive through the transform; where the FFT returns a new
+    array, rebinding `cols` frees the input before the state is built.
     """
     layout = state.layout
     index, amps = state.nonzero_arrays()

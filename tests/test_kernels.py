@@ -69,6 +69,23 @@ def test_dft_support_single_point():
     assert np.max(np.abs(got - brute_dft([a], [1.0 + 0j], q))) <= 1e-12
 
 
+def test_dft_columns_writes_into_its_input_from_numpy_2():
+    # numpy >= 2.0 writes the transform into `cols`. Older numpy returns a new
+    # array and leaves `cols` as it was; that branch runs only under numpy < 2.0
+    # (the oldest supported numpy, 1.24, in CI). The bits are numpy's own
+    # allocating FFT's either way.
+    cols = random_state(99, 73, seed=8)
+    before = cols.copy()
+    expected = np.fft.ifft(cols.copy(), axis=0, norm="ortho")
+    got = _kernels.dft_columns(cols)
+    assert got.tobytes() == expected.tobytes()
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert np.shares_memory(got, cols)
+    else:
+        assert not np.shares_memory(got, cols)
+        assert cols.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("s", range(1, 11))
 @pytest.mark.parametrize("right", [1, 3])
 def test_gate_transform_matches_dft_matrix(s, right):

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from shorsim import _kernels, distributions, orderfinding, pipeline
+from shorsim import _kernels, distributions, orderfinding, pipeline, registers
 from shorsim.distributions import marginal, measurement_distribution, sequential_sum
 from shorsim.errors import CapacityError, NormalizationError, UnsuitableInputError
 from shorsim.numtheory import (
@@ -23,6 +23,7 @@ from shorsim.orderfinding import (
 )
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import DEFAULT_QUBIT_CAP, ProblemInstance
+from tracing import needs_fft_out, traced_peak
 
 INST_15_7 = ProblemInstance.create(15, 7)
 
@@ -355,6 +356,15 @@ class TestSuccessRateFromTheColumnTable:
         with pytest.raises(CapacityError, match=r"sparse state needs up to 2\^27 amplitudes"):
             success_rate_estimate(ProblemInstance(363, 2), trials=10)
 
+    @needs_fft_out
+    def test_one_transform_buffer(self):
+        # The table takes the FFT's buffer, which is its input: about 1.4
+        # times the complex (q, m) matrix's bytes, 2.1 with the FFT's output
+        # and `np.abs`'s array beside it.
+        inst = ProblemInstance(55, 18)
+        _, peak = traced_peak(lambda: success_rate_estimate(inst, trials=20000))
+        assert peak < 1.6 * 16 * inst.q * multiplicative_order(inst.x, inst.n)
+
     def test_table_norm_is_checked(self, monkeypatch):
         dft_columns = _kernels.dft_columns
         monkeypatch.setattr(_kernels, "dft_columns", lambda cols: dft_columns(cols) * 1.01)
@@ -379,6 +389,28 @@ class TestColumnSampler:
             order = np.argsort(index)
             assert np.array_equal(index[order], dist.index), (n, x)
             assert np.array_equal(probs[order], dist.probs), (n, x)
+
+    @pytest.mark.parametrize("cells", [1, 7, registers.COMPACT_CELLS])
+    def test_probabilities_squared_into_the_transform_buffer(self, monkeypatch, cells):
+        # Whatever the block size, each block's floats land on amplitudes
+        # already read, bit for bit |amplitude|**2 of a separate transform.
+        monkeypatch.setattr(registers, "COMPACT_CELLS", cells)
+        sampler = orderfinding.ColumnSampler(ProblemInstance(21, 2))
+        ys = np.unique(sampler.y_of_a)
+        cols = np.zeros((sampler.q, ys.size), dtype=np.complex128)
+        cols[np.arange(sampler.q), np.searchsorted(ys, sampler.y_of_a)] = 1 / np.sqrt(sampler.q)
+        expected = np.abs(np.fft.ifft(cols, axis=0, norm="ortho")) ** 2
+        assert sampler._columns(ys).tobytes() == expected.tobytes()
+        assert sampler._columns(ys[2:3]).tobytes() == expected[:, 2:3].tobytes()
+
+    @needs_fft_out
+    def test_table_takes_the_transform_buffer(self):
+        # The probabilities are squared into the FFT's buffer, its input, and
+        # it is shrunk to them: about 1.3 times the complex (q, m) matrix's
+        # bytes, 2.1 with the FFT's output and `np.abs`'s array beside it.
+        sampler = orderfinding.ColumnSampler(ProblemInstance(55, 18))
+        table, peak = traced_peak(sampler.table)
+        assert peak < 1.5 * 2 * table.nbytes
 
     def test_find_order_refuses_arrays_beyond_the_qubit_cap(self, monkeypatch):
         # INST_15_7 has s = 8: refused under a cap of 7 before the map is built.
