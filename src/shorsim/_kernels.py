@@ -4,40 +4,33 @@ its independent oracle. Both act along axis 0 of a (q, m) matrix.
 
 `dft_columns` evaluates the defining sum
 out[c, j] = (1/sqrt(q)) * sum_a exp(2*pi*i*a*c/q) * cols[a, j]
-for every column in one batched radix-2 FFT (O(q log q) per column), written
-into its input on numpy >= 2.0, so a transform holds one (q, m) buffer.
+for every column in one batched radix-2 FFT (O(q log q) per column).
 `qft_gates` applies the same unitary as a circuit of Hadamard stages,
 conditional phase rotations and a bit-order reversal, sharing no code with
-the FFT.
+the FFT. Each kernel transforms the matrix it is handed in place and returns
+that same array, so a transform holds one (q, m) buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# numpy 2.0 gave its FFTs an `out` argument; older numpy allocates the output.
-_FFT_TAKES_OUT = int(np.__version__.split(".", 1)[0]) >= 2
-
 
 def dft_columns(cols: np.ndarray) -> np.ndarray:
     """Length-q transform of each column of a (q, m) complex128 matrix.
 
     numpy's inverse FFT carries the exp(+2*pi*i*a*c/q) sign, and "ortho"
-    scaling gives the 1/sqrt(q) factor of the defining sum. On numpy >= 2.0
-    the result is written into `cols`, which it consumes, as `qft_gates`
-    does; on older numpy it is a new array (possibly a view of one in
-    another order) and `cols` is left as it was. The bits are the same.
+    scaling gives the 1/sqrt(q) factor of the defining sum. The result is
+    written into `cols`, which is returned.
     """
-    if _FFT_TAKES_OUT:
-        return np.fft.ifft(cols, axis=0, norm="ortho", out=cols)
-    return np.fft.ifft(cols, axis=0, norm="ortho")
+    return np.fft.ifft(cols, axis=0, norm="ortho", out=cols)
 
 
 def qft_gates(mat: np.ndarray, s: int) -> np.ndarray:
     """Gate-level transform on the control axis of a (q, right) matrix: one Hadamard stage
     per control qubit, conditional phase rotations between qubit pairs, then a bit-order
     reversal. Every gate acts in place on a reshaped view of its C-contiguous input, which
-    it consumes; the pipeline passes only its (q, m) occupied columns."""
+    is returned; the pipeline passes only its (q, m) occupied columns."""
     q, right = mat.shape
     assert q == 1 << s and mat.flags.c_contiguous
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -55,7 +48,9 @@ def qft_gates(mat: np.ndarray, s: int) -> np.ndarray:
             w = np.exp(2j * np.pi / (1 << k))
             # The rows whose bits p and pc are both set.
             mat.reshape(-1, 2, 1 << (k - 2), 2, 1 << pc, right)[:, 1, :, 1] *= w
-    # The bit reversal transposes the s bit axes: s + 1 axes in all, within the 32 that
-    # numpy 1.24 allows while s <= 31. An input of 2^32 rows takes at least 64 GiB, so no
-    # run reaches this line with s >= 32.
-    return mat.reshape((2,) * s + (right,)).transpose(*range(s - 1, -1, -1), s).reshape(q, right)
+    # The bit reversal transposes the s bit axes: s + 1 axes in all, within the 64 that
+    # numpy allows while s <= 63. The transposed copy is the one temporary; it is written
+    # back into `mat`.
+    bits = mat.reshape((2,) * s + (right,))
+    mat[...] = bits.transpose(*range(s - 1, -1, -1), s).reshape(q, right)
+    return mat

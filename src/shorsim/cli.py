@@ -40,7 +40,7 @@ from .errors import ShorSimError, UnsuitableInputError
 from .numtheory import gcd, multiplicative_order
 from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, write_rows
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _at_least(low: int):

@@ -274,13 +274,16 @@ def analytic_joint_probability(instance: ProblemInstance, r: int, c: int, k: int
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One good control value c = round(d*q/r), with residue = r*c - d*q."""
+    """One good control value c = round(d*q/r), with residue = r*c - d*q, and
+    its closed-form probability at (c, x^k): p_first for k < q mod r, p_last
+    for the other k."""
 
     c: int
     d: int
     residue: int
     gcd_d_r: int
-    probabilities: tuple[float, ...]
+    p_first: float
+    p_last: float
     p_min: float
     margin_vs_4_over_pi2_r2: float
 
@@ -296,6 +299,7 @@ class BoundReport:
     q: int
     s: int
     r: int
+    q_mod_r: int
     phi_r: int
     bound_1_over_3r2: float
     bound_4_over_pi2_r2: float
@@ -318,11 +322,11 @@ def shor_bound_report(instance: ProblemInstance) -> BoundReport:
 
     c is good when |r*c - d*q| <= r/2 for an integer d: each d in [0, r) has
     one, c = round(d*q/r) (a tie needs 2^(s+1) | r < q), and d = r gives c = q.
-    The row records d, gcd(d, r) and the analytic probability for every k,
-    which reads k only through the term count: ceil(q/r) for k < q mod r,
-    else floor(q/r), so k = 0 and k = r - 1 give all r values. The aggregate
-    sums the mass of rows with gcd(d, r) = 1 (the ones order recovery can
-    use) over all k.
+    The row records d, gcd(d, r) and the analytic probability, which reads k
+    only through the term count: ceil(q/r) for k < q mod r, else floor(q/r),
+    so k = 0 and k = r - 1 give the row's two values. The aggregate sums the
+    mass of rows with gcd(d, r) = 1 (the ones order recovery can use) over
+    all k: q mod r copies of the first value and r - q mod r of the last.
     """
     n, x, q = instance.n, instance.x, instance.q
     r = multiplicative_order(x, n)
@@ -337,27 +341,28 @@ def shor_bound_report(instance: ProblemInstance) -> BoundReport:
         g = math.gcd(d, r)
         first = analytic_joint_probability(instance, r, c, 0)
         last = analytic_joint_probability(instance, r, c, r - 1)
-        probs = (first,) * rho + (last,) * (r - rho)
-        p_min = min(probs)
+        p_min = min(first, last)
         rows.append(
             BoundRow(
                 c=c,
                 d=d,
                 residue=r * c - d * q,
                 gcd_d_r=g,
-                probabilities=probs,
+                p_first=first,
+                p_last=last,
                 p_min=p_min,
                 margin_vs_4_over_pi2_r2=p_min - sine_bound,
             )
         )
         if g == 1:
-            success_mass += sum(probs)
+            success_mass += rho * first + (r - rho) * last
     return BoundReport(
         n=n,
         x=x,
         q=q,
         s=instance.s,
         r=r,
+        q_mod_r=rho,
         phi_r=phi_r,
         bound_1_over_3r2=floor_bound,
         bound_4_over_pi2_r2=sine_bound,

@@ -95,16 +95,13 @@ class ColumnSampler:
         The probabilities take the transform's buffer: one block of
         COMPACT_CELLS cells at a time, `np.abs` then `np.square` (the bits of
         `np.abs(cols) ** 2`) write over amplitudes already read, at the
-        front; then the buffer shrinks to them. An output `_owned_buffer`
-        cannot own (numpy < 2.0's may be a view) is copied first."""
+        front; then the buffer shrinks to them."""
         j = np.searchsorted(ys, self.y_of_a)
         a = np.flatnonzero(ys[np.minimum(j, ys.size - 1)] == self.y_of_a)
         cols = np.zeros((self.q, ys.size), dtype=complex)
         cols[a, j[a]] = 1 / np.sqrt(self.q)
         cols = _kernels.dft_columns(cols)
-        owner = registers._owned_buffer(cols)
-        del cols
-        amps = owner.reshape(-1)
+        amps = cols.reshape(-1)
         floats = amps.view(np.float64)
         for start in range(0, amps.size, registers.COMPACT_CELLS):
             block = np.abs(amps[start : start + registers.COMPACT_CELLS])
@@ -112,8 +109,8 @@ class ColumnSampler:
         # q is even, so the floats fill whole cells. Resized without a
         # reference check: the views above are not read again.
         del amps, floats
-        owner.resize(self.q * ys.size // 2, refcheck=False)
-        return owner.view(np.float64).reshape(self.q, ys.size)
+        cols.resize(self.q * ys.size // 2, refcheck=False)
+        return cols.view(np.float64).reshape(self.q, ys.size)
 
     def column(self, y: int) -> tuple[np.ndarray, np.ndarray]:
         """(c, P(c, y)) over the c of column y whose probability exceeds

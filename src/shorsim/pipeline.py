@@ -94,9 +94,8 @@ def _transform_columns(state: StateVector, kernel) -> StateVector:
     ascending in the packed index because c is most significant and Y ascends.
 
     The gather temporaries go before the kernel runs. Both kernels write into
-    the matrix they are handed (the FFT from numpy 2.0), so one full-size
-    matrix is alive through the transform; where the FFT returns a new
-    array, rebinding `cols` frees the input before the state is built.
+    the matrix they are handed and return it, so one full-size matrix is
+    alive through the transform.
     """
     layout = state.layout
     index, amps = state.nonzero_arrays()

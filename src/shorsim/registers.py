@@ -192,26 +192,6 @@ def _stored(backend: str, amps: np.ndarray) -> np.ndarray:
     return amps != 0 if backend == DENSE else np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
 
 
-def _owned_buffer(cols: np.ndarray) -> np.ndarray:
-    """The writable C-contiguous complex128 array that owns `cols`' buffer,
-    where `cols` is that array or a view of all of it in the same order;
-    else a C-contiguous complex128 copy of `cols`."""
-    owner = cols
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    if (
-        owner.flags.owndata
-        and owner.flags.writeable
-        and owner.flags.c_contiguous
-        and cols.flags.c_contiguous
-        and owner.dtype == np.complex128 == cols.dtype
-        and owner.size == cols.size
-        and owner.__array_interface__["data"][0] == cols.__array_interface__["data"][0]
-    ):
-        return owner
-    return np.array(cols, dtype=np.complex128, order="C")
-
-
 class StateVector:
     """Complex amplitudes over the full register space, stored by their support.
 
@@ -302,9 +282,8 @@ class StateVector:
         kept cells to the front of the buffer that holds them and writes their
         packed indices; then it shrinks that buffer and the indices to the
         kept cells, so the state holds no dropped tail. The caller reads and
-        writes `cols` no more. Where `cols` is not the C-contiguous complex128
-        array that owns its buffer, or a view of all of it in the same order,
-        it is copied first.
+        writes `cols` no more. Where `cols` is not a writable C-contiguous
+        complex128 array that owns its buffer, it is copied first.
         """
         ykeys = np.asarray(ykeys, dtype=np.int64)
         q, m, right = layout.q, ykeys.size, layout.right_dim
@@ -314,7 +293,7 @@ class StateVector:
             raise ValueError(f"column keys must ascend within [0, {right})")
         layout.check_capacity(backend)
         layout.check_capacity(backend, qubits=(cols.size - 1).bit_length())
-        owner = _owned_buffer(cols)
+        owner = np.require(cols, np.complex128, "CWO")
         flat = owner.reshape(-1)
         index = np.empty(flat.size, dtype=np.int64)
         rows = max(1, COMPACT_CELLS // max(m, 1))

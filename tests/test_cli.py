@@ -63,7 +63,7 @@ class TestDistributionCommand:
         assert len(rows) == 17  # header + 16 outcomes
         assert all(float(row[2]) == pytest.approx(0.0625, abs=1e-12) for row in rows[1:])
         doc = read_json(tmp_path / "distribution.json")
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["checks"] == []
         assert doc["config"]["n"] == 15
         assert doc["config"]["x"] == 7

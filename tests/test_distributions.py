@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import as_dict
 from tracing import traced_peak
 from shorsim import distributions
+from shorsim.cli import format_json
 from shorsim.distributions import (
     OutcomeDistribution,
     analytic_joint_probability,
@@ -333,6 +334,32 @@ class TestBoundReport:
         rows = shor_bound_report(inst).rows
         assert [(row.c, row.residue) for row in rows] == expected
         assert all(type(row.c) is int and type(row.residue) is int for row in rows)
+
+    def test_report_grows_as_r(self):
+        # Two floats per good c: at r = 2052 the JSON is under 1 MB, where r
+        # probabilities per row made it about 142 MB.
+        report = shor_bound_report(ProblemInstance(2053, 2))
+        assert report.r == 2052
+        assert len(format_json(report)) < 1_000_000
+
+    @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (1031, 2), (2053, 2)])
+    def test_two_values_per_row_carry_every_k(self, n, x):
+        # Each row's two values are the closed form at k = 0 and k = r - 1,
+        # bit for bit; the success mass is within 1e-15 of `math.fsum` over
+        # the r values per coprime row that the rows held up to schema 2
+        # (q mod r copies of the first, then the last). (15, 7) has q mod r = 0.
+        inst = ProblemInstance(n, x)
+        report = shor_bound_report(inst)
+        r, rho = report.r, report.q_mod_r
+        assert rho == inst.q % r
+        held = []
+        for row in report.rows:
+            assert row.p_first == analytic_joint_probability(inst, r, row.c, 0)
+            assert row.p_last == analytic_joint_probability(inst, r, row.c, r - 1)
+            assert row.p_min == min(row.p_first, row.p_last)
+            if row.gcd_d_r == 1:
+                held += [row.p_first] * rho + [row.p_last] * (r - rho)
+        assert report.success_mass == pytest.approx(math.fsum(held), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (35, 2), (55, 3)])
     def test_closed_form_reads_k_only_through_its_term_count(self, n, x):

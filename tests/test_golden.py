@@ -15,8 +15,17 @@ the envelope's `checks` list: the verdict fields left the `report` (`bound`'s
 `joint_probabilities_match`, `registers_perfectly_correlated`, `tolerance`
 and `verdict`; the locality `tolerance` and `passed`), and so did the inner
 `schema_version`. Every other value kept its bytes, and no CSV or state file
-changed. The `distribution_*_ell2_gates` cases run the gate-level transform
-(`--qft gates`), so their snapshots pin every amplitude bit of that circuit.
+changed. Every JSON file was regenerated again for schema version 3, when
+each `bound` row came to hold its two closed-form values (`p_first`,
+`p_last`) instead of r probabilities and the report came to record
+`q_mod_r`: only the `schema_version` line, the `bound_*` rows and the new
+`q_mod_r` line changed, except `success_mass` in `bound_21_2`. It moved by
+one ulp (0.22797899717307274 -> 0.22797899717307277, now equal to
+`math.fsum` over the r values of each coprime row) when each such row's
+mass became q mod r times the first value plus r - q mod r times the last
+instead of a left-to-right sum of r values. The `distribution_*_ell2_gates`
+cases run the gate-level transform (`--qft gates`), so their snapshots pin
+every amplitude bit of that circuit.
 Any change in a float's last bit, a row order, the JSON layout or a recorded
 flag fails here.
 

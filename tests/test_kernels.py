@@ -1,6 +1,8 @@
 """The batched FFT column transform and the gate-level transform against loop
 and matrix references that share no code with either."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -69,21 +71,21 @@ def test_dft_support_single_point():
     assert np.max(np.abs(got - brute_dft([a], [1.0 + 0j], q))) <= 1e-12
 
 
-def test_dft_columns_writes_into_its_input_from_numpy_2():
-    # numpy >= 2.0 writes the transform into `cols`. Older numpy returns a new
-    # array and leaves `cols` as it was; that branch runs only under numpy < 2.0
-    # (the oldest supported numpy, 1.24, in CI). The bits are numpy's own
-    # allocating FFT's either way.
+def test_kernels_return_their_input_transformed():
+    # Each kernel writes into the matrix it is handed and returns that array,
+    # with the bits of an allocating reference: numpy's FFT without `out`, and
+    # for the gate circuit the SHA-256 of the output it returned as a new,
+    # reshaped copy of its bit-reversal transpose.
     cols = random_state(99, 73, seed=8)
-    before = cols.copy()
-    expected = np.fft.ifft(cols.copy(), axis=0, norm="ortho")
-    got = _kernels.dft_columns(cols)
-    assert got.tobytes() == expected.tobytes()
-    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
-        assert np.shares_memory(got, cols)
-    else:
-        assert not np.shares_memory(got, cols)
-        assert cols.tobytes() == before.tobytes()
+    expected = np.fft.ifft(cols, axis=0, norm="ortho")
+    assert _kernels.dft_columns(cols) is cols
+    assert cols.tobytes() == expected.tobytes()
+
+    mat = random_state(128, 3, seed=9)
+    assert _kernels.qft_gates(mat, 7) is mat
+    assert hashlib.sha256(mat.tobytes()).hexdigest() == (
+        "4bbed255a8ac0a640aab7f3987741d89481a01da8d1588b3e80eddb67297d577"
+    )
 
 
 @pytest.mark.parametrize("s", range(1, 11))

@@ -23,7 +23,7 @@ from shorsim.orderfinding import (
 )
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import DEFAULT_QUBIT_CAP, ProblemInstance
-from tracing import needs_fft_out, traced_peak
+from tracing import traced_peak
 
 INST_15_7 = ProblemInstance.create(15, 7)
 
@@ -356,7 +356,6 @@ class TestSuccessRateFromTheColumnTable:
         with pytest.raises(CapacityError, match=r"sparse state needs up to 2\^27 amplitudes"):
             success_rate_estimate(ProblemInstance(363, 2), trials=10)
 
-    @needs_fft_out
     def test_one_transform_buffer(self):
         # The table takes the FFT's buffer, which is its input: about 1.4
         # times the complex (q, m) matrix's bytes, 2.1 with the FFT's output
@@ -403,7 +402,6 @@ class TestColumnSampler:
         assert sampler._columns(ys).tobytes() == expected.tobytes()
         assert sampler._columns(ys[2:3]).tobytes() == expected[:, 2:3].tobytes()
 
-    @needs_fft_out
     def test_table_takes_the_transform_buffer(self):
         # The probabilities are squared into the FFT's buffer, its input, and
         # it is shrunk to them: about 1.3 times the complex (q, m) matrix's

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from oracles import as_dict, scatter
-from tracing import needs_fft_out, traced_peak
+from tracing import traced_peak
 from shorsim import _kernels, numtheory, pipeline
 from shorsim.distributions import marginal, measurement_distribution
 from shorsim.errors import CapacityError, StageOrderError
@@ -130,7 +130,6 @@ class TestDirectTransform:
         after = apply_qft_register1_direct(before)
         assert abs(norm_squared(after) - norm_squared(before)) <= 1e-12
 
-    @needs_fft_out
     def test_fft_writes_into_the_gathered_matrix(self):
         # The FFT writes into the (q, m) matrix it is handed, so one complex
         # (q, m) buffer is alive through the transform: about 1.8 times its

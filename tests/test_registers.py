@@ -448,13 +448,16 @@ class TestFromColumns:
             assert state.nonzero_count() == cols.size
 
     def test_consumes_the_buffer_that_owns_the_matrix(self):
-        # The gate kernel returns a reshaped view of the array it copies into.
-        buffer = _column_matrix("some_dropped").reshape(-1).copy()
-        state = StateVector.from_columns(self.LAYOUT, SPARSE, self.YKEYS, buffer.reshape(8, 3))
-        assert state.nonzero_arrays()[1] is buffer
-        assert buffer.shape == (state.nonzero_count(),)
+        # Both kernels return the owning (q, m) matrix they were handed.
+        cols = _column_matrix("some_dropped")
+        assert cols.flags.owndata
+        state = StateVector.from_columns(self.LAYOUT, SPARSE, self.YKEYS, cols)
+        assert state.nonzero_arrays()[1] is cols
+        assert cols.shape == (state.nonzero_count(),)
 
-    @pytest.mark.parametrize("layout", ["fortran", "read_only", "part_of_a_wider_matrix"])
+    @pytest.mark.parametrize(
+        "layout", ["fortran", "read_only", "part_of_a_wider_matrix", "reshaped_view"]
+    )
     def test_copies_a_matrix_it_cannot_own(self, layout):
         matrix = _column_matrix("some_dropped")
         if layout == "fortran":
@@ -462,8 +465,11 @@ class TestFromColumns:
         elif layout == "read_only":
             cols = matrix.copy()
             cols.flags.writeable = False
-        else:
+        elif layout == "part_of_a_wider_matrix":
             cols = np.concatenate([matrix, matrix], axis=1)[:, :3]
+        else:
+            # A reshaped view of an owning buffer.
+            cols = matrix.reshape(-1).copy().reshape(8, 3)
         before = cols.copy()
         state = StateVector.from_columns(self.LAYOUT, SPARSE, self.YKEYS, cols)
         assert np.array_equal(cols, before)
