@@ -58,6 +58,7 @@ from .entanglement import (
 from .errors import (
     CapacityError,
     ConditioningError,
+    ConsumedStateError,
     InvalidOrderError,
     NormalizationError,
     NotCoprimeError,

@@ -68,7 +68,7 @@ _FLAGS = {
     "max_attempts": dict(type=_at_least(1), default=100),
     "samples_per_attempt": dict(type=_at_least(1), default=16),
     "multiplier_bound": dict(type=_at_least(1), default=8),
-    "qubit_cap": dict(type=int, default=DEFAULT_QUBIT_CAP),
+    "qubit_cap": dict(type=_at_least(1), default=DEFAULT_QUBIT_CAP),
     "output_dir": dict(default=".", help="where result files are written"),
     "format": dict(choices=["json", "csv", "both"], default="both"),
     "dump_state": dict(action="store_true", help="also write the pre-measurement state"),
@@ -300,12 +300,13 @@ def cmd_distribution(args) -> list[Check]:
     state = pipeline.run_pipeline(
         instance, ell=args.ell, backend=args.backend, qft=args.qft, qubit_cap=args.qubit_cap
     )
-    dist = distributions.measurement_distribution(state)
-    total = dist.total()
     _maybe_dump_state(args, state)
-    # The table shares the state's index; dropping the state frees its
-    # amplitudes before the reports allocate.
+    # Measuring consumes the state: its probabilities take over the
+    # amplitudes' buffer, so one full-size table is alive from here on.
+    dist = distributions.measurement_distribution(state)
     del state
+    total = dist.total()
+    outcome_count = dist.index.size
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,7 +320,7 @@ def cmd_distribution(args) -> list[Check]:
             marginals[name] = RecordTable((name[0], "probability"), (m.index, m.probs))
         summary = {
             "r": multiplicative_order(instance.x, instance.n),
-            "outcome_count": dist.index.size,
+            "outcome_count": outcome_count,
             "total_probability": total,
             "columns": dist.column_names(),
             "top_outcomes": [
@@ -328,10 +329,12 @@ def cmd_distribution(args) -> list[Check]:
             ],
             "marginals": marginals,
         }
+        # The report holds all it needs of the table.
+        del dist
         _write_json(args, summary, "distribution.json", [])
     print(
         f"n={instance.n} x={instance.x} q={instance.q} ell={args.ell}: "
-        f"{dist.index.size} outcomes, total probability {total:.12f}"
+        f"{outcome_count} outcomes, total probability {total:.12f}"
     )
     return []
 
@@ -343,9 +346,9 @@ def cmd_audit(args) -> list[Check]:
         pipeline.run_pipeline(instance, ell=1, **circuit)
     )
     state = pipeline.run_pipeline(instance, ell=args.ell, **circuit)
-    multi = distributions.measurement_distribution(state)
     _maybe_dump_state(args, state)
-    # Freed before the audit allocates its register columns.
+    # Measuring consumes the state, whose amplitudes' buffer the table takes.
+    multi = distributions.measurement_distribution(state)
     del state
     report = distributions.multi_register_audit(instance, single, multi)
     _write_json(args, report, "audit.json", report.checks)

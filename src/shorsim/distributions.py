@@ -190,12 +190,13 @@ def measurement_distribution(state: StateVector) -> OutcomeDistribution:
     """Squared-magnitude probabilities of every outcome, ascending like the
     state; entries at or below PROBABILITY_FLOOR are omitted.
 
-    The magnitudes are squared in place, the same bits as `np.abs(amps) ** 2`
-    without its second array. Where the floor omits nothing, the table's
-    `index` is the state's read-only index array itself, not a copy."""
-    index, amps = state.nonzero_arrays()
-    probs = np.abs(amps)
-    np.square(probs, out=probs)
+    Measuring consumes the state (`StateVector.take_probabilities`): every
+    later read of it raises ConsumedStateError. The probabilities, the bits
+    of `np.abs(amps) ** 2`, take over the state's amplitude buffer where
+    nothing else references it, and are a new array where something does.
+    Where the floor omits nothing, the table's `index` is the state's
+    read-only index array itself, not a copy."""
+    index, probs = state.take_probabilities()
     require_unit_norm(probs)
     kept = probs > PROBABILITY_FLOOR
     if not kept.all():
@@ -434,13 +435,16 @@ def multi_register_audit(
     # Every equal-register outcome (c, y, ..., y) compared as (c, y) with every
     # outcome of the one-register table; an outcome missing from a table has
     # probability 0, so mass either table puts off the residues x^k counts.
-    c_multi, *ys = multi.registers()
+    # One register column at a time; (c, y_1) is the index's top bits.
+    first = multi.register(2)
     unequal = np.zeros(multi.index.size, dtype=bool)
-    for y in ys[1:]:
-        unequal |= y != ys[0]
+    for position in range(3, ell + 2):
+        unequal |= multi.register(position) != first
+    del first
     equal = ~unequal
     worst = max_abs_difference(
-        (c_multi[equal] << many.L) | ys[0][equal], multi.probs[equal], single.index, single.probs
+        multi.index[equal] >> ((ell - 1) * many.L), multi.probs[equal],
+        single.index, single.probs,
     )
     unequal_mass = sequential_sum(multi.probs[unequal])
 

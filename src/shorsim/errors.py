@@ -35,6 +35,10 @@ class StageOrderError(ShorSimError):
     """A pipeline stage was applied to a state violating its precondition."""
 
 
+class ConsumedStateError(StageOrderError):
+    """A state was read after measuring it consumed its storage."""
+
+
 class NormalizationError(ShorSimError):
     """A state or distribution is not normalized within tolerance."""
 

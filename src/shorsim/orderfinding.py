@@ -92,25 +92,14 @@ class ColumnSampler:
         ascending) as above: 1/sqrt(q) is scattered into one zeroed matrix at
         (a, j) wherever y_of_a[a] = ys[j], which `dft_columns` transforms.
 
-        The probabilities take the transform's buffer: one block of
-        COMPACT_CELLS cells at a time, `np.abs` then `np.square` (the bits of
-        `np.abs(cols) ** 2`) write over amplitudes already read, at the
-        front; then the buffer shrinks to them."""
+        The probabilities take the transform's buffer
+        (`registers.square_in_place`, the bits of `np.abs(cols) ** 2`)."""
         j = np.searchsorted(ys, self.y_of_a)
         a = np.flatnonzero(ys[np.minimum(j, ys.size - 1)] == self.y_of_a)
         cols = np.zeros((self.q, ys.size), dtype=complex)
         cols[a, j[a]] = 1 / np.sqrt(self.q)
         cols = _kernels.dft_columns(cols)
-        amps = cols.reshape(-1)
-        floats = amps.view(np.float64)
-        for start in range(0, amps.size, registers.COMPACT_CELLS):
-            block = np.abs(amps[start : start + registers.COMPACT_CELLS])
-            np.square(block, out=floats[start : start + block.size])
-        # q is even, so the floats fill whole cells. Resized without a
-        # reference check: the views above are not read again.
-        del amps, floats
-        cols.resize(self.q * ys.size // 2, refcheck=False)
-        return cols.view(np.float64).reshape(self.q, ys.size)
+        return registers.square_in_place(cols).reshape(self.q, ys.size)
 
     def column(self, y: int) -> tuple[np.ndarray, np.ndarray]:
         """(c, P(c, y)) over the c of column y whose probability exceeds

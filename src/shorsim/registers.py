@@ -20,8 +20,9 @@ dense storage, amplitudes at or below SPARSE_AMPLITUDE_FLOOR for sparse.
 Where `from_arrays` drops nothing from an ascending pair, the state takes
 the caller's arrays themselves, read-only from then on, so a stage's output
 is stored without a copy; `from_columns` compacts the kept cells within the
-matrix's own buffer and shrinks it to them. No state holds a flat array of
-2**(s + ell*L) amplitudes, so one capacity rule serves both backends.
+matrix's own buffer and shrinks it to them; measuring a state
+(`take_probabilities`) consumes it the same way. No state holds a flat array
+of 2**(s + ell*L) amplitudes, so one capacity rule serves both backends.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NotCoprimeError, RangeError
+from .errors import CapacityError, ConsumedStateError, NotCoprimeError, RangeError
 from .numtheory import gcd
 
 DEFAULT_QUBIT_CAP = 26
@@ -42,7 +45,8 @@ INDEX_BITS = 63
 SPARSE_AMPLITUDE_FLOOR = 1e-15
 NORM_TOLERANCE = 1e-12
 CSV_CHUNK_ROWS = 1 << 13
-# Cells per row block when `from_columns` compacts a transformed matrix.
+# Cells per block when `from_columns` compacts a transformed matrix,
+# `square_in_place` squares one and `max_abs_difference` pairs keys.
 COMPACT_CELLS = 1 << 14
 
 DENSE = "dense"
@@ -192,6 +196,26 @@ def _stored(backend: str, amps: np.ndarray) -> np.ndarray:
     return amps != 0 if backend == DENSE else np.abs(amps) > SPARSE_AMPLITUDE_FLOOR
 
 
+def square_in_place(amps: np.ndarray) -> np.ndarray:
+    """The squared magnitudes of `amps` as a flat float64 array in `amps`'
+    own buffer, with the bits of `np.abs(amps) ** 2` and no second full-size
+    array. One block of COMPACT_CELLS cells at a time, `np.abs` then
+    `np.square` write over amplitudes already read, at the front; then the
+    buffer shrinks to them. `amps` must be a writable C-contiguous
+    complex128 array that owns its buffer; it is consumed, and nothing may
+    read it again."""
+    flat = amps.reshape(-1)
+    floats = flat.view(np.float64)
+    size = flat.size
+    for start in range(0, size, COMPACT_CELLS):
+        block = np.abs(flat[start : start + COMPACT_CELLS])
+        np.square(block, out=floats[start : start + block.size])
+    # Resized without a reference check: the views above are not read again.
+    del flat, floats
+    amps.resize(-(-size // 2), refcheck=False)
+    return amps.view(np.float64)[:size]
+
+
 class StateVector:
     """Complex amplitudes over the full register space, stored by their support.
 
@@ -203,6 +227,10 @@ class StateVector:
     one with `from_arrays`, or with `from_columns` from a (q, m) matrix. The
     constructor also takes a dict from packed index to amplitude, and `data`
     turns the pair into such a dict, for code that edits entries in place.
+
+    Ownership: measuring consumes a state (`take_probabilities`); from then
+    on `nonzero_arrays`, `data`, `dump`, `nonzero_count` and every other
+    read raise ConsumedStateError.
     """
 
     def __init__(self, layout: RegisterLayout, backend: str, data):
@@ -216,9 +244,15 @@ class StateVector:
         """The entries as a dict from packed index to amplitude, made on first
         access and kept: from then on it is the state's storage, so edits to
         it stick."""
-        if isinstance(self._data, tuple):
+        if isinstance(self._entries(), tuple):
             index, amps = self._data
             self._data = dict(zip(index.tolist(), amps.tolist()))
+        return self._data
+
+    def _entries(self):
+        """The stored pair or dict, unless the state was consumed."""
+        if self._data is None:
+            raise ConsumedStateError("the state was consumed by measuring it")
         return self._data
 
     @classmethod
@@ -326,7 +360,7 @@ class StateVector:
         """(packed indices, amplitudes) of the stored nonzero entries, the
         indices ascending: the stored read-only pair, without a copy, unless
         the entries were opened as a dict."""
-        if isinstance(self._data, tuple):
+        if isinstance(self._entries(), tuple):
             return self._data
         count = len(self._data)
         index = np.fromiter(self._data.keys(), dtype=np.int64, count=count)
@@ -340,11 +374,40 @@ class StateVector:
     def nonzero_count(self) -> int:
         return self.nonzero_arrays()[0].size
 
+    def take_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """Consume the state and return (packed indices, squared magnitudes),
+        ascending, the magnitudes with the bits of `np.abs(amps) ** 2`.
+
+        Where the state alone references its amplitude array, the
+        probabilities take over that array's buffer (`square_in_place`).
+        Where anything else still does (a dense state's `densify` twin, which
+        shares the pair, or a caller that kept the arrays it passed to
+        `from_arrays`), they are a new array, and the holder's amplitudes
+        keep their bytes."""
+        index, amps = self.nonzero_arrays()
+        self._data = None
+        # The test `ndarray.resize(refcheck=True)` makes: an array that owns
+        # its buffer, no weak reference, and no reference beyond `amps`
+        # itself, counted against a fresh array's so that the interpreter's
+        # own references cancel.
+        fresh = np.empty(0)
+        if (
+            amps.flags.owndata
+            and amps.flags.c_contiguous
+            and weakref.getweakrefcount(amps) == 0
+            and sys.getrefcount(amps) <= sys.getrefcount(fresh)
+        ):
+            amps.flags.writeable = True
+            return index, square_in_place(amps)
+        probs = np.abs(amps)
+        np.square(probs, out=probs)
+        return index, probs
+
     def densify(self) -> "StateVector":
         """Dense state with identical amplitudes; a dense state's copy shares
         its read-only pair."""
         if self.backend == DENSE:
-            return StateVector(self.layout, DENSE, self._data)
+            return StateVector(self.layout, DENSE, self._entries())
         return StateVector.from_arrays(self.layout, DENSE, *self.nonzero_arrays())
 
     def sparsify(self) -> "StateVector":
@@ -404,16 +467,46 @@ def distinct_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, keys)
 
 
+def _ascending_sums(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table (index, values) as it is where its keys ascend without
+    repeats; else its distinct keys, ascending, each with the sum of its
+    values in the order given."""
+    if np.all(index[1:] > index[:-1]):
+        return index, values
+    keys, slot = distinct_positions(index)
+    sums = np.zeros(keys.size, dtype=values.dtype)
+    np.add.at(sums, slot, values)
+    return keys, sums
+
+
 def max_abs_difference(
     index_a: np.ndarray, values_a: np.ndarray, index_b: np.ndarray, values_b: np.ndarray
 ) -> float:
     """Max |a - b| over the union of the keys of two (index, values) tables, a
     key missing from a table read as 0 and a repeated key summing its values;
-    0.0 when both tables are empty."""
-    keys, slot = distinct_positions(np.concatenate([index_a, index_b]))
-    difference = np.zeros(keys.size, dtype=np.result_type(values_a, values_b))
-    np.add.at(difference, slot, np.concatenate([values_a, -values_b]))
-    return float(np.abs(difference).max(initial=0.0))
+    0.0 when both tables are empty.
+
+    A side whose keys ascend without repeats, as every caller's do, is read
+    as it is; another is sorted first, its repeats summed. Then each block of
+    COMPACT_CELLS keys of `a` finds its partner in `b` by `searchsorted`, so
+    no array spans both tables."""
+    index_a, values_a = _ascending_sums(np.asarray(index_a), np.asarray(values_a))
+    index_b, values_b = _ascending_sums(np.asarray(index_b), np.asarray(values_b))
+    dtype = np.result_type(values_a, values_b)
+    paired = np.zeros(index_b.size, dtype=bool)
+    worst = 0.0
+    for start in range(0, index_a.size, COMPACT_CELLS):
+        keys = index_a[start : start + COMPACT_CELLS]
+        difference = values_a[start : start + COMPACT_CELLS].astype(dtype)
+        at = np.searchsorted(index_b, keys)
+        hit = at < index_b.size
+        hit[hit] = index_b[at[hit]] == keys[hit]
+        at = at[hit]
+        difference[hit] -= values_b[at]
+        paired[at] = True
+        # np.maximum, unlike max, carries a NaN through.
+        worst = np.maximum(worst, np.abs(difference).max())
+    return float(np.maximum(worst, np.abs(values_b[~paired]).max(initial=0.0)))
 
 
 # One writer, `write_row_blocks` (`write_rows` hands it whole columns), writes

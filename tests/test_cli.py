@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shorsim import distributions, pipeline
+from tracing import traced_peak
+from shorsim import distributions, numtheory, pipeline
 from shorsim.cli import _top_rows, build_parser, main
 from shorsim.distributions import measurement_distribution
 from shorsim.pipeline import run_pipeline
@@ -52,6 +53,18 @@ def scale_first_column(transform):
 
 
 class TestDistributionCommand:
+    def test_one_full_size_table_at_a_time(self, tmp_path):
+        # The state is dumped, then measured into its own buffer; the total
+        # is taken once the state is gone, and the table goes before the JSON
+        # is written: about 1.98 times the complex (q x m) matrix's bytes,
+        # 2.75 with the probabilities beside the amplitudes.
+        inst = ProblemInstance(99, 73)
+        m = np.unique(numtheory.mod_pow_range(inst.x, inst.q, inst.n)).size
+        argv = ["distribution", "--n", "99", "--x", "73", "--output-dir", str(tmp_path)]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak < 2.3 * 16 * inst.q * m
+
     def test_writes_csv_and_json(self, tmp_path, capsys):
         code = main(
             ["distribution", "--n", "15", "--x", "7", "--output-dir", str(tmp_path)]
@@ -487,6 +500,8 @@ class TestRecordedConfig:
         ["entanglement", "--n", "15", "--x", "7", "--ell", "0"],
         ["audit", "--n", "15", "--x", "7", "--ell", "1"],
         ["distribution", "--n", "15", "--x", "7", "--top", "-1"],
+        ["distribution", "--n", "15", "--x", "7", "--qubit-cap", "0"],
+        ["distribution", "--n", "15", "--x", "7", "--qubit-cap", "-1"],
         ["factor", "--n", "35", "--seed", "1", "--max-attempts", "0"],
         ["factor", "--n", "35", "--seed", "1", "--samples-per-attempt", "0"],
         ["factor", "--n", "35", "--seed", "1", "--multiplier-bound", "0"],

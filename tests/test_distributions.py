@@ -19,7 +19,12 @@ from shorsim.distributions import (
     multi_register_audit,
     shor_bound_report,
 )
-from shorsim.errors import ConditioningError, NormalizationError, RangeError
+from shorsim.errors import (
+    ConditioningError,
+    ConsumedStateError,
+    NormalizationError,
+    RangeError,
+)
 from shorsim.numtheory import euler_phi, mod_pow, multiplicative_order, prime_factors
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import DENSE, SPARSE, ProblemInstance, RegisterLayout, StateVector
@@ -76,14 +81,53 @@ class TestMeasurementDistribution:
 
     @pytest.mark.parametrize("n, x", [(35, 2), (99, 73)])
     def test_squares_in_place_and_shares_the_state_index(self, n, x):
-        # One float64 array, half the amplitude bytes: no second array for the
-        # square and, where the floor omits nothing, no copied index or probs.
+        # The probabilities take the amplitudes' buffer, shrunk to half its
+        # bytes: no second array for the square and, where the floor omits
+        # nothing, no copied index or probs. (tracemalloc counts the shrunk
+        # buffer as new, since it was allocated before tracing began.)
         state = run_pipeline(ProblemInstance(n, x), qft="gates")
         index, amps = state.nonzero_arrays()
+        expected = (np.abs(amps) ** 2).tobytes()
+        nbytes, buffer = amps.nbytes, id(amps)
+        del amps
         dist, peak = traced_peak(lambda: measurement_distribution(state))
-        assert peak < 0.8 * amps.nbytes
+        assert peak < 0.8 * nbytes
         assert dist.index.size == index.size
         assert np.shares_memory(dist.index, index)
+        assert id(dist.probs.base) == buffer
+        assert dist.probs.tobytes() == expected
+
+    def test_a_measured_state_raises_on_every_read(self, tmp_path):
+        state = run_pipeline(INST_15_7, ell=2)
+        measurement_distribution(state)
+        for read in (
+            state.nonzero_arrays,
+            state.nonzero_count,
+            lambda: state.data,
+            lambda: state.dump(tmp_path / "state.txt"),
+            state.densify,
+            lambda: measurement_distribution(state),
+        ):
+            with pytest.raises(ConsumedStateError, match="consumed"):
+                read()
+        assert not (tmp_path / "state.txt").exists()
+
+    def test_arrays_held_elsewhere_keep_their_bytes(self):
+        # A dense state's densify twin shares its pair, and a caller may keep
+        # the arrays it handed from_arrays: measuring squares into a new
+        # array, and those amplitudes stay readable and unchanged.
+        state = run_pipeline(INST_21_2, ell=2, backend=DENSE)
+        twin = state.densify()
+        twin_amps = twin.nonzero_arrays()[1].tobytes()
+        dist = measurement_distribution(state)
+        assert twin.nonzero_arrays()[1].tobytes() == twin_amps
+        assert dist.probs.tobytes() == (np.abs(twin.nonzero_arrays()[1]) ** 2).tobytes()
+
+        index, amps = (array.copy() for array in twin.nonzero_arrays())
+        kept = amps.tobytes()
+        dist = measurement_distribution(StateVector.from_arrays(twin.layout, SPARSE, index, amps))
+        assert amps.tobytes() == kept
+        assert dist.probs.base is None
         assert dist.probs.tobytes() == (np.abs(amps) ** 2).tobytes()
 
 
@@ -456,6 +500,18 @@ class TestAudit:
             ("equal_outcome_discrepancy", False),
             ("unequal_register_mass", True),
         ]
+
+    def test_register_columns_are_made_one_at_a_time(self):
+        # One register column beside the unequal mask, and keys paired with
+        # the one-register table by blocks: about 2.8 times the ell-register
+        # table's probability bytes, 14 with every register column and the
+        # sorted concatenation of both tables' keys.
+        inst = ProblemInstance(99, 73)
+        single = measurement_distribution(run_pipeline(inst))
+        multi = measurement_distribution(run_pipeline(inst, ell=3))
+        report, peak = traced_peak(lambda: multi_register_audit(inst, single, multi))
+        assert report.equal_outcome_discrepancy <= 1e-12
+        assert peak < 4 * multi.probs.nbytes
 
     def test_json_fields(self):
         # Measurements only: the verdicts live in `checks`.

@@ -294,7 +294,9 @@ class TestStateVector:
         assert _closed_form_miss(inst, state) <= 1e-12
 
         # A fault injected into a stage can rewrite `data` in any order;
-        # readers still see the entries ascending.
+        # readers still see the entries ascending. Measuring consumed the
+        # state above, so the faults edit a second run.
+        state = run_pipeline(inst, ell=2)
         items = reversed(state.data.items())
         faulty = StateVector(state.layout, SPARSE, {i ^ 1: v for i, v in items})
         assert list(faulty.data) != sorted(faulty.data)
