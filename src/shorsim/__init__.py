@@ -65,7 +65,6 @@ from .errors import (
     RangeError,
     ShorSimError,
     StageOrderError,
-    UndefinedInputError,
     UnsuitableInputError,
 )
 from .numtheory import (
@@ -73,8 +72,6 @@ from .numtheory import (
     continued_fraction_convergents,
     euler_phi,
     factor_from_order,
-    gcd,
-    mod_pow,
     multiplicative_order,
     recover_order_from_sample,
 )

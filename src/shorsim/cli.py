@@ -37,7 +37,7 @@ import numpy as np
 from . import distributions, entanglement, orderfinding, pipeline
 from .checks import Check
 from .errors import ShorSimError, UnsuitableInputError
-from .numtheory import gcd, multiplicative_order
+from .numtheory import multiplicative_order
 from .registers import DEFAULT_QUBIT_CAP, ProblemInstance, write_rows
 
 SCHEMA_VERSION = 3
@@ -127,7 +127,7 @@ def _resolve_base(n: int, x: int | None, seed: int) -> int:
     rng = np.random.default_rng(seed)
     while True:
         candidate = int(rng.integers(2, n - 1, endpoint=True))
-        if gcd(candidate, n) == 1:
+        if math.gcd(candidate, n) == 1:
             return candidate
 
 

@@ -420,8 +420,10 @@ def multi_register_audit(
     against that of the one-register run (`single`) on the same registers.
 
     Joint probabilities are the tables' entries. The conditional reading is
-    reported alongside as a labeled alternative, computed from `multi` via
-    `conditional`.
+    reported alongside as a labeled alternative: the modal outcome's joint
+    probability divided by the sequential sum over the outcomes whose function
+    registers hold its values, the one division `conditional` makes for that
+    entry, so it has the bits of `conditional(multi, given)`'s entry.
     """
     one, many = single.layout, multi.layout
     if not (one.ell == 1 < many.ell and (one.s, one.L) == (many.s, many.L)):
@@ -449,12 +451,13 @@ def multi_register_audit(
     unequal_mass = sequential_sum(multi.probs[unequal])
 
     # The most probable outcome; ties go to the largest, the last in the table.
+    # Its function registers are the index's low ell * L bits. The mask of the
+    # rows that share them is made after the pairing and freed at once, so no
+    # state-length column sits beside the pairing's arrays.
     modal_joint = multi.probs.max()
     modal = np.flatnonzero(multi.probs == modal_joint)[-1]
-    modal_outcome = multi.outcome_tuples([modal])[0]
-    given = {pos: modal_outcome[pos - 1] for pos in range(2, ell + 2)}
-    given_ys = conditional(multi, given)
-    modal_conditional = given_ys.probs[np.searchsorted(given_ys.index, multi.index[modal])]
+    ys = many.right_dim - 1
+    given_mass = sequential_sum(multi.probs[(multi.index & ys) == (multi.index[modal] & ys)])
 
     return AuditReport(
         n=instance.n,
@@ -464,7 +467,7 @@ def multi_register_audit(
         ell=ell,
         equal_outcome_discrepancy=worst,
         unequal_register_mass=float(unequal_mass),
-        modal_outcome=modal_outcome,
+        modal_outcome=multi.outcome_tuples([modal])[0],
         modal_joint_probability=float(modal_joint),
-        modal_conditional_probability=float(modal_conditional),
+        modal_conditional_probability=float(modal_joint / given_mass),
     )

@@ -64,6 +64,9 @@ def schmidt_spectrum(state: StateVector, cut_after: int) -> SchmidtSpectrum:
         )
     matrix = np.zeros((rows, cols), dtype=np.complex128)
     matrix[row_of, col_of] = amps
+    # The row and column positions are as long as the state: drop them, and
+    # every name for the state's arrays, before the Gram product's conj().
+    del index, amps, row_keys, row_of, col_keys, col_of
     if rows <= cols:
         gram = matrix @ matrix.conj().T
     else:

@@ -5,10 +5,6 @@ class ShorSimError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UndefinedInputError(ShorSimError, ValueError):
-    """An input combination for which the operation is mathematically undefined."""
-
-
 class NotCoprimeError(ShorSimError, ValueError):
     """gcd(x, n) != 1; carries the common factor, which already splits n."""
 

@@ -1,7 +1,8 @@
 """Classical arithmetic: orders, totients, continued fractions, order-to-factor reduction.
 
 All functions are pure. The scalar ones operate on Python integers, so
-intermediate products are arbitrary precision. `multiplicative_order` is the
+intermediate products are arbitrary precision; a scalar modular power or gcd
+is the built-in `pow(x, e, n)` or `math.gcd`. `multiplicative_order` is the
 brute-force ground-truth oracle the rest of the package is verified against.
 `prime_factors` is the one trial-division loop: the totient, the factoring
 driver's input screen and its order reduction all read it.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidOrderError, NotCoprimeError, UndefinedInputError
+from .errors import InvalidOrderError, NotCoprimeError
 
 INT64_LIMIT = 2**63
 
@@ -35,34 +36,14 @@ class FactorPair:
         if not (1 < self.f1 <= self.f2):
             raise ValueError(f"factors must satisfy 1 < f1 <= f2, got ({self.f1}, {self.f2})")
 
-    @property
-    def product(self) -> int:
-        return self.f1 * self.f2
-
     @staticmethod
     def of(n: int, a: int, b: int) -> "FactorPair":
         """Build a sorted pair and check it actually splits n."""
         f1, f2 = sorted((a, b))
         pair = FactorPair(f1, f2)
-        if pair.product != n or not (1 < f1 and f2 < n):
+        if f1 * f2 != n or not (1 < f1 and f2 < n):
             raise ValueError(f"({a}, {b}) is not a nontrivial factorization of {n}")
         return pair
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two non-negative integers (not both zero)."""
-    if a == 0 and b == 0:
-        raise UndefinedInputError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def mod_pow(x: int, e: int, n: int) -> int:
-    """x**e mod n via repeated squaring; result in [0, n)."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    if e < 0:
-        raise ValueError(f"exponent must be non-negative, got {e}")
-    return pow(x, e, n)
 
 
 def mod_pow_range(x: int, count: int, n: int) -> np.ndarray:
@@ -198,7 +179,6 @@ def order_recovery_steps(c: int, q: int, x: int, n: int, multiplier_bound: int):
             candidate = m * t
             if candidate >= n:
                 break
-            # 1 <= candidate < n, so mod_pow's argument checks cannot fail here.
             verified = pow(x, candidate, n) == 1
             checks.append((candidate, m, verified))
             if verified:
@@ -255,11 +235,11 @@ def factor_from_order(n: int, x: int, r: int) -> FactorPair | None:
     Requires x^r = 1 (mod n). Returns None when r is odd, when
     x^(r/2) = -1 (mod n), or when either gcd is trivial.
     """
-    if r < 1 or mod_pow(x, r, n) != 1:
+    if r < 1 or pow(x, r, n) != 1:
         raise InvalidOrderError(f"{x}^{r} != 1 (mod {n})")
     if r % 2 != 0:
         return None
-    h = mod_pow(x, r // 2, n)
+    h = pow(x, r // 2, n)
     if h == n - 1:
         return None
     f1 = math.gcd(h - 1, n)

@@ -11,6 +11,7 @@ order-finding attempt, so whole runs replay exactly from (n, seed, budgets).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,8 +29,6 @@ from .numtheory import (
     FactorPair,
     euler_phi,
     factor_from_order,
-    gcd,
-    mod_pow,
     mod_pow_range,
     multiplicative_order,
     order_recovery_steps,
@@ -132,7 +131,7 @@ def _minimal_verified_order(x: int, n: int, candidate: int) -> int:
     leaves exactly the order when candidate is verified, and candidate otherwise."""
     d = candidate
     for p, _ in prime_factors(candidate):
-        while d % p == 0 and mod_pow(x, d // p, n) == 1:
+        while d % p == 0 and pow(x, d // p, n) == 1:
             d //= p
     return d
 
@@ -307,7 +306,7 @@ def factor(
     pair = None
     for attempt in range(1, max_attempts + 1):
         x = int(rng.integers(2, n - 1, endpoint=True))
-        g = gcd(x, n)
+        g = math.gcd(x, n)
         if g > 1:
             pair = FactorPair.of(n, g, n // g)
             attempts.append(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import sys
 import weakref
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConsumedStateError, NotCoprimeError, RangeError
-from .numtheory import gcd
 
 DEFAULT_QUBIT_CAP = 26
 # Packed indices are int64 arrays, so s + ell*L may not exceed 63.
@@ -75,7 +75,7 @@ class ProblemInstance:
             raise ValueError(f"n must be >= 3, got {self.n}")
         if not 1 < self.x < self.n:
             raise ValueError(f"base must satisfy 1 < x < n, got x={self.x}, n={self.n}")
-        g = gcd(self.x, self.n)
+        g = math.gcd(self.x, self.n)
         if g != 1:
             raise NotCoprimeError(self.x, self.n, g)
 
@@ -256,11 +256,6 @@ class StateVector:
         return self._data
 
     @classmethod
-    def zeros(cls, layout: RegisterLayout, backend: str = SPARSE) -> "StateVector":
-        empty = np.empty(0, dtype=np.int64)
-        return cls.from_arrays(layout, backend, empty, empty.astype(np.complex128))
-
-    @classmethod
     def from_arrays(
         cls, layout: RegisterLayout, backend: str, index: np.ndarray, amps: np.ndarray
     ) -> "StateVector":
@@ -404,10 +399,8 @@ class StateVector:
         return index, probs
 
     def densify(self) -> "StateVector":
-        """Dense state with identical amplitudes; a dense state's copy shares
-        its read-only pair."""
-        if self.backend == DENSE:
-            return StateVector(self.layout, DENSE, self._entries())
+        """Dense state with identical amplitudes, written by `from_arrays`; a
+        dense state's copy keeps its read-only pair, which drops nothing."""
         return StateVector.from_arrays(self.layout, DENSE, *self.nonzero_arrays())
 
     def sparsify(self) -> "StateVector":
@@ -467,31 +460,19 @@ def distinct_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, keys)
 
 
-def _ascending_sums(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The table (index, values) as it is where its keys ascend without
-    repeats; else its distinct keys, ascending, each with the sum of its
-    values in the order given."""
-    if np.all(index[1:] > index[:-1]):
-        return index, values
-    keys, slot = distinct_positions(index)
-    sums = np.zeros(keys.size, dtype=values.dtype)
-    np.add.at(sums, slot, values)
-    return keys, sums
-
-
 def max_abs_difference(
     index_a: np.ndarray, values_a: np.ndarray, index_b: np.ndarray, values_b: np.ndarray
 ) -> float:
     """Max |a - b| over the union of the keys of two (index, values) tables, a
-    key missing from a table read as 0 and a repeated key summing its values;
-    0.0 when both tables are empty.
+    key missing from a table read as 0; 0.0 when both tables are empty.
 
-    A side whose keys ascend without repeats, as every caller's do, is read
-    as it is; another is sorted first, its repeats summed. Then each block of
-    COMPACT_CELLS keys of `a` finds its partner in `b` by `searchsorted`, so
-    no array spans both tables."""
-    index_a, values_a = _ascending_sums(np.asarray(index_a), np.asarray(values_a))
-    index_b, values_b = _ascending_sums(np.asarray(index_b), np.asarray(values_b))
+    Each table's keys must ascend without repeats, as every caller's do; a
+    table that breaks this raises ValueError before any pairing. Each block
+    of COMPACT_CELLS keys of `a` finds its partner in `b` by `searchsorted`,
+    so no array spans both tables."""
+    index_a, values_a, index_b, values_b = map(np.asarray, (index_a, values_a, index_b, values_b))
+    if np.any(index_a[1:] <= index_a[:-1]) or np.any(index_b[1:] <= index_b[:-1]):
+        raise ValueError("a table's keys must ascend without repeats")
     dtype = np.result_type(values_a, values_b)
     paired = np.zeros(index_b.size, dtype=bool)
     worst = 0.0

@@ -25,7 +25,7 @@ from shorsim.entanglement import (
     schmidt_spectrum,
     von_neumann_entropy,
 )
-from shorsim.numtheory import mod_pow, multiplicative_order
+from shorsim.numtheory import multiplicative_order
 from shorsim.orderfinding import factor, success_rate_estimate
 from shorsim.pipeline import (
     apply_modexp_fanout,
@@ -59,7 +59,7 @@ def test_01_analytic_matches_simulation_everywhere():
             probabilities = as_dict(dist)
             for c in range(inst.q):
                 for k in range(r):
-                    y = mod_pow(x, k, n)
+                    y = pow(x, k, n)
                     diff = abs(
                         probabilities.get((c, y), 0.0)
                         - analytic_joint_probability(inst, r, c, k)

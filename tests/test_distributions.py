@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import as_dict
 from tracing import traced_peak
-from shorsim import distributions
+from shorsim import distributions, pipeline
 from shorsim.cli import format_json
 from shorsim.distributions import (
     OutcomeDistribution,
@@ -25,7 +25,7 @@ from shorsim.errors import (
     NormalizationError,
     RangeError,
 )
-from shorsim.numtheory import euler_phi, mod_pow, multiplicative_order, prime_factors
+from shorsim.numtheory import euler_phi, multiplicative_order, prime_factors
 from shorsim.pipeline import run_pipeline
 from shorsim.registers import DENSE, SPARSE, ProblemInstance, RegisterLayout, StateVector
 
@@ -61,7 +61,7 @@ class TestMeasurementDistribution:
         assert all(0.0 <= p <= 1.0 for p in dist_21_2.entries.values())
 
     def test_support_is_powers_of_base(self, dist_21_2):
-        residues = {mod_pow(2, k, 21) for k in range(multiplicative_order(2, 21))}
+        residues = {pow(2, k, 21) for k in range(multiplicative_order(2, 21))}
         assert {y for (_, y) in dist_21_2.entries} <= residues
 
     def test_rejects_unnormalized_state(self):
@@ -151,7 +151,7 @@ def test_simulation_matches_closed_form_over_many_inputs(data):
     c, *ys = dist.registers()
     assert all(np.array_equal(y, ys[0]) for y in ys[1:])
     exponent = np.full(n, -1)
-    exponent[[mod_pow(x, k, n) for k in range(r)]] = np.arange(r)
+    exponent[[pow(x, k, n) for k in range(r)]] = np.arange(r)
     k = exponent[ys[0]]
     assert (k >= 0).all()
     # The closed form, memoized per (c, term count): k < q mod r has one more
@@ -261,7 +261,7 @@ class TestAnalyticJointProbability:
         worst = 0.0
         for c in range(inst.q):
             for k in range(r):
-                y = mod_pow(inst.x, k, inst.n)
+                y = pow(inst.x, k, inst.n)
                 diff = abs(
                     table.get((c, y), 0.0)
                     - analytic_joint_probability(inst, r, c, k)
@@ -292,7 +292,7 @@ class TestMarginalConditional:
     def test_function_marginal_uniform(self, dist_15_7):
         m = marginal(dist_15_7, (2,))
         for k in range(4):
-            y = mod_pow(7, k, 15)
+            y = pow(7, k, 15)
             assert as_dict(m)[(y,)] == pytest.approx(1 / 4, abs=1e-12)
 
     def test_empty_keep_rejected(self, dist_15_7):
@@ -443,7 +443,7 @@ class TestUniformSupportWhenOrderDivides:
         for c in good:
             assert control.get((c,), 0.0) == pytest.approx(1 / r, abs=1e-12)
             for k in range(r):
-                y = mod_pow(x, k, 15)
+                y = pow(x, k, 15)
                 assert table.get((c, y), 0.0) == pytest.approx(
                     1 / r**2, abs=1e-12
                 )
@@ -475,6 +475,42 @@ class TestAudit:
         assert report.modal_conditional_probability == pytest.approx(
             report.r * report.modal_joint_probability, abs=1e-12
         )
+
+    @pytest.mark.parametrize("table", ["clean", "register 2 writes x^(a+1)", "tied maximum"])
+    def test_modal_conditional_is_the_conditional_tables_entry(self, monkeypatch, table):
+        # The audit divides the modal joint probability by its conditioning
+        # event's mass itself; that must be `conditional`'s entry bit for bit.
+        if table == "tied maximum":
+            # (2, 4, 4) ties (0, 1, 1) and wins as the last; its event also
+            # holds (3, 4, 4) but not (5, 4, 7).
+            layout = INST_15_7.layout(ell=2)
+            rows = [((0, 1, 1), 0.3), ((1, 1, 1), 0.1), ((2, 4, 4), 0.3),
+                    ((3, 4, 4), 0.2), ((5, 4, 7), 0.1)]
+            index = np.array([layout.pack_index(c, ys) for (c, *ys), _ in rows])
+            probs = np.array([p for _, p in rows])
+            multi = OutcomeDistribution(layout, (1, 2, 3), index, probs)
+        else:
+            if table != "clean":
+                fanout = pipeline.apply_modexp_fanout
+
+                def faulty(state, instance):
+                    index, amps = fanout(state, instance).nonzero_arrays()
+                    a = index >> (2 * state.layout.L)
+                    shifted = np.array([pow(instance.x, v + 1, instance.n) for v in a.tolist()])
+                    index = index - (index & (state.layout.function_dim - 1)) + shifted
+                    return StateVector.from_arrays(state.layout, state.backend, index, amps)
+
+                monkeypatch.setattr(pipeline, "apply_modexp_fanout", faulty)
+            multi = measurement_distribution(run_pipeline(INST_15_7, ell=2))
+        single = measurement_distribution(run_pipeline(INST_15_7, ell=1))
+        report = multi_register_audit(INST_15_7, single, multi)
+        assert (report.unequal_register_mass > 0.0) == (table != "clean")
+        given = {2: report.modal_outcome[1], 3: report.modal_outcome[2]}
+        expected = conditional(multi, given).entries[report.modal_outcome]
+        assert report.modal_conditional_probability == expected
+        if table == "tied maximum":
+            assert report.modal_outcome == (2, 4, 4)
+            assert expected == 0.3 / (0.3 + 0.2)
 
     def test_requires_two_registers(self, dist_15_7, dist_15_7_ell2):
         dist_21_2_ell2 = measurement_distribution(run_pipeline(INST_21_2, ell=2))

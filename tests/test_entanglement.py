@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import as_dict
+from tracing import traced_peak
 from shorsim.distributions import marginal, measurement_distribution
 from shorsim.entanglement import (
     SchmidtSpectrum,
@@ -15,7 +16,7 @@ from shorsim.entanglement import (
 )
 from shorsim import entanglement, pipeline
 from shorsim.errors import CapacityError, RangeError
-from shorsim.numtheory import mod_pow, multiplicative_order
+from shorsim.numtheory import multiplicative_order
 from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
 from shorsim.registers import DENSE, SPARSE, ProblemInstance, RegisterLayout, StateVector
 
@@ -77,6 +78,17 @@ class TestSchmidtSpectrum:
                 got = schmidt_spectrum(state, cut_after=cut).eigenvalues
                 assert np.max(np.abs(np.array(got) - expected[: len(got)])) <= 1e-12
                 assert np.all(expected[len(got):] <= 1e-12)
+
+    def test_positions_are_freed_before_the_gram_product(self):
+        # The amplitude matrix and its conjugate, each the size of the state's
+        # amplitudes, with no state-length position array beside them: about
+        # 2.55 times the amplitude bytes, 3.05 while the row and column
+        # positions stayed.
+        state = run_pipeline(ProblemInstance(99, 73))
+        amps_bytes = state.nonzero_arrays()[1].nbytes
+        spectrum, peak = traced_peak(lambda: schmidt_spectrum(state, cut_after=1))
+        assert spectrum.rank() == multiplicative_order(73, 99)
+        assert peak < 2.8 * amps_bytes
 
     def test_side_cap_counts_occupied_values(self, monkeypatch):
         # Full dims 256 x 16, but only 4 columns are occupied.
@@ -192,7 +204,7 @@ class TestCorrelation:
     def test_contingency_diagonal(self, dist_ell2):
         report = register_correlation(dist_ell2, 2, 3)
         diagonal = {yi: p for yi, yj, p in report.table if yi == yj}
-        residues = {mod_pow(7, k, 15) for k in range(4)}
+        residues = {pow(7, k, 15) for k in range(4)}
         assert set(diagonal) == residues
         for value in diagonal.values():
             assert value == pytest.approx(0.25, abs=1e-12)

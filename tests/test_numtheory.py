@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shorsim.errors import InvalidOrderError, NotCoprimeError, UndefinedInputError
+from shorsim.errors import InvalidOrderError, NotCoprimeError
 from shorsim.numtheory import (
     FactorPair,
     continued_fraction_convergents,
     euler_phi,
     factor_from_order,
-    gcd,
-    mod_pow,
     mod_pow_range,
     multiplicative_order,
     order_recovery_steps,
@@ -40,36 +38,6 @@ def brute_order(x, n):
     return r
 
 
-class TestGcd:
-    def test_examples(self):
-        assert gcd(48, 15) == 3
-        assert gcd(7, 1) == 1
-        assert gcd(0, 9) == 9
-
-    def test_both_zero_is_undefined(self):
-        with pytest.raises(UndefinedInputError):
-            gcd(0, 0)
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(7, 4, 15) == 1  # 7^4 = 2401 = 160*15 + 1
-        assert mod_pow(2, 6, 21) == 1
-        for x, n in [(3, 7), (10, 21), (999, 1000)]:
-            assert mod_pow(x, 0, n) == 1
-
-    def test_matches_brute_multiplication(self):
-        for x in range(2, 12):
-            acc = 1
-            for e in range(0, 40):
-                assert mod_pow(x, e, 1009) == acc
-                acc = (acc * x) % 1009
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-
-
 class TestMultiplicativeOrder:
     def test_examples(self):
         assert multiplicative_order(7, 15) == 4
@@ -88,8 +56,8 @@ class TestMultiplicativeOrder:
                 if math.gcd(x, n) != 1:
                     continue
                 r = multiplicative_order(x, n)
-                assert mod_pow(x, r, n) == 1
-                assert all(mod_pow(x, t, n) != 1 for t in range(1, r))
+                assert pow(x, r, n) == 1
+                assert all(pow(x, t, n) != 1 for t in range(1, r))
 
 
 class TestEulerPhi:
@@ -172,7 +140,7 @@ class TestRecoverOrder:
         for c in range(0, 512, 7):
             candidate = recover_order_from_sample(c, 512, 2, 21, 4)
             if candidate is not None:
-                assert mod_pow(2, candidate, 21) == 1
+                assert pow(2, candidate, 21) == 1
 
 
 class TestModPowRange:

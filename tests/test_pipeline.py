@@ -86,13 +86,18 @@ class TestFanout:
         assert np.allclose(before_mags, after_mags)
 
     def test_function_register_holds_every_power(self, monkeypatch):
-        # One array modular exponentiation, not a scalar mod_pow per amplitude.
-        def refuse(*args):
-            raise AssertionError("scalar mod_pow called per amplitude")
+        # One array modular exponentiation, not a scalar pow per amplitude:
+        # mod_pow_range doubles, so it takes one pow per bit of q.
+        calls = []
 
-        monkeypatch.setattr(pipeline, "mod_pow", refuse, raising=False)
-        monkeypatch.setattr(numtheory, "mod_pow", refuse)
+        def counted_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(pipeline, "pow", counted_pow, raising=False)
+        monkeypatch.setattr(numtheory, "pow", counted_pow, raising=False)
         state = apply_modexp_fanout(init_uniform(INST_21_2, ell=2), INST_21_2)
+        assert 0 < len(calls) <= INST_21_2.s
         index, _ = state.nonzero_arrays()
         a, ykey = np.divmod(index, state.layout.right_dim)
         y1, y2 = np.divmod(ykey, 1 << state.layout.L)

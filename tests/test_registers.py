@@ -12,7 +12,7 @@ from tracing import traced_peak
 
 from shorsim.distributions import analytic_joint_probability, measurement_distribution
 from shorsim.errors import CapacityError, NotCoprimeError, RangeError
-from shorsim.numtheory import mod_pow, multiplicative_order
+from shorsim.numtheory import multiplicative_order
 from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
 from shorsim.registers import (
     DENSE,
@@ -45,10 +45,17 @@ def _norm_squared(state):
     return float(np.vdot(amps, amps).real)
 
 
+def _empty(layout, backend):
+    """A state that stores no amplitude."""
+    return StateVector.from_arrays(
+        layout, backend, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)
+    )
+
+
 def _closed_form_miss(inst, state):
     """Largest |p_simulated - p_analytic| over the outcomes of `state`."""
     r = multiplicative_order(inst.x, inst.n)
-    exponent = {mod_pow(inst.x, k, inst.n): k for k in range(r)}
+    exponent = {pow(inst.x, k, inst.n): k for k in range(r)}
     dist = measurement_distribution(state)
     return max(
         abs(p - analytic_joint_probability(inst, r, c, exponent[ys[0]]))
@@ -128,11 +135,11 @@ class TestCapacity:
         # One rule on both backends, s + L qubits whatever ell is: 20 + 2*4 =
         # 28 qubits as a flat vector, above the default 26, is within it.
         layout = RegisterLayout(s=20, L=4, ell=2)
-        assert StateVector.zeros(layout, DENSE).nonzero_count() == 0
+        assert _empty(layout, DENSE).nonzero_count() == 0
         assert StateVector(layout, SPARSE, {0: 1.0 + 0j}).densify().nonzero_count() == 1
         over = RegisterLayout(s=20, L=7, ell=1)  # s + L = 27 > default 26
         with pytest.raises(CapacityError, match=r"dense state needs up to 2\^27 amplitudes"):
-            StateVector.zeros(over, DENSE)
+            _empty(over, DENSE)
         sparse = StateVector(over, SPARSE, {0: 1.0 + 0j})
         with pytest.raises(CapacityError):
             sparse.densify()
@@ -161,14 +168,14 @@ class TestCapacity:
     def test_sparse_layout_counts_one_function_register(self):
         # A sparse state holds at most q * 2**L entries: s + L = 24 qubits.
         layout = RegisterLayout(s=20, L=4, ell=2)
-        assert StateVector.zeros(layout, SPARSE).nonzero_count() == 0
+        assert _empty(layout, SPARSE).nonzero_count() == 0
 
     def test_sparse_state_over_cap(self):
         layout = RegisterLayout(s=20, L=7, ell=1)  # s + L = 27 > default 26
         with pytest.raises(CapacityError):
-            StateVector.zeros(layout, SPARSE)
+            _empty(layout, SPARSE)
         raised = RegisterLayout(s=20, L=7, ell=1, qubit_cap=27)
-        assert StateVector.zeros(raised, SPARSE).nonzero_count() == 0
+        assert _empty(raised, SPARSE).nonzero_count() == 0
 
     def test_packed_index_must_fit_int64(self):
         with pytest.raises(CapacityError):
@@ -180,7 +187,7 @@ class TestStateVector:
         inst = ProblemInstance.create(15, 7)
         state = init_uniform(inst, ell=1, backend=SPARSE)
         assert _norm_squared(state) == pytest.approx(1.0, abs=1e-12)
-        zeros = StateVector.zeros(inst.layout(1), SPARSE)
+        zeros = _empty(inst.layout(1), SPARSE)
         assert _norm_squared(zeros) == 0.0
 
     def test_dense_sparse_norm_agree(self):
@@ -320,7 +327,7 @@ class TestStateVector:
 
     def test_zeros_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            StateVector.zeros(RegisterLayout(s=2, L=1, ell=1), "foo")
+            _empty(RegisterLayout(s=2, L=1, ell=1), "foo")
 
     def test_pre_transform_support_counts(self):
         inst = ProblemInstance.create(15, 7)
@@ -602,10 +609,14 @@ class TestMaxAbsDifference:
         assert max_abs_difference(*_table([2], [0.25]), *_table([3], [0.5])) == 0.5
         assert max_abs_difference(*_table([2], [0.5]), *_table([3], [0.25])) == 0.5
 
-    def test_repeated_keys_sum(self):
-        a = _table([7, 7, 9], [0.25, 0.25, 0.125])
-        assert max_abs_difference(*a, *_table([7, 9], [0.5, 0.125])) == 0.0
-        assert max_abs_difference(*a, *_table([9], [0.125])) == 0.5
+    def test_unsorted_or_repeated_keys_raise(self):
+        good = _table([7, 9], [0.5, 0.125])
+        for keys in ([9, 7], [7, 7]):
+            bad = _table(keys, [0.25, 0.25])
+            with pytest.raises(ValueError, match="ascend without repeats"):
+                max_abs_difference(*bad, *good)
+            with pytest.raises(ValueError, match="ascend without repeats"):
+                max_abs_difference(*good, *bad)
 
     def test_an_empty_side(self):
         empty = _table([], [])
