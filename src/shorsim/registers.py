@@ -14,9 +14,11 @@ a state as (ascending packed indices, amplitudes) and `StateVector.from_arrays`
 writes one; `StateVector.from_columns` writes one from a transform's (q, m)
 matrix, which it consumes. Every circuit stage goes through these three
 calls. Every state stores exactly that read-only ascending pair, so handing
-a state from one stage to the next converts nothing. The backend decides
-only what the two writers drop, by one rule (`_stored`): exact zeros for
-dense storage, amplitudes at or below SPARSE_AMPLITUDE_FLOOR for sparse.
+a state from one stage to the next converts nothing. A state built from or
+edited as a dict (`StateVector.data`) is read through `from_arrays` too, so
+it passes the same checks and floor as a pair. The backend decides only
+what the two writers drop, by one rule (`_stored`): exact zeros for dense
+storage, amplitudes at or below SPARSE_AMPLITUDE_FLOOR for sparse.
 Where `from_arrays` drops nothing from an ascending pair, the state takes
 the caller's arrays themselves, read-only from then on, so a stage's output
 is stored without a copy; `from_columns` compacts the kept cells within the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConsumedStateError, NotCoprimeError, RangeError
+from .errors import CapacityError, ConsumedStateError, NotCoprimeError
 
 DEFAULT_QUBIT_CAP = 26
 # Packed indices are int64 arrays, so s + ell*L may not exceed 63.
@@ -135,11 +137,6 @@ class RegisterLayout:
         return 1 << self.s
 
     @property
-    def function_dim(self) -> int:
-        """Dimension of one function register."""
-        return 1 << self.L
-
-    @property
     def right_dim(self) -> int:
         """Combined dimension of all function registers."""
         return 1 << (self.ell * self.L)
@@ -166,20 +163,6 @@ class RegisterLayout:
                 f"{needs.format(backend=backend, qubits=qubits)}, cap is 2^{self.qubit_cap} "
                 f"(raise the cap explicitly to allow this)"
             )
-
-    def pack_index(self, a: int, ys) -> int:
-        """Global basis index for control value a and function values ys."""
-        if not 0 <= a < self.q:
-            raise RangeError(f"control value {a} outside [0, {self.q})")
-        ys = tuple(ys)
-        if len(ys) != self.ell:
-            raise RangeError(f"expected {self.ell} function values, got {len(ys)}")
-        index = a
-        for y in ys:
-            if not 0 <= y < self.function_dim:
-                raise RangeError(f"function value {y} outside [0, {self.function_dim})")
-            index = (index << self.L) | y
-        return index
 
 
 def _require_backend(backend: str) -> None:
@@ -226,7 +209,8 @@ class StateVector:
     Callers outside this module read a state with `nonzero_arrays` and build
     one with `from_arrays`, or with `from_columns` from a (q, m) matrix. The
     constructor also takes a dict from packed index to amplitude, and `data`
-    turns the pair into such a dict, for code that edits entries in place.
+    turns the pair into such a dict, for code that edits entries in place;
+    each read of a dict goes through `from_arrays`, with its checks and floor.
 
     Ownership: measuring consumes a state (`take_probabilities`); from then
     on `nonzero_arrays`, `data`, `dump`, `nonzero_count` and every other
@@ -259,10 +243,11 @@ class StateVector:
     def from_arrays(
         cls, layout: RegisterLayout, backend: str, index: np.ndarray, amps: np.ndarray
     ) -> "StateVector":
-        """State holding amps[k] at the packed index index[k]; a repeated
-        index, an index outside [0, layout.dim) or a non-finite amplitude
-        raises ValueError, and more than 2**layout.qubit_cap entries
-        CapacityError, before anything is copied.
+        """State holding amps[k] at the packed index index[k]. Arrays that are
+        not 1-D of one length, a repeated index, an index outside
+        [0, layout.dim) or a non-finite amplitude raise ValueError, and more
+        than 2**layout.qubit_cap entries CapacityError, before anything is
+        copied.
 
         Dense storage keeps the nonzero amplitudes, sparse storage those with
         magnitude above SPARSE_AMPLITUDE_FLOOR; both keep their indices in
@@ -280,7 +265,12 @@ class StateVector:
         layout.check_capacity(backend, qubits=(len(index) - 1).bit_length())
         index = np.asarray(index, dtype=np.int64)
         amps = np.asarray(amps, dtype=np.complex128)
-        # Every stage writes ascending indices; a snapshot may not.
+        if index.ndim != 1 or amps.shape != index.shape:
+            raise ValueError(
+                f"expected 1-D index and amplitude arrays of one length, "
+                f"got shapes {index.shape} and {amps.shape}"
+            )
+        # Every stage writes ascending indices; a snapshot or a dict may not.
         if np.any(index[1:] <= index[:-1]):
             order = np.argsort(index)
             index, amps = index[order], amps[order]
@@ -353,18 +343,16 @@ class StateVector:
 
     def nonzero_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(packed indices, amplitudes) of the stored nonzero entries, the
-        indices ascending: the stored read-only pair, without a copy, unless
-        the entries were opened as a dict."""
+        indices ascending: the stored read-only pair, without a copy. Entries
+        held as a dict (handed to the constructor, or opened by `data`) go
+        through `from_arrays` at every read, which checks and floors them as
+        it would a pair; the dict itself keeps every entry."""
         if isinstance(self._entries(), tuple):
             return self._data
         count = len(self._data)
         index = np.fromiter(self._data.keys(), dtype=np.int64, count=count)
         amps = np.fromiter(self._data.values(), dtype=np.complex128, count=count)
-        # A dict handed to the constructor or edited in place may be in any order.
-        if np.any(index[1:] < index[:-1]):
-            order = np.argsort(index)
-            index, amps = index[order], amps[order]
-        return index, amps
+        return StateVector.from_arrays(self.layout, self.backend, index, amps).nonzero_arrays()
 
     def nonzero_count(self) -> int:
         return self.nonzero_arrays()[0].size

@@ -11,10 +11,11 @@ pipeline, register storage or kernels:
 
 The tensor's C-order ravel runs over shorsim's packed index (control register
 most significant, then y_1 .. y_ell), so `tensor.ravel()[index]` is the
-amplitude a state stores at `index`. The full space of (n, ell) has
-q * 2**(ell*L) amplitudes; keep it to about 2**20. `scatter`, `as_dict` and
-`total_variation` read shorsim's states and outcome tables for comparison,
-through their public arrays only.
+amplitude a state stores at `index`, and `pack` writes that index by
+`np.ravel_multi_index` over the tensor's axes. The full space of (n, ell)
+has q * 2**(ell*L) amplitudes; keep it to about 2**20. `scatter`, `as_dict`
+and `total_variation` read shorsim's states and outcome tables for
+comparison, through their public arrays only.
 """
 
 import numpy as np
@@ -63,6 +64,17 @@ def transform(psi: np.ndarray) -> np.ndarray:
 def final_state(n: int, x: int, ell: int = 1) -> np.ndarray:
     """The state the circuit measures: initialisation, fan-out, transform."""
     return transform(fanout(initial_state(n, ell), n, x))
+
+
+def register_shape(layout) -> tuple[int, ...]:
+    """(q, 2**L, ..., 2**L): the full-space tensor's axes on a layout, one per register."""
+    return (layout.q,) + (1 << layout.L,) * layout.ell
+
+
+def pack(layout, a, *ys):
+    """The packed index of control value a and function values ys (integers
+    or arrays of them): their position in the tensor's C-order ravel."""
+    return np.ravel_multi_index((a, *ys), register_shape(layout))
 
 
 def scatter(state) -> np.ndarray:

@@ -4,11 +4,12 @@ import json
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import pack, register_shape
+from test_readme import readme_commands
 from tracing import traced_peak
 from shorsim import distributions, numtheory, pipeline
 from shorsim.cli import _top_rows, build_parser, main
@@ -213,9 +214,9 @@ class TestAuditCommand:
             out = fanout(state, instance)
             layout = out.layout
             index, amps = out.nonzero_arrays()
-            a = index >> (layout.ell * layout.L)
-            shifted = np.array([pow(instance.x, v + 1, instance.n) for v in a.tolist()])
-            index = index - (index & (layout.function_dim - 1)) + shifted
+            *registers, _ = np.unravel_index(index, register_shape(layout))
+            shifted = [pow(instance.x, v + 1, instance.n) for v in registers[0].tolist()]
+            index = pack(layout, *registers, shifted)
             wrong = StateVector.from_arrays(layout, out.backend, index, amps)
             moved = wrong.nonzero_arrays()[1]
             assert abs(np.vdot(moved, moved).real - np.vdot(amps, amps).real) <= 1e-15
@@ -519,21 +520,10 @@ def test_out_of_range_integer_is_usage_error(tmp_path, argv, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def _readme_command_lines() -> list[str]:
-    """The `shorsim ...` lines of the README's "Command line" example block."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1]
-    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("shorsim ")]
-
-
-def test_readme_command_lines_run(tmp_path, monkeypatch):
-    lines = _readme_command_lines()
-    assert {shlex.split(line)[1] for line in lines} == set(_subcommand_dests())
-    monkeypatch.chdir(tmp_path)
-    for line in lines:
-        argv = shlex.split(line, comments=True)[1:]
-        assert main(argv) == 0, line
+def test_readme_command_lines_run():
+    # test_readme.py runs each line of the README's command block; here the
+    # block must show every subcommand.
+    assert {shlex.split(line)[1] for line in readme_commands()} == set(_subcommand_dests())
 
 
 def test_console_entry_point_runs(tmp_path):

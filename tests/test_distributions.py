@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import as_dict
+from oracles import as_dict, pack, register_shape
 from tracing import traced_peak
 from shorsim import distributions, pipeline
 from shorsim.cli import format_json
@@ -486,7 +486,7 @@ class TestAudit:
             layout = INST_15_7.layout(ell=2)
             rows = [((0, 1, 1), 0.3), ((1, 1, 1), 0.1), ((2, 4, 4), 0.3),
                     ((3, 4, 4), 0.2), ((5, 4, 7), 0.1)]
-            index = np.array([layout.pack_index(c, ys) for (c, *ys), _ in rows])
+            index = np.array([pack(layout, *outcome) for outcome, _ in rows])
             probs = np.array([p for _, p in rows])
             multi = OutcomeDistribution(layout, (1, 2, 3), index, probs)
         else:
@@ -495,9 +495,9 @@ class TestAudit:
 
                 def faulty(state, instance):
                     index, amps = fanout(state, instance).nonzero_arrays()
-                    a = index >> (2 * state.layout.L)
-                    shifted = np.array([pow(instance.x, v + 1, instance.n) for v in a.tolist()])
-                    index = index - (index & (state.layout.function_dim - 1)) + shifted
+                    *registers, _ = np.unravel_index(index, register_shape(state.layout))
+                    shifted = [pow(instance.x, v + 1, instance.n) for v in registers[0].tolist()]
+                    index = pack(state.layout, *registers, shifted)
                     return StateVector.from_arrays(state.layout, state.backend, index, amps)
 
                 monkeypatch.setattr(pipeline, "apply_modexp_fanout", faulty)

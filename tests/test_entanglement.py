@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import as_dict
+from oracles import as_dict, pack
 from tracing import traced_peak
 from shorsim.distributions import marginal, measurement_distribution
 from shorsim.entanglement import (
@@ -31,7 +31,7 @@ def pre_transform_state(inst, ell=1):
 class TestSchmidtSpectrum:
     def test_product_state_has_rank_one(self):
         layout = RegisterLayout(s=1, L=1, ell=1)
-        state = StateVector.from_arrays(layout, SPARSE, [layout.pack_index(0, [0])], [1.0])
+        state = StateVector.from_arrays(layout, SPARSE, [pack(layout, 0, 0)], [1.0])
         spectrum = schmidt_spectrum(state, cut_after=1)
         assert spectrum.eigenvalues == pytest.approx((1.0,), abs=1e-12)
 
@@ -40,7 +40,7 @@ class TestSchmidtSpectrum:
         layout = RegisterLayout(s=1, L=1, ell=1)
         amp = complex(1 / np.sqrt(2))
         state = StateVector.from_arrays(
-            layout, SPARSE, [layout.pack_index(0, [1]), layout.pack_index(1, [0])], [amp, amp]
+            layout, SPARSE, [pack(layout, 0, 1), pack(layout, 1, 0)], [amp, amp]
         )
         spectrum = schmidt_spectrum(state, cut_after=1)
         assert spectrum.eigenvalues == pytest.approx((0.5, 0.5), abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import as_dict, scatter
+from oracles import as_dict, pack, scatter
 from tracing import traced_peak
 from shorsim import _kernels, numtheory, pipeline
 from shorsim.distributions import marginal, measurement_distribution
@@ -68,13 +68,13 @@ class TestFanout:
         state = apply_modexp_fanout(init_uniform(INST_15_7, ell=1), INST_15_7)
         layout = state.layout
         # 7^2 mod 15 = 4
-        assert amplitude(state, layout.pack_index(2, [4])) == pytest.approx(1 / 16)
-        assert amplitude(state, layout.pack_index(2, [0])) == 0
+        assert amplitude(state, pack(layout, 2, 4)) == pytest.approx(1 / 16)
+        assert amplitude(state, pack(layout, 2, 0)) == 0
 
     def test_two_register_branch(self):
         state = apply_modexp_fanout(init_uniform(INST_15_7, ell=2), INST_15_7)
         layout = state.layout
-        assert amplitude(state, layout.pack_index(0, [1, 1])) == pytest.approx(1 / 16)
+        assert amplitude(state, pack(layout, 0, 1, 1)) == pytest.approx(1 / 16)
 
     @pytest.mark.parametrize("backend", [DENSE, SPARSE])
     def test_permutation_on_support(self, backend):
@@ -117,7 +117,7 @@ class TestDirectTransform:
         # which transforms to a point mass at c = 0.
         state = apply_qft_register1_direct(init_uniform(INST_15_7, ell=1))
         layout = state.layout
-        assert abs(amplitude(state, layout.pack_index(0, [0]))) ** 2 == pytest.approx(
+        assert abs(amplitude(state, pack(layout, 0, 0))) ** 2 == pytest.approx(
             1.0, abs=1e-12
         )
         assert norm_squared(state) == pytest.approx(1.0, abs=1e-12)
@@ -125,7 +125,7 @@ class TestDirectTransform:
     def test_known_amplitude(self):
         state = run_pipeline(INST_15_7, ell=1)
         layout = state.layout
-        amp = amplitude(state, layout.pack_index(64, [1]))
+        amp = amplitude(state, pack(layout, 64, 1))
         assert abs(amp) ** 2 == pytest.approx(1 / 16, abs=1e-12)
 
     @pytest.mark.parametrize("inst", [INST_15_7, INST_21_2])
@@ -148,18 +148,18 @@ class TestDirectTransform:
 class TestGateTransform:
     def test_single_qubit_hadamard(self):
         layout = RegisterLayout(s=1, L=1, ell=1)
-        state = StateVector.from_arrays(layout, DENSE, [layout.pack_index(0, [0])], [1.0])
+        state = StateVector.from_arrays(layout, DENSE, [pack(layout, 0, 0)], [1.0])
         out = apply_qft_register1_gates(state)
-        assert amplitude(out, layout.pack_index(0, [0])) == pytest.approx(1 / np.sqrt(2))
-        assert amplitude(out, layout.pack_index(1, [0])) == pytest.approx(1 / np.sqrt(2))
+        assert amplitude(out, pack(layout, 0, 0)) == pytest.approx(1 / np.sqrt(2))
+        assert amplitude(out, pack(layout, 1, 0)) == pytest.approx(1 / np.sqrt(2))
 
     def test_three_qubit_column(self):
         layout = RegisterLayout(s=3, L=1, ell=1)
-        state = StateVector.from_arrays(layout, DENSE, [layout.pack_index(1, [0])], [1.0])
+        state = StateVector.from_arrays(layout, DENSE, [pack(layout, 1, 0)], [1.0])
         out = apply_qft_register1_gates(state)
         for c in range(8):
             expected = np.exp(2j * np.pi * c / 8) / np.sqrt(8)
-            assert amplitude(out, layout.pack_index(c, [0])) == pytest.approx(
+            assert amplitude(out, pack(layout, c, 0)) == pytest.approx(
                 expected, abs=1e-14
             )
 

@@ -11,7 +11,7 @@ from shorsim import registers
 from tracing import traced_peak
 
 from shorsim.distributions import analytic_joint_probability, measurement_distribution
-from shorsim.errors import CapacityError, NotCoprimeError, RangeError
+from shorsim.errors import CapacityError, NotCoprimeError
 from shorsim.numtheory import multiplicative_order
 from shorsim.pipeline import apply_modexp_fanout, init_uniform, run_pipeline
 from shorsim.registers import (
@@ -24,13 +24,6 @@ from shorsim.registers import (
     choose_modulus_power,
     max_abs_difference,
 )
-
-
-def _unpack(layout, index):
-    """(a, ys) of a packed index: the control value, then each function register."""
-    a, rest = divmod(index, layout.right_dim)
-    shifts = range(layout.L * (layout.ell - 1), -1, -layout.L)
-    return a, tuple((rest >> shift) & (layout.function_dim - 1) for shift in shifts)
 
 
 def _amplitude(state, index):
@@ -95,39 +88,6 @@ class TestProblemInstance:
             ProblemInstance.create(15, 15)
         with pytest.raises(NotCoprimeError):
             ProblemInstance.create(15, 6)
-
-
-class TestPacking:
-    def test_examples(self):
-        layout2 = RegisterLayout(s=8, L=4, ell=2)
-        assert layout2.pack_index(0, [0, 0]) == 0
-        layout1 = RegisterLayout(s=8, L=4, ell=1)
-        assert layout1.pack_index(1, [0]) == 16
-        assert layout2.pack_index(3, [7, 2]) == 3 * 256 + 7 * 16 + 2
-
-    def test_range_errors(self):
-        layout = RegisterLayout(s=4, L=3, ell=2)
-        with pytest.raises(RangeError):
-            layout.pack_index(16, [0, 0])
-        with pytest.raises(RangeError):
-            layout.pack_index(0, [8, 0])
-        with pytest.raises(RangeError):
-            layout.pack_index(0, [0])
-
-    @given(st.integers(min_value=0, max_value=(1 << 14) - 1))
-    def test_round_trip(self, index):
-        layout = RegisterLayout(s=6, L=4, ell=2)
-        a, ys = _unpack(layout, index)
-        assert layout.pack_index(a, ys) == index
-
-    def test_round_trip_exhaustive_small(self):
-        layout = RegisterLayout(s=3, L=2, ell=2)
-        seen = set()
-        for index in range(layout.dim):
-            a, ys = _unpack(layout, index)
-            assert layout.pack_index(a, ys) == index
-            seen.add((a, ys))
-        assert len(seen) == layout.dim
 
 
 class TestCapacity:
@@ -287,6 +247,67 @@ class TestStateVector:
         layout = RegisterLayout(s=2, L=1, ell=1)
         with pytest.raises(ValueError, match="non-finite"):
             StateVector.from_arrays(layout, backend, [1, 6], [0.6, bad])
+
+    @pytest.mark.parametrize(
+        "index, amps",
+        [
+            ([0, 1, 2], [1.0]),
+            ([0], [0.6, 0.8]),
+            (np.array([[1], [5]]), [0.6, 0.8]),
+            ([[1, 5]], [[0.6, 0.8]]),
+        ],
+    )
+    def test_from_arrays_refuses_arrays_not_1d_of_one_length(self, index, amps):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        with pytest.raises(ValueError, match="1-D index and amplitude arrays of one length"):
+            StateVector.from_arrays(layout, SPARSE, index, amps)
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize("index", [-1, 8, 1 << 40])
+    def test_a_dict_index_outside_the_layout_is_refused_at_reading(self, backend, index):
+        # 8 amplitudes: index 8 was stored, and measured as outcome (0, 0).
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        built = StateVector(layout, backend, {index: 1.0})
+        edited = StateVector.from_arrays(layout, backend, [1], [1.0])
+        edited.data[index] = 0.0
+        for state in (built, edited):
+            with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
+                state.nonzero_arrays()
+            with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
+                measurement_distribution(state)
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_a_non_finite_dict_entry_is_refused_at_reading(self, backend, bad):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        built = StateVector(layout, backend, {1: 0.6, 6: bad})
+        edited = StateVector.from_arrays(layout, backend, [1, 6], [0.6, 0.8])
+        edited.data[6] = bad
+        for state in (built, edited):
+            with pytest.raises(ValueError, match="non-finite"):
+                state.nonzero_arrays()
+
+    @pytest.mark.parametrize("backend", [DENSE, SPARSE])
+    def test_a_dict_over_the_cap_is_refused_at_reading(self, backend):
+        # s + L = 3 qubits fit a cap of 2**3; nine entries do not, nor does
+        # any state on the same layout under a cap of 2**2.
+        entries = {i: 1 / 3 for i in range(9)}
+        over = StateVector(RegisterLayout(s=2, L=1, ell=3, qubit_cap=3), backend, entries)
+        with pytest.raises(CapacityError):
+            over.nonzero_arrays()
+        small_cap = RegisterLayout(s=2, L=1, ell=1, qubit_cap=2)
+        with pytest.raises(CapacityError):
+            StateVector(small_cap, backend, {i: 8**-0.5 for i in range(8)}).nonzero_arrays()
+
+    def test_sparse_dict_entries_at_the_floor_are_dropped_on_reading(self):
+        layout = RegisterLayout(s=2, L=1, ell=1)
+        entries = {5: 0.6, 1: SPARSE_AMPLITUDE_FLOOR, 3: 1e-30j, 6: 0.8}
+        sparse = StateVector(layout, SPARSE, dict(entries))
+        assert [a.tolist() for a in sparse.nonzero_arrays()] == [[5, 6], [0.6, 0.8]]
+        # The dict keeps what the read drops; dense storage keeps all four.
+        assert sparse.data == entries
+        dense = StateVector(layout, DENSE, dict(entries))
+        assert dense.nonzero_arrays()[0].tolist() == [1, 3, 5, 6]
 
     def test_sparse_data_written_out_of_order_reads_ascending(self):
         inst = ProblemInstance.create(15, 7)
